@@ -118,24 +118,96 @@ def relabel(model: FiniteAlgebra, perm: Sequence[int]) -> FiniteAlgebra:
 
 def _canonical_tuple(model: FiniteAlgebra) -> tuple[int, ...]:
     """Lexicographically least row-major table over permutations sending the
-    unit to index n-1."""
-    n = model.size
-    rest = [i for i in range(n) if i != model.unit]
-    best: tuple[int, ...] | None = None
-    for images in itertools.permutations(range(n - 1)):
-        perm = [0] * n
-        perm[model.unit] = n - 1
-        for old, new in zip(rest, images):
-            perm[old] = new
-        flat = tuple(
-            perm[model.table[i][j]]
-            for i in sorted(range(n), key=perm.__getitem__)
-            for j in sorted(range(n), key=perm.__getitem__)
-        )
-        if best is None or flat < best:
-            best = flat
-    assert best is not None
-    return best
+    unit to index n-1.
+
+    Branch and bound over relabelings, built cell by cell in row-major order
+    of the new table.  An element met in a cell before it has a label takes
+    the next free label (any other label would make that cell larger), so
+    only the columns of row 0 branch; after row 0 every label is fixed.  The
+    bound starts as the table with the unit swapped to n-1 (the identity for
+    a search table), and a branch stops at its first cell above the bound.
+    """
+    n, unit, t = model.size, model.unit, model.table
+    last = n - 1
+    swap = list(range(n))
+    swap[unit], swap[last] = last, unit
+    best = [swap[t[swap[i]][swap[j]]] for i in range(n) for j in range(n)]
+    cur = [0] * (n * n)
+    perm = [-1] * n  # old element -> new label
+    inv = [-1] * n  # new label -> old element
+    perm[unit] = last
+    inv[last] = unit
+
+    def rest_rows(below: bool) -> bool:
+        """Rows 1.. under the now complete labelling; True if best was replaced."""
+        pos = n
+        for r in range(1, n):
+            row = t[inv[r]]
+            for c in range(n):
+                p = perm[row[inv[c]]]
+                if not below:
+                    b = best[pos]
+                    if p > b:
+                        return False
+                    below = p < b
+                cur[pos] = p
+                pos += 1
+        if below:
+            best[:] = cur
+        return below
+
+    def fill_row0(c: int, k: int, below: bool) -> bool:
+        """Row 0 from column c on, with labels 0..k-1 given.  below says the
+        prefix is already less than best.  True if best was replaced."""
+        k0 = k
+        row = t[inv[0]]
+        replaced = False
+        while c < n:
+            if inv[c] < 0:  # label c == k is free: branch
+                replaced = branch(c, below)
+                break
+            v = row[inv[c]]
+            p = perm[v]
+            if p < 0:
+                p = perm[v] = k
+                inv[k] = v
+                k += 1
+            if not below:
+                b = best[c]
+                if p > b:
+                    break
+                below = p < b
+            cur[c] = p
+            c += 1
+        else:
+            replaced = rest_rows(below)
+        for label in range(k0, k):
+            perm[inv[label]] = -1
+            inv[label] = -1
+        return replaced
+
+    def branch(k: int, below: bool) -> bool:
+        """Try every unlabeled element as label k (also column k of row 0)."""
+        replaced = False
+        for x in range(n):
+            if perm[x] >= 0:
+                continue
+            perm[x] = k
+            inv[k] = x
+            if fill_row0(k, k + 1, below):
+                # The new best runs through this prefix, so the prefix is no
+                # longer below it.
+                replaced = True
+                below = False
+            perm[x] = -1
+            inv[k] = -1
+        return replaced
+
+    if inv[0] < 0:
+        branch(0, False)
+    else:  # n == 1
+        fill_row0(0, 0, False)
+    return tuple(best)
 
 
 def canonical_form(model: FiniteAlgebra) -> bytes:

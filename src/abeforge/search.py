@@ -129,8 +129,9 @@ def enumerate_with_stats(
 ) -> tuple[list[FiniteAlgebra], int, bool]:
     """One representative per isomorphism class, ascending by canonical form.
 
-    Isomorph rejection is generate-and-test: a completed table survives only
-    if it equals its own canonical form.
+    Isomorph rejection is generate-and-test: each completed table is
+    canonicalized once and survives only if it equals its canonical form,
+    so a survivor's own table is its canonical key.
     """
     if n < 1:
         raise ValueError("size must be >= 1")
@@ -138,9 +139,8 @@ def enumerate_with_stats(
     survivors: list[tuple[bytes, FiniteAlgebra]] = []
     for flat in tables:
         model = _to_algebra(flat, n)
-        key = canonical_form(model)
         if canonicalize(model) == model:
-            survivors.append((key, model))
+            survivors.append((bytes([n]) + bytes(flat), model))
     survivors.sort(key=lambda kv: kv[0])
     return [m for _, m in survivors], nodes, exceeded
 

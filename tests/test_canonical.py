@@ -1,0 +1,92 @@
+"""The branch-and-bound canonicalizer against the plain (n-1)! scan, and the
+orbit-counting identity that ties the enumerator's classes to its labeled
+tables at sizes the brute-force oracle cannot reach."""
+
+import itertools
+import math
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given
+
+from abeforge import search
+from abeforge.models import FiniteAlgebra, canonical_form, canonicalize
+from abeforge.search import enumerate_with_stats
+
+
+def reference_canonical(model):
+    """(lex-least row-major table over the relabelings sending the unit to
+    n-1, number of relabelings that reach it), by trying all (n-1)! of them.
+
+    The relabelings reaching the least table form one coset of the
+    unit-fixing automorphism group, so the count is |Aut(model)|.
+    """
+    n = model.size
+    rest = [i for i in range(n) if i != model.unit]
+    best, count = None, 0
+    for images in itertools.permutations(range(n - 1)):
+        perm = [0] * n
+        perm[model.unit] = n - 1
+        for old, new in zip(rest, images):
+            perm[old] = new
+        order = sorted(range(n), key=perm.__getitem__)
+        flat = tuple(perm[model.table[i][j]] for i in order for j in order)
+        if best is None or flat < best:
+            best, count = flat, 1
+        elif flat == best:
+            count += 1
+    return best, count
+
+
+def assert_matches_reference(model):
+    flat, _ = reference_canonical(model)
+    n = model.size
+    assert canonical_form(model) == bytes([n]) + bytes(flat)
+    assert canonicalize(model) == search._to_algebra(flat, n)
+
+
+@st.composite
+def arbitrary_tables(draw):
+    n = draw(st.integers(1, 5))
+    table = tuple(tuple(draw(st.integers(0, n - 1)) for _ in range(n)) for _ in range(n))
+    return FiniteAlgebra(n, draw(st.integers(0, n - 1)), table)
+
+
+@pytest.mark.parametrize("name, max_size", [("aBE", 4), ("implicative-aBE", 6)])
+def test_agrees_with_scan_on_every_labeled_table(name, max_size):
+    implicative = name == "implicative-aBE"
+    for n in range(1, max_size + 1):
+        tables, _, _ = search._core.search_tables(n, implicative)
+        for flat in tables:
+            assert_matches_reference(search._to_algebra(flat, n))
+
+
+@given(arbitrary_tables())
+def test_agrees_with_scan_on_arbitrary_tables(model):
+    # check and are_isomorphic canonicalize unvalidated input, so any unit
+    # and any entries, models or not.
+    assert_matches_reference(model)
+
+
+@pytest.mark.parametrize("name, max_size", [("aBE", 5), ("implicative-aBE", 6)])
+def test_orbit_counting_identity(corpus, monkeypatch, name, max_size):
+    # Sum over the emitted classes of (n-1)!/|Aut| must equal the number of
+    # labeled tables the search core handed to isomorph rejection.
+    labeled_counts = []
+    core_search = search._core.search_tables
+
+    def counting_search(*args):
+        result = core_search(*args)
+        labeled_counts.append(len(result[0]))
+        return result
+
+    monkeypatch.setattr(search._core, "search_tables", counting_search)
+    system = corpus.axiom_system(name)
+    for n in range(1, max_size + 1):
+        models, _, _ = enumerate_with_stats(system, n)
+        labeled = labeled_counts.pop()
+        orbits = 0
+        for model in models:
+            _, automorphisms = reference_canonical(model)
+            orbits += math.factorial(n - 1) // automorphisms
+        assert orbits == labeled, n
