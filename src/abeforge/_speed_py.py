@@ -1,8 +1,11 @@
 """Pure-Python twin of the compiled search core in _speed.pyx.
 
-Both expose search_tables() with identical semantics and identical output
-order; the package picks whichever is available at import time.  Keep the two
-implementations in lockstep.
+Both expose search_tables() with the same contract: the same free-cell order,
+the same propagation fixpoint after every assignment, the same node accounting
+and the same output order.  The package picks whichever is available at import
+time.  How each core reaches the fixpoint is its own business: the compiled
+core re-sweeps every axiom instance until nothing changes, this one rechecks
+only the instances of the cells assigned since the last fixpoint.
 """
 
 from __future__ import annotations
@@ -22,60 +25,80 @@ def _prefill(n: int) -> list[int]:
     return t
 
 
-def _propagate(t: list[int], n: int, implicative: bool, trail: list[int]) -> bool:
-    """Sweep to a fixpoint: force cells implied by the exchange law and (when
-    implicative) the contraction law; fail on any violated instance.
+def _propagate(
+    t: list[int], n: int, implicative: bool, trail: list[int], queue: list[int]
+) -> bool:
+    """Propagate the assigned cells in `queue` to a fixpoint.
 
-    Every forced assignment is recorded on the trail for backtracking.
-    Returns False on contradiction.
+    Each cell (a,b) = v taken off the queue rechecks only the axiom instances
+    it takes part in: antisymmetry against (b,a); contraction (a -> b) -> a = a
+    (when implicative); and exchange x -> (y -> z) = y -> (x -> z) with (a,b)
+    as one of the index cells y -> z, x -> z or as one of the two cells they
+    select.  Every forced cell is recorded on the trail for backtracking and
+    queued in turn.  The rules are monotone, so the fixpoint (or the
+    contradiction) does not depend on the queue order.  The caller queues
+    every assigned cell once, then only the cells it assigns itself.
+    Returns False on contradiction; the queue is left in no defined state.
     """
     u = n - 1
-    changed = True
-    while changed:
-        changed = False
-        # antisymmetry: i -> j = 1 and j -> i = 1 with i != j is impossible
-        for i in range(n):
-            for j in range(i + 1, n):
-                if t[i * n + j] == u and t[j * n + i] == u:
-                    return False
-        # contraction (x -> y) -> x = x
+    rows = range(0, n * n, n)
+    push = queue.append
+    record = trail.append
+    while queue:
+        c = queue.pop()
+        a, b = divmod(c, n)
+        v = t[c]
+        # antisymmetry: a -> b = 1 and b -> a = 1 with a != b is impossible
+        if v == u and a != b and t[b * n + a] == u:
+            return False
+        # contraction with (a,b) as its premise: v -> a = a
         if implicative:
-            for x in range(n):
-                for y in range(n):
-                    v = t[x * n + y]
-                    if v < 0:
-                        continue
-                    c = v * n + x
-                    w = t[c]
-                    if w < 0:
-                        t[c] = x
-                        trail.append(c)
-                        changed = True
-                    elif w != x:
+            d = v * n + a
+            w = t[d]
+            if w < 0:
+                t[d] = a
+                record(d)
+                push(d)
+            elif w != a:
+                return False
+        an = a * n
+        # (a,b) as an index cell: w -> (a -> b) = a -> (w -> b), i.e.
+        # (w,v) = (a,q) where q = w -> b
+        for wn in rows:
+            q = t[wn + b]
+            if q < 0 or wn == an:
+                continue
+            c1 = wn + v
+            c2 = an + q
+            x1 = t[c1]
+            x2 = t[c2]
+            if x1 >= 0:
+                if x2 < 0:
+                    t[c2] = x1
+                    record(c2)
+                    push(c2)
+                elif x1 != x2:
+                    return False
+            elif x2 >= 0:
+                t[c1] = x2
+                record(c1)
+                push(c1)
+        # (a,b) as a selected cell: a -> (y -> z) = y -> (a -> z) for every
+        # y -> z = b, i.e. (y,q) = v where q = a -> z
+        for z in range(n):
+            q = t[an + z]
+            if q < 0 or b not in t[z::n]:
+                continue
+            for yn in rows:
+                if t[yn + z] == b and yn != an:
+                    c2 = yn + q
+                    x2 = t[c2]
+                    if x2 < 0:
+                        t[c2] = v
+                        record(c2)
+                        push(c2)
+                    elif x2 != v:
                         return False
-        # exchange x -> (y -> z) = y -> (x -> z)
-        for x in range(n):
-            for y in range(x + 1, n):
-                for z in range(n):
-                    i1 = t[y * n + z]
-                    i2 = t[x * n + z]
-                    if i1 < 0 or i2 < 0:
-                        continue
-                    c1 = x * n + i1
-                    c2 = y * n + i2
-                    a = t[c1]
-                    b = t[c2]
-                    if a >= 0 and b >= 0:
-                        if a != b:
-                            return False
-                    elif a >= 0:
-                        t[c2] = a
-                        trail.append(c2)
-                        changed = True
-                    elif b >= 0:
-                        t[c1] = b
-                        trail.append(c1)
-                        changed = True
     return True
 
 
@@ -100,17 +123,17 @@ def search_tables(
     exceeded = False
 
     trail: list[int] = []
-    if not _propagate(t, n, implicative, trail):
+    if not _propagate(t, n, implicative, trail, [c for c, v in enumerate(t) if v >= 0]):
         return results, nodes, exceeded
 
-    def rec():
+    def rec(k: int):
+        # free[:k] are all assigned, and stay so below this frame
         nonlocal nodes, exceeded
-        cell = -1
-        for c in free:
-            if t[c] < 0:
-                cell = c
+        for k in range(k, len(free)):
+            cell = free[k]
+            if t[cell] < 0:
                 break
-        if cell < 0:
+        else:
             results.append(tuple(t))
             return
         for v in range(n):
@@ -121,8 +144,8 @@ def search_tables(
             mark = len(trail)
             t[cell] = v
             trail.append(cell)
-            if _propagate(t, n, implicative, trail):
-                rec()
+            if _propagate(t, n, implicative, trail, [cell]):
+                rec(k + 1)
             while len(trail) > mark:
                 t[trail.pop()] = -1
             if exceeded:
@@ -136,17 +159,17 @@ def search_tables(
     if first_value >= 0:
         if t[c0] >= 0:
             if t[c0] == first_value:
-                rec()
+                rec(1)
             return results, nodes, exceeded
         nodes += 1
         mark = len(trail)
         t[c0] = first_value
         trail.append(c0)
-        if _propagate(t, n, implicative, trail):
-            rec()
+        if _propagate(t, n, implicative, trail, [c0]):
+            rec(1)
         while len(trail) > mark:
             t[trail.pop()] = -1
         return results, nodes, exceeded
 
-    rec()
+    rec(0)
     return results, nodes, exceeded

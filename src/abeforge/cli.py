@@ -35,6 +35,7 @@ from .models import (
 from .search import (
     BruteForceBoundError,
     EnumerationReport,
+    NodeBudgetExceeded,
     UnknownSystemError,
     brute_force_models,
     core_name,
@@ -241,7 +242,7 @@ def _report_text(report: EnumerationReport, timings: bool):
 @click.option("--property", "property_ids", multiple=True, help="also model-check these statement ids")
 @click.option("--emit", type=click.Choice(["text", "json"]), default="text")
 @click.option("--threads", type=int, default=1)
-@click.option("--budget-nodes", type=int, default=0)
+@click.option("--budget-nodes", type=click.IntRange(min=0), default=0, help="nodes per size, 0 for unlimited")
 @click.option("--timings", is_flag=True, help="include wall-clock timings (not byte-stable)")
 def enumerate_cmd(axioms_name, max_size, property_ids, emit, threads, budget_nodes, timings):
     """Isomorph-free enumeration of all models up to a size bound."""
@@ -328,7 +329,7 @@ def check(model_path, axioms_name, property_id, emit):
 @click.option("--max-size", type=int, required=True)
 @click.option("--emit", type=click.Choice(["text", "json"]), default="text")
 @click.option("--threads", type=int, default=1)
-@click.option("--budget-nodes", type=int, default=0)
+@click.option("--budget-nodes", type=click.IntRange(min=0), default=0, help="nodes per size, 0 for unlimited")
 def search(axioms_name, property_id, max_size, emit, threads, budget_nodes):
     """Look for a model of the axioms that violates a property."""
     corpus = _load_corpus_or_die(None)
@@ -341,7 +342,17 @@ def search(axioms_name, property_id, max_size, emit, threads, budget_nodes):
     if max_size < 1:
         click.echo("error: --max-size must be >= 1", err=True)
         sys.exit(EXIT_INPUT_ERROR)
-    result = find_counterexample(system, prop, max_size, budget_nodes, _threads(threads))
+    try:
+        result = find_counterexample(system, prop, max_size, budget_nodes, _threads(threads))
+    except NodeBudgetExceeded as e:
+        if emit == "json":
+            _emit_json(
+                {"axioms": axioms_name, "violates": property_id, "max_size": max_size,
+                 "status": "exceeded", "size": e.size}
+            )
+        else:
+            click.echo(f"node budget exceeded at size {e.size}")
+        sys.exit(EXIT_OK)
     if result is None:
         if emit == "json":
             _emit_json({"axioms": axioms_name, "violates": property_id, "max_size": max_size, "status": "none"})

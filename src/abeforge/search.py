@@ -2,7 +2,9 @@
 
 The hot inner loop lives in the compiled core (abeforge._speed) with a
 pure-Python twin (_speed_py); set ABEFORGE_PURE=1 to force the fallback.
-Both produce identical streams.
+The two propagate differently but reach the same fixpoint after every
+assignment and count nodes the same way, so they return identical table
+streams and node counts.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "PropertyResult",
     "EnumerationReport",
     "BruteForceBoundError",
+    "NodeBudgetExceeded",
     "UnknownSystemError",
     "enumerate_models",
     "enumerate_with_stats",
@@ -58,6 +61,14 @@ class BruteForceBoundError(ValueError):
 
 class UnknownSystemError(ValueError):
     pass
+
+
+class NodeBudgetExceeded(RuntimeError):
+    """The search at one size tried node_budget nodes without finishing."""
+
+    def __init__(self, size: int):
+        super().__init__(f"node budget exceeded at size {size}")
+        self.size = size
 
 
 @dataclass
@@ -135,6 +146,8 @@ def enumerate_with_stats(
     """
     if n < 1:
         raise ValueError("size must be >= 1")
+    if node_budget < 0:
+        raise ValueError("node budget must be >= 0")
     tables, nodes, exceeded = _search(system, n, node_budget, threads)
     survivors: list[tuple[bytes, FiniteAlgebra]] = []
     for flat in tables:
@@ -150,7 +163,7 @@ def enumerate_models(
 ) -> Iterator[FiniteAlgebra]:
     models, _, exceeded = enumerate_with_stats(system, n, node_budget, threads)
     if exceeded:
-        raise RuntimeError(f"node budget exceeded at size {n}")
+        raise NodeBudgetExceeded(n)
     yield from models
 
 
@@ -181,7 +194,10 @@ def find_counterexample(
     node_budget: int = 0,
     threads: int = 1,
 ) -> Optional[tuple[FiniteAlgebra, Witness]]:
-    """First model (smallest size, least canonical form) falsifying the property."""
+    """First model (smallest size, least canonical form) falsifying the property.
+
+    Raises NodeBudgetExceeded at the first size whose search runs out of
+    nodes before a counterexample is found."""
     for n in range(1, max_size + 1):
         for model in enumerate_models(system, n, node_budget, threads):
             ok, witness = satisfies(model, prop)

@@ -92,6 +92,13 @@ class TestEnumerate:
         obj = json.loads(result.output)
         assert obj["sizes"][-1]["exceeded"] is True
 
+    def test_negative_budget_exit_3(self, runner):
+        result = invoke(
+            runner, "enumerate", "--axioms", "aBE", "--max-size", "3", "--budget-nodes", "-1"
+        )
+        assert result.exit_code == 3
+        assert "--budget-nodes" in result.output
+
 
 class TestCheck:
     def test_good_model_with_property(self, runner, tmp_path):
@@ -152,6 +159,27 @@ class TestSearch:
             runner, "search", "--axioms", "aBE", "--violates", "nosuch", "--max-size", "2"
         )
         assert result.exit_code == 3
+
+    BUDGETED = ("search", "--axioms", "aBE", "--violates", "commutativity", "--max-size", "4",
+                "--budget-nodes", "5")
+
+    def test_budget_exceeded_reported_with_exit_0(self, runner):
+        # sizes 1 and 2 need no nodes; size 3 needs 9 and holds no counterexample
+        result = invoke(runner, *self.BUDGETED)
+        assert result.exit_code == 0
+        assert result.output == "node budget exceeded at size 3\n"
+        result = invoke(runner, *self.BUDGETED, "--emit", "json")
+        assert result.exit_code == 0
+        obj = json.loads(result.output)
+        assert (obj["status"], obj["size"], obj["max_size"]) == ("exceeded", 3, 4)
+
+    def test_negative_budget_exit_3(self, runner):
+        result = invoke(
+            runner, "search", "--axioms", "aBE", "--violates", "trans", "--max-size", "3",
+            "--budget-nodes", "-1",
+        )
+        assert result.exit_code == 3
+        assert "--budget-nodes" in result.output
 
 
 class TestOracle:

@@ -97,6 +97,10 @@ class TestEnumerate:
         assert exceeded
         assert nodes <= 10
 
+    def test_negative_budget_rejected(self, corpus):
+        with pytest.raises(ValueError, match="budget"):
+            enumerate_with_stats(corpus.axiom_system("aBE"), 3, node_budget=-1)
+
 
 class TestCoreTwins:
     def test_pure_and_selected_agree(self, corpus):
