@@ -242,7 +242,7 @@ def _report_text(report: EnumerationReport, timings: bool):
 @click.option("--property", "property_ids", multiple=True, help="also model-check these statement ids")
 @click.option("--emit", type=click.Choice(["text", "json"]), default="text")
 @click.option("--threads", type=int, default=1)
-@click.option("--budget-nodes", type=click.IntRange(min=0), default=0, help="nodes per size, 0 for unlimited")
+@click.option("--budget-nodes", type=click.IntRange(min=0), default=0, help="search nodes for the whole run, 0 for unlimited")
 @click.option("--timings", is_flag=True, help="include wall-clock timings (not byte-stable)")
 def enumerate_cmd(axioms_name, max_size, property_ids, emit, threads, budget_nodes, timings):
     """Isomorph-free enumeration of all models up to a size bound."""
@@ -329,7 +329,7 @@ def check(model_path, axioms_name, property_id, emit):
 @click.option("--max-size", type=int, required=True)
 @click.option("--emit", type=click.Choice(["text", "json"]), default="text")
 @click.option("--threads", type=int, default=1)
-@click.option("--budget-nodes", type=click.IntRange(min=0), default=0, help="nodes per size, 0 for unlimited")
+@click.option("--budget-nodes", type=click.IntRange(min=0), default=0, help="search nodes for the whole run, 0 for unlimited")
 def search(axioms_name, property_id, max_size, emit, threads, budget_nodes):
     """Look for a model of the axioms that violates a property."""
     corpus = _load_corpus_or_die(None)

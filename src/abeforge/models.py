@@ -6,12 +6,13 @@ table may violate everything.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .statements import AxiomSystem, Statement, clause_form
+from .statements import AxiomSystem, Literal, Statement, clause_form
 from .terms import Arrow, Const, Term, Unit, Var
 
 __all__ = [
@@ -71,27 +72,94 @@ def evaluate(model: FiniteAlgebra, t: Term, assignment: Mapping[str, int]) -> in
     return model.table[evaluate(model, t.left, assignment)][evaluate(model, t.right, assignment)]
 
 
+def _compile_term(t: Term, index: Mapping[str, int]):
+    """t as a closure (table, unit, values) -> int, with the value of the
+    name index[name] at values[index[name]].  A name without an index, such
+    as a proof-local constant, raises the KeyError evaluate raises."""
+    if isinstance(t, Unit):
+        return lambda tab, unit, a: unit
+    if isinstance(t, (Var, Const)):
+        i = index.get(t.name)
+        if i is None:
+            message = f"unbound name {t.name!r}"
+
+            def unbound(tab, unit, a):
+                raise KeyError(message)
+
+            return unbound
+        return lambda tab, unit, a: a[i]
+    assert isinstance(t, Arrow)
+    i, j = _bound_index(t.left, index), _bound_index(t.right, index)
+    # Arrows over bound names read the table directly: most calls end there.
+    if i is not None and j is not None:
+        return lambda tab, unit, a: tab[a[i]][a[j]]
+    left = _compile_term(t.left, index)
+    right = _compile_term(t.right, index)
+    if i is not None:
+        return lambda tab, unit, a: tab[a[i]][right(tab, unit, a)]
+    if j is not None:
+        return lambda tab, unit, a: tab[left(tab, unit, a)][a[j]]
+    return lambda tab, unit, a: tab[left(tab, unit, a)][right(tab, unit, a)]
+
+
+def _bound_index(t: Term, index: Mapping[str, int]) -> Optional[int]:
+    if isinstance(t, (Var, Const)):
+        return index.get(t.name)
+    return None
+
+
+def _compile_literal(lit: Literal, index: Mapping[str, int]):
+    lhs = _compile_term(lit.lhs, index)
+    rhs = _compile_term(lit.rhs, index)
+    if lit.positive:
+        return lambda tab, unit, a: lhs(tab, unit, a) == rhs(tab, unit, a)
+    return lambda tab, unit, a: lhs(tab, unit, a) != rhs(tab, unit, a)
+
+
+@functools.lru_cache(maxsize=1024)
+def _compile(st: Statement):
+    """(sorted variable names, closure (table, unit, values) -> clause holds).
+
+    Literals are tried in clause order up to the first true one, each left
+    side before its right side, as evaluate would be called, so an unbound
+    constant raises under the same assignments."""
+    names = sorted(st.free_variables())
+    index = {name: i for i, name in enumerate(names)}
+    literals = [_compile_literal(lit, index) for lit in clause_form(st).literals]
+    if len(literals) == 1:
+        return names, literals[0]
+
+    def holds(tab, unit, a):
+        for lit in literals:
+            if lit(tab, unit, a):
+                return True
+        return False
+
+    return names, holds
+
+
+def _witness(model: FiniteAlgebra, st: Statement, names, values) -> Witness:
+    assignment = dict(zip(names, values))
+    evals = tuple(
+        (evaluate(model, lit.lhs, assignment), evaluate(model, lit.rhs, assignment))
+        for lit in clause_form(st).literals
+    )
+    return Witness(st.id, assignment, evals)
+
+
 def satisfies(model: FiniteAlgebra, st: Statement) -> tuple[bool, Optional[Witness]]:
     """Universal satisfaction of the statement's clause form.
 
     Assignments are enumerated in row-major order over the sorted variable
-    names, so the witness of a failure is deterministic.
+    names, so the witness of a failure is deterministic.  Each statement's
+    clause form is compiled once into closures over a positional assignment;
+    the witness of the first failing assignment is rebuilt with evaluate.
     """
-    clause = clause_form(st)
-    names = sorted(st.free_variables())
+    names, holds = _compile(st)
+    tab, unit = model.table, model.unit
     for values in itertools.product(range(model.size), repeat=len(names)):
-        assignment = dict(zip(names, values))
-        evals = []
-        ok = False
-        for lit in clause.literals:
-            lv = evaluate(model, lit.lhs, assignment)
-            rv = evaluate(model, lit.rhs, assignment)
-            evals.append((lv, rv))
-            if (lv == rv) == lit.positive:
-                ok = True
-                break
-        if not ok:
-            return False, Witness(st.id, assignment, tuple(evals))
+        if not holds(tab, unit, values):
+            return False, _witness(model, st, names, values)
     return True, None
 
 

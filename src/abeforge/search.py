@@ -13,7 +13,7 @@ import itertools
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .models import (
     FiniteAlgebra,
@@ -105,7 +105,7 @@ def _implicative_flag(system: AxiomSystem) -> bool:
     )
 
 
-def _to_algebra(flat: tuple[int, ...], n: int) -> FiniteAlgebra:
+def _to_algebra(flat: Sequence[int], n: int) -> FiniteAlgebra:
     table = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
     return FiniteAlgebra(n, n - 1, table)
 
@@ -132,6 +132,20 @@ def _search(system: AxiomSystem, n: int, node_budget: int, threads: int):
     return tables, nodes, False
 
 
+def _orbit(flat: bytes, n: int) -> set[bytes]:
+    """Every relabeling of a search table (unit at n-1) that keeps the unit
+    at n-1, the table itself included."""
+    last = n - 1
+    orbit = set()
+    inv = [last] * n
+    for perm in itertools.permutations(range(last)):  # new label -> old element
+        perm += (last,)
+        for new, old in enumerate(perm):
+            inv[old] = new
+        orbit.add(bytes([inv[flat[i * n + j]] for i in perm for j in perm]))
+    return orbit
+
+
 def enumerate_with_stats(
     system: AxiomSystem,
     n: int,
@@ -140,21 +154,35 @@ def enumerate_with_stats(
 ) -> tuple[list[FiniteAlgebra], int, bool]:
     """One representative per isomorphism class, ascending by canonical form.
 
-    Isomorph rejection is generate-and-test: each completed table is
-    canonicalized once and survives only if it equals its canonical form,
-    so a survivor's own table is its canonical key.
+    A complete search returns every labeled table with the unit at n-1, a set
+    closed under the relabelings that fix the unit.  So isomorph rejection
+    canonicalizes one table per class and removes the canonical table's
+    whole orbit from the labeled set, until the set is empty.  An orbit
+    member missing from the set means the search missed a model, and raises
+    RuntimeError.  A size whose budget ran out returns no models.
     """
     if n < 1:
         raise ValueError("size must be >= 1")
     if node_budget < 0:
         raise ValueError("node budget must be >= 0")
     tables, nodes, exceeded = _search(system, n, node_budget, threads)
+    if exceeded:
+        return [], nodes, exceeded
+    labeled: set[bytes] = set()
+    while tables:  # drain the core's list so tuples and bytes do not pile up
+        labeled.add(bytes(tables.pop()))
     survivors: list[tuple[bytes, FiniteAlgebra]] = []
-    for flat in tables:
-        model = _to_algebra(flat, n)
-        if canonicalize(model) == model:
-            survivors.append((bytes([n]) + bytes(flat), model))
-    survivors.sort(key=lambda kv: kv[0])
+    while labeled:
+        model = canonicalize(_to_algebra(next(iter(labeled)), n))
+        flat = bytes(v for row in model.table for v in row)
+        orbit = _orbit(flat, n)
+        if not orbit <= labeled:
+            raise RuntimeError(
+                f"incomplete search at size {n}: a relabeling of a found table is missing"
+            )
+        labeled -= orbit
+        survivors.append((flat, model))
+    survivors.sort(key=lambda kv: kv[0])  # one size, so the flat table is the key
     return [m for _, m in survivors], nodes, exceeded
 
 
@@ -187,6 +215,25 @@ def brute_force_models(
     return labeled, len(classes)
 
 
+def _sizes(system: AxiomSystem, max_size: int, node_budget: int, threads: int):
+    """(n, models, nodes, exceeded, millis) for n = 1..max_size, lazily.
+
+    node_budget bounds the whole run: each size gets only the nodes the sizes
+    before it left.  Once none are left, the remaining sizes are exceeded
+    without a search, because the core reads a budget of 0 as unlimited."""
+    left = node_budget
+    for n in range(1, max_size + 1):
+        if node_budget and not left:
+            yield n, [], 0, True, 0.0
+            continue
+        start = time.perf_counter()
+        models, nodes, exceeded = enumerate_with_stats(system, n, left, threads)
+        millis = (time.perf_counter() - start) * 1000.0
+        if node_budget:
+            left -= nodes
+        yield n, models, nodes, exceeded, millis
+
+
 def find_counterexample(
     system: AxiomSystem,
     prop: Statement,
@@ -196,10 +243,13 @@ def find_counterexample(
 ) -> Optional[tuple[FiniteAlgebra, Witness]]:
     """First model (smallest size, least canonical form) falsifying the property.
 
-    Raises NodeBudgetExceeded at the first size whose search runs out of
-    nodes before a counterexample is found."""
-    for n in range(1, max_size + 1):
-        for model in enumerate_models(system, n, node_budget, threads):
+    node_budget bounds the nodes of all sizes together.  Raises
+    NodeBudgetExceeded at the first size whose search runs out of nodes
+    before a counterexample is found."""
+    for n, models, _, exceeded, _ in _sizes(system, max_size, node_budget, threads):
+        if exceeded:
+            raise NodeBudgetExceeded(n)
+        for model in models:
             ok, witness = satisfies(model, prop)
             if not ok:
                 assert witness is not None
@@ -215,17 +265,15 @@ def run_enumeration_report(
     node_budget: int = 0,
     threads: int = 1,
 ) -> EnumerationReport:
+    """Enumerate sizes 1..max_size, then check each property over all models
+    in size order.  node_budget bounds the nodes of all sizes together."""
     report = EnumerationReport(axioms=system.name)
     all_models: list[FiniteAlgebra] = []
-    for n in range(1, max_size + 1):
-        start = time.perf_counter()
-        models, nodes, exceeded = enumerate_with_stats(system, n, node_budget, threads)
-        millis = (time.perf_counter() - start) * 1000.0
+    for n, models, nodes, exceeded, millis in _sizes(system, max_size, node_budget, threads):
         report.sizes.append(
             SizeResult(n, None if exceeded else len(models), nodes, millis, exceeded)
         )
-        if not exceeded:
-            all_models.extend(models)
+        all_models.extend(models)
     for prop in properties:
         result = PropertyResult(prop.id, "holds")
         for model in all_models:

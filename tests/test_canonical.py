@@ -1,5 +1,6 @@
-"""The branch-and-bound canonicalizer against the plain (n-1)! scan, and the
-orbit-counting identity that ties the enumerator's classes to its labeled
+"""The branch-and-bound canonicalizer against the plain (n-1)! scan, the
+enumerator's orbit subtraction against the per-table canonicity filter, and
+the orbit-counting identity that ties the enumerator's classes to its labeled
 tables at sizes the brute-force oracle cannot reach."""
 
 import itertools
@@ -36,6 +37,19 @@ def reference_canonical(model):
         elif flat == best:
             count += 1
     return best, count
+
+
+def reference_enumerate(system, n):
+    """The per-table filter: every labeled table that equals its canonical
+    form, ascending."""
+    tables, _, _ = search._search(system, n, 0, 1)
+    survivors = []
+    for flat in tables:
+        model = search._to_algebra(flat, n)
+        if canonicalize(model) == model:
+            survivors.append((bytes(flat), model))
+    survivors.sort(key=lambda kv: kv[0])
+    return [m for _, m in survivors]
 
 
 def assert_matches_reference(model):
@@ -90,3 +104,34 @@ def test_orbit_counting_identity(corpus, monkeypatch, name, max_size):
             _, automorphisms = reference_canonical(model)
             orbits += math.factorial(n - 1) // automorphisms
         assert orbits == labeled, n
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("name, max_size", [("aBE", 5), ("implicative-aBE", 6)])
+def test_orbit_subtraction_matches_per_table_filter(corpus, name, max_size, threads):
+    system = corpus.axiom_system(name)
+    for n in range(1, max_size + 1):
+        models, _, _ = enumerate_with_stats(system, n, threads=threads)
+        assert models == reference_enumerate(system, n), n
+
+
+def test_incomplete_search_raises(corpus, monkeypatch):
+    core_search = search._core.search_tables
+    tables, _, _ = core_search(4, False)
+    dropped = tables[0]
+    # a table alone in its orbit would take its class with it unnoticed
+    assert len(search._orbit(bytes(dropped), 4)) > 1
+
+    def lossy_search(*args):
+        found, nodes, exceeded = core_search(*args)
+        return [t for t in found if t != dropped], nodes, exceeded
+
+    monkeypatch.setattr(search._core, "search_tables", lossy_search)
+    with pytest.raises(RuntimeError, match="incomplete search at size 4"):
+        enumerate_with_stats(corpus.axiom_system("aBE"), 4)
+
+
+def test_exceeded_budget_returns_no_models(corpus):
+    # the core has found 401 labeled tables by then
+    models, nodes, exceeded = enumerate_with_stats(corpus.axiom_system("aBE"), 5, node_budget=5000)
+    assert (models, nodes, exceeded) == ([], 5000, True)

@@ -92,6 +92,19 @@ class TestEnumerate:
         obj = json.loads(result.output)
         assert obj["sizes"][-1]["exceeded"] is True
 
+    @pytest.mark.parametrize("budget", [1, 9, 10, 100, 600])
+    def test_budget_bounds_the_whole_run(self, runner, budget):
+        # aBE needs 0, 0, 9, 480 and 52,710 nodes at sizes 1..5
+        result = invoke(
+            runner,
+            "enumerate", "--axioms", "aBE", "--max-size", "5",
+            "--budget-nodes", str(budget), "--emit", "json",
+        )
+        assert result.exit_code == 0
+        sizes = json.loads(result.output)["sizes"]
+        assert sum(s["nodes"] for s in sizes) <= budget
+        assert sizes[-1]["exceeded"] is True
+
     def test_negative_budget_exit_3(self, runner):
         result = invoke(
             runner, "enumerate", "--axioms", "aBE", "--max-size", "3", "--budget-nodes", "-1"
@@ -164,7 +177,7 @@ class TestSearch:
                 "--budget-nodes", "5")
 
     def test_budget_exceeded_reported_with_exit_0(self, runner):
-        # sizes 1 and 2 need no nodes; size 3 needs 9 and holds no counterexample
+        # sizes 1 and 2 need no nodes and hold no counterexample; size 3 needs 9
         result = invoke(runner, *self.BUDGETED)
         assert result.exit_code == 0
         assert result.output == "node budget exceeded at size 3\n"

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 from abeforge.models import (
     FiniteAlgebra,
     ModelFileError,
+    Witness,
     are_isomorphic,
     canonical_form,
     canonicalize,
@@ -17,8 +18,9 @@ from abeforge.models import (
     relabel,
     satisfies,
 )
-from abeforge.statements import clause_form
-from abeforge.terms import parse_term
+from abeforge.statements import Clause, Identity, Literal, clause_form
+from abeforge.terms import Arrow, Const, Var, parse_term
+from conftest import terms
 
 M2 = FiniteAlgebra(2, 1, ((1, 1), (0, 1)))
 TRIVIAL = FiniteAlgebra(1, 0, ((0,),))
@@ -113,6 +115,73 @@ class TestSatisfies:
         for sid in ("ax3", "ax4", "ax5", "trans"):
             st_ = corpus.statement(sid)
             assert satisfies(model, st_)[0] == satisfies(other, st_)[0]
+
+
+def reference_satisfies(model, st_):
+    """The uncompiled loop: a fresh assignment dict per assignment and a
+    recursive evaluate per literal side."""
+    clause = clause_form(st_)
+    names = sorted(st_.free_variables())
+    for values in itertools.product(range(model.size), repeat=len(names)):
+        assignment = dict(zip(names, values))
+        evals = []
+        ok = False
+        for lit in clause.literals:
+            lv = evaluate(model, lit.lhs, assignment)
+            rv = evaluate(model, lit.rhs, assignment)
+            evals.append((lv, rv))
+            if (lv == rv) == lit.positive:
+                ok = True
+                break
+        if not ok:
+            return False, Witness(st_.id, assignment, tuple(evals))
+    return True, None
+
+
+def outcome(check, model, st_):
+    try:
+        return check(model, st_)
+    except KeyError as e:
+        return "KeyError", e.args
+
+
+def drawn_clauses(with_constants=False):
+    literal = st.builds(
+        Literal,
+        terms(max_leaves=5, with_constants=with_constants),
+        terms(max_leaves=5, with_constants=with_constants),
+        st.booleans(),
+    )
+    return st.lists(literal, min_size=1, max_size=3).map(
+        lambda lits: Clause("drawn", tuple(lits))
+    )
+
+
+class TestCompiledSatisfies:
+    @given(random_algebra(st.integers(1, 4)))
+    def test_corpus_statements_match_reference(self, model):
+        from abeforge.corpus import load_corpus
+
+        for st_ in load_corpus().statements.values():
+            assert satisfies(model, st_) == reference_satisfies(model, st_), st_.id
+
+    @given(random_algebra(st.integers(1, 4)), drawn_clauses())
+    def test_drawn_clauses_match_reference(self, model, clause):
+        assert satisfies(model, clause) == reference_satisfies(model, clause)
+
+    @given(random_algebra(st.integers(1, 4)), drawn_clauses(with_constants=True))
+    def test_constants_raise_like_reference(self, model, clause):
+        # a constant raises only once its literal is reached, so either both
+        # raise the same KeyError or neither does
+        assert outcome(satisfies, model, clause) == outcome(reference_satisfies, model, clause)
+
+    def test_unbound_constant_raises_evaluate_error(self):
+        st_ = Identity("c", Arrow(Const("a"), Var("x")), Var("x"))
+        with pytest.raises(KeyError) as got:
+            satisfies(M2, st_)
+        with pytest.raises(KeyError) as want:
+            evaluate(M2, st_.lhs, {"x": 0})
+        assert got.value.args == want.value.args == ("unbound name 'a'",)
 
 
 class TestIsModel:

@@ -4,6 +4,7 @@ from abeforge import _speed_py
 from abeforge.models import canonical_form, canonicalize, is_model, satisfies
 from abeforge.search import (
     BruteForceBoundError,
+    NodeBudgetExceeded,
     UnknownSystemError,
     brute_force_models,
     core_name,
@@ -170,6 +171,16 @@ class TestFindCounterexample:
         assert not ok
         assert again == witness
 
+    def test_budget_is_shared_by_the_sizes(self, corpus):
+        # trans first fails at size 4, which needs 480 nodes after the 9 of
+        # size 3; a budget of 488 covers each size alone but not both
+        system = corpus.axiom_system("aBE")
+        prop = corpus.statement("trans")
+        assert find_counterexample(system, prop, 4, node_budget=489) is not None
+        with pytest.raises(NodeBudgetExceeded) as info:
+            find_counterexample(system, prop, 4, node_budget=488)
+        assert info.value.size == 4
+
     def test_result_is_deterministic(self, corpus):
         system = corpus.axiom_system("aBE")
         a = find_counterexample(system, corpus.statement("trans"), 4)
@@ -194,3 +205,30 @@ class TestReport:
         report = run_enumeration_report(system, 4, corpus.statements, node_budget=10)
         assert report.sizes[-1].exceeded
         assert report.sizes[-1].count is None
+
+    def test_budget_is_shared_by_the_sizes(self, corpus):
+        # sizes 1..3 need 0, 0 and 9 nodes, so size 4 gets the 1 node left
+        # and size 5 none, and is not searched
+        system = corpus.axiom_system("aBE")
+        report = run_enumeration_report(system, 5, corpus.statements, node_budget=10)
+        got = [(s.count, s.nodes, s.exceeded) for s in report.sizes]
+        assert got == [(1, 0, False), (1, 0, False), (3, 9, False), (None, 1, True), (None, 0, True)]
+
+    def test_budget_used_up_exactly_skips_the_rest(self, corpus, monkeypatch):
+        # a budget of 0 means unlimited to the core, so a size with nothing
+        # left must not reach it
+        import abeforge.search as search
+
+        sizes_searched = []
+        core_search = search._core.search_tables
+
+        def recording_search(n, *args):
+            sizes_searched.append(n)
+            return core_search(n, *args)
+
+        monkeypatch.setattr(search._core, "search_tables", recording_search)
+        system = corpus.axiom_system("aBE")
+        report = run_enumeration_report(system, 5, corpus.statements, node_budget=9)
+        assert sizes_searched == [1, 2, 3]
+        got = [(s.count, s.nodes, s.exceeded) for s in report.sizes]
+        assert got == [(1, 0, False), (1, 0, False), (3, 9, False), (None, 0, True), (None, 0, True)]
