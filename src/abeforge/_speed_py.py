@@ -6,6 +6,10 @@ and the same output order.  The package picks whichever is available at import
 time.  How each core reaches the fixpoint is its own business: the compiled
 core re-sweeps every axiom instance until nothing changes, this one rechecks
 only the instances of the cells assigned since the last fixpoint.
+
+The compiled core's search_tables() still takes a fourth, optional argument
+that fixes the value of the first free cell.  The package never passes it;
+it stays until _speed.c is regenerated from _speed.pyx or deleted.
 """
 
 from __future__ import annotations
@@ -106,14 +110,12 @@ def search_tables(
     n: int,
     implicative: bool,
     node_budget: int = 0,
-    first_value: int = -1,
 ) -> tuple[list[tuple[int, ...]], int, bool]:
     """Depth-first fill of the free cells in row-major order.
 
     Returns (complete tables satisfying all axioms, nodes tried, budget
     exceeded).  A node is one attempted cell assignment.  node_budget 0 means
-    unlimited.  first_value >= 0 restricts the first free cell to that value,
-    which is how the driver splits work across workers.
+    unlimited.
     """
     u = n - 1
     t = _prefill(n)
@@ -150,26 +152,6 @@ def search_tables(
                 t[trail.pop()] = -1
             if exceeded:
                 return
-
-    if not free:
-        results.append(tuple(t))
-        return results, nodes, exceeded
-
-    c0 = free[0]
-    if first_value >= 0:
-        if t[c0] >= 0:
-            if t[c0] == first_value:
-                rec(1)
-            return results, nodes, exceeded
-        nodes += 1
-        mark = len(trail)
-        t[c0] = first_value
-        trail.append(c0)
-        if _propagate(t, n, implicative, trail, [c0]):
-            rec(1)
-        while len(trail) > mark:
-            t[trail.pop()] = -1
-        return results, nodes, exceeded
 
     rec(0)
     return results, nodes, exceeded

@@ -6,7 +6,6 @@ Exit codes: 0 ok, 2 proof failure, 3 input error, 4 counterexample found.
 from __future__ import annotations
 
 import json
-import os
 import sys
 
 import click
@@ -24,7 +23,6 @@ from .kernel import (
     verify_corpus,
 )
 from .models import (
-    FiniteAlgebra,
     ModelFileError,
     Witness,
     is_model,
@@ -38,8 +36,6 @@ from .search import (
     NodeBudgetExceeded,
     UnknownSystemError,
     brute_force_models,
-    core_name,
-    enumerate_with_stats,
     find_counterexample,
     run_enumeration_report,
 )
@@ -52,16 +48,6 @@ EXIT_INPUT_ERROR = 3
 EXIT_COUNTEREXAMPLE = 4
 
 click.UsageError.exit_code = EXIT_INPUT_ERROR
-
-
-def _threads(requested: int) -> int:
-    cap = os.environ.get("ABEFORGE_THREADS")
-    if cap:
-        try:
-            return max(1, min(requested, int(cap)))
-        except ValueError:
-            pass
-    return max(1, requested)
 
 
 def _emit_json(obj: dict):
@@ -84,7 +70,7 @@ def _witness_text(w: Witness) -> str:
 def _load_corpus_or_die(path: str | None) -> Corpus:
     try:
         return load_corpus(path)
-    except (CorpusError, OSError, json.JSONDecodeError) as e:
+    except CorpusError as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(EXIT_INPUT_ERROR)
 
@@ -241,10 +227,9 @@ def _report_text(report: EnumerationReport, timings: bool):
 @click.option("--max-size", type=int, required=True)
 @click.option("--property", "property_ids", multiple=True, help="also model-check these statement ids")
 @click.option("--emit", type=click.Choice(["text", "json"]), default="text")
-@click.option("--threads", type=int, default=1)
 @click.option("--budget-nodes", type=click.IntRange(min=0), default=0, help="search nodes for the whole run, 0 for unlimited")
 @click.option("--timings", is_flag=True, help="include wall-clock timings (not byte-stable)")
-def enumerate_cmd(axioms_name, max_size, property_ids, emit, threads, budget_nodes, timings):
+def enumerate_cmd(axioms_name, max_size, property_ids, emit, budget_nodes, timings):
     """Isomorph-free enumeration of all models up to a size bound."""
     corpus = _load_corpus_or_die(None)
     system = _system_or_die(corpus, axioms_name)
@@ -256,9 +241,7 @@ def enumerate_cmd(axioms_name, max_size, property_ids, emit, threads, budget_nod
     except CorpusError as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(EXIT_INPUT_ERROR)
-    report = run_enumeration_report(
-        system, max_size, corpus.statements, props, budget_nodes, _threads(threads)
-    )
+    report = run_enumeration_report(system, max_size, corpus.statements, props, budget_nodes)
     if emit == "json":
         _emit_json(_report_json(report, timings))
     else:
@@ -328,9 +311,8 @@ def check(model_path, axioms_name, property_id, emit):
 @click.option("--violates", "property_id", required=True)
 @click.option("--max-size", type=int, required=True)
 @click.option("--emit", type=click.Choice(["text", "json"]), default="text")
-@click.option("--threads", type=int, default=1)
 @click.option("--budget-nodes", type=click.IntRange(min=0), default=0, help="search nodes for the whole run, 0 for unlimited")
-def search(axioms_name, property_id, max_size, emit, threads, budget_nodes):
+def search(axioms_name, property_id, max_size, emit, budget_nodes):
     """Look for a model of the axioms that violates a property."""
     corpus = _load_corpus_or_die(None)
     system = _system_or_die(corpus, axioms_name)
@@ -343,7 +325,7 @@ def search(axioms_name, property_id, max_size, emit, threads, budget_nodes):
         click.echo("error: --max-size must be >= 1", err=True)
         sys.exit(EXIT_INPUT_ERROR)
     try:
-        result = find_counterexample(system, prop, max_size, budget_nodes, _threads(threads))
+        result = find_counterexample(system, prop, max_size, budget_nodes)
     except NodeBudgetExceeded as e:
         if emit == "json":
             _emit_json(

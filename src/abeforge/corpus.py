@@ -27,7 +27,7 @@ from .kernel import (
     Split,
 )
 from .statements import AxiomSystem, Clause, Identity, Literal, QuasiIdentity, Statement
-from .terms import Term, TermSyntaxError, format_term, parse_term
+from .terms import Term, format_term, parse_term
 
 __all__ = ["Corpus", "CorpusError", "load_corpus", "corpus_to_json", "corpus_from_json", "dumps_canonical"]
 
@@ -285,8 +285,14 @@ def _build_scripts() -> tuple[ProofScript, ...]:
 def load_corpus(path: str | None = None) -> Corpus:
     """The built-in corpus, or one loaded from a file in the exchange format."""
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            return corpus_from_json(json.load(fh))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return corpus_from_json(json.load(fh))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise CorpusError(f"cannot read corpus file: {e}") from e
+        except RecursionError as e:
+            # the JSON decoder and the term parser recurse once per level
+            raise CorpusError("corpus file is nested too deeply") from e
     statements = _build_statements()
     systems = {
         "aBE": AxiomSystem("aBE", ("ax1", "ax2", "ax3", "ax4", "ax5")),
@@ -322,6 +328,37 @@ def _validate(corpus: Corpus):
 # ---------------------------------------------------------------------------
 
 
+_JSON_TYPES = {str: "a string", int: "an integer", list: "a list", dict: "an object"}
+_REQUIRED = object()
+
+
+def _typed(value, kinds, what: str):
+    """value, if it has one of the JSON types `kinds`; else CorpusError.
+
+    No field of the format is a boolean, and JSON's true is not an integer."""
+    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        want = " or ".join(_JSON_TYPES[k] for k in kinds)
+        raise CorpusError(f"{what} must be {want}, not {type(value).__name__}")
+    return value
+
+
+def _get(obj: dict, key: str, kinds, default=_REQUIRED):
+    if key not in obj:
+        if default is _REQUIRED:
+            raise CorpusError(f"missing field {key!r}")
+        return default
+    return _typed(obj[key], kinds, f"field {key!r}")
+
+
+def _strings(obj: dict, key: str) -> tuple[str, ...]:
+    return tuple(_typed(v, str, f"an entry of {key!r}") for v in _get(obj, key, list, []))
+
+
+def _objects(obj: dict, key: str, default=_REQUIRED) -> list[dict]:
+    return [_typed(v, dict, f"an entry of {key!r}") for v in _get(obj, key, list, default)]
+
+
 def _lit_to_json(lit: Literal) -> dict:
     return {
         "lhs": format_term(lit.lhs),
@@ -331,9 +368,14 @@ def _lit_to_json(lit: Literal) -> dict:
 
 
 def _lit_from_json(obj: dict, consts=()) -> Literal:
-    if obj.get("polarity") not in ("=", "!="):
-        raise CorpusError(f"bad literal polarity {obj.get('polarity')!r}")
-    return _lit(obj["lhs"], obj["rhs"], obj["polarity"] == "=", consts)
+    polarity = _get(obj, "polarity", str)
+    if polarity not in ("=", "!="):
+        raise CorpusError(f"bad literal polarity {polarity!r}")
+    return _lit(_get(obj, "lhs", str), _get(obj, "rhs", str), polarity == "=", consts)
+
+
+def _lits_from_json(obj: dict, key: str, consts=(), default=_REQUIRED) -> tuple[Literal, ...]:
+    return tuple(_lit_from_json(l, consts) for l in _objects(obj, key, default))
 
 
 def _statement_to_json(st: Statement) -> dict:
@@ -352,20 +394,19 @@ def _statement_to_json(st: Statement) -> dict:
 
 def _statement_from_json(obj: dict) -> Statement:
     try:
-        kind = obj["kind"]
+        kind = _get(obj, "kind", str)
+        sid = _get(obj, "id", str)
         if kind == "identity":
-            return Identity(obj["id"], parse_term(obj["lhs"]), parse_term(obj["rhs"]))
+            return Identity(sid, parse_term(_get(obj, "lhs", str)), parse_term(_get(obj, "rhs", str)))
         if kind == "clause":
-            return Clause(obj["id"], tuple(_lit_from_json(l) for l in obj["literals"]))
+            return Clause(sid, _lits_from_json(obj, "literals"))
         if kind == "quasi":
             return QuasiIdentity(
-                obj["id"],
-                tuple(_lit_from_json(h) for h in obj["hypotheses"]),
-                _lit_from_json(obj["conclusion"]),
+                sid, _lits_from_json(obj, "hypotheses"), _lit_from_json(_get(obj, "conclusion", dict))
             )
-    except (KeyError, TypeError, TermSyntaxError, ValueError) as e:
+    except ValueError as e:  # CorpusError, TermSyntaxError, or a rejected statement
         raise CorpusError(f"bad statement object: {e}") from e
-    raise CorpusError(f"unknown statement kind {obj.get('kind')!r}")
+    raise CorpusError(f"unknown statement kind {kind!r}")
 
 
 def _subst_to_json(s: Mapping[str, Term]) -> dict:
@@ -408,39 +449,49 @@ def _step_to_json(step) -> dict:
     raise TypeError(f"not a step: {step!r}")
 
 
+def _subst_from_json(obj: dict, consts) -> dict[str, Term]:
+    return {
+        v: parse_term(_typed(t, str, f"the term for {v!r}"), consts)
+        for v, t in _get(obj, "subst", dict, {}).items()
+    }
+
+
+def _steps_from_json(steps: list, consts) -> tuple:
+    return tuple(_step_from_json(s, consts) for s in steps)
+
+
 def _step_from_json(obj: dict, consts=()):
-    try:
-        rule = obj["rule"]
-        if rule == "rewrite":
-            by = obj["by"]
-            if not isinstance(by, (str, int)):
-                raise CorpusError(f"bad justification {by!r}")
-            return Rewrite(by, _subst(consts, **obj.get("subst", {})), obj.get("at", ""), obj.get("dir", L2R))
-        if rule == "clause-instantiate":
-            return ClauseInstantiate(obj["clause"], _subst(consts, **obj.get("subst", {})))
-        if rule == "literal-elim":
-            return LiteralElim(obj["literal"], tuple(_step_from_json(s, consts) for s in obj["chain"]))
-        if rule == "clause-literal-rewrite":
-            return ClauseLiteralRewrite(
-                obj["literal"],
-                obj["by"],
-                _subst(consts, **obj.get("subst", {})),
-                obj["at"],
-                obj.get("dir", L2R),
-            )
-        if rule == "split":
-            return Split(
-                obj["clause"],
-                _subst(consts, **obj.get("subst", {})),
-                tuple(tuple(_step_from_json(s, consts) for s in br) for br in obj["branches"]),
-            )
-        if rule == "close-conflict":
-            return CloseConflict(obj["hypothesis"])
-        if rule == "close-refl":
-            return CloseRefl()
-    except (KeyError, TypeError, TermSyntaxError) as e:
-        raise CorpusError(f"bad step object: {e}") from e
-    raise CorpusError(f"unknown step rule {obj.get('rule')!r}")
+    """One step; raises CorpusError, or TermSyntaxError on a bad term."""
+    rule = _get(_typed(obj, dict, "a step"), "rule", str)
+    if rule == "rewrite":
+        return Rewrite(
+            _get(obj, "by", (str, int)),
+            _subst_from_json(obj, consts),
+            _get(obj, "at", str, ""),
+            _get(obj, "dir", str, L2R),
+        )
+    if rule == "clause-instantiate":
+        return ClauseInstantiate(_get(obj, "clause", str), _subst_from_json(obj, consts))
+    if rule == "literal-elim":
+        return LiteralElim(_get(obj, "literal", int), _steps_from_json(_get(obj, "chain", list), consts))
+    if rule == "clause-literal-rewrite":
+        return ClauseLiteralRewrite(
+            _get(obj, "literal", int),
+            _get(obj, "by", (str, int)),
+            _subst_from_json(obj, consts),
+            _get(obj, "at", str),
+            _get(obj, "dir", str, L2R),
+        )
+    if rule == "split":
+        branches = tuple(
+            _steps_from_json(_typed(br, list, "a branch"), consts) for br in _get(obj, "branches", list)
+        )
+        return Split(_get(obj, "clause", str), _subst_from_json(obj, consts), branches)
+    if rule == "close-conflict":
+        return CloseConflict(_get(obj, "hypothesis", int))
+    if rule == "close-refl":
+        return CloseRefl()
+    raise CorpusError(f"unknown step rule {rule!r}")
 
 
 def _script_to_json(script: ProofScript) -> dict:
@@ -459,17 +510,18 @@ def _script_to_json(script: ProofScript) -> dict:
 
 def _script_from_json(obj: dict) -> ProofScript:
     try:
-        consts = tuple(obj.get("constants", []))
+        target = _get(obj, "target", str)
+        consts = _strings(obj, "constants")
         return ProofScript(
-            id=obj.get("id", obj["target"]),
-            target=obj["target"],
+            id=_get(obj, "id", str, target),
+            target=target,
             constants=consts,
-            hypotheses=tuple(_lit_from_json(h, consts) for h in obj.get("hypotheses", [])),
-            steps=tuple(_step_from_json(s, consts) for s in obj["steps"]),
-            depends_on=tuple(obj.get("depends_on", [])),
-            comment=obj.get("comment", ""),
+            hypotheses=_lits_from_json(obj, "hypotheses", consts, []),
+            steps=_steps_from_json(_get(obj, "steps", list), consts),
+            depends_on=_strings(obj, "depends_on"),
+            comment=_get(obj, "comment", str, ""),
         )
-    except (KeyError, TypeError, TermSyntaxError) as e:
+    except ValueError as e:  # CorpusError, TermSyntaxError, or a reserved constant
         raise CorpusError(f"bad script object: {e}") from e
 
 
@@ -483,23 +535,23 @@ def corpus_to_json(corpus: Corpus) -> dict:
 
 
 def corpus_from_json(obj: dict) -> Corpus:
-    if not isinstance(obj, dict):
-        raise CorpusError("corpus file must be a JSON object")
+    """The corpus a parsed file describes.  Every field is type-checked here,
+    so a corpus that loads replays to a verdict; anything else raises
+    CorpusError."""
+    _typed(obj, dict, "a corpus file")
     statements: dict[str, Statement] = {}
-    for sobj in obj.get("statements", []):
+    for sobj in _objects(obj, "statements", []):
         st = _statement_from_json(sobj)
         if st.id in statements:
             raise CorpusError(f"duplicate statement id {st.id!r}")
         statements[st.id] = st
-    systems = {
-        name: AxiomSystem(name, tuple(members))
-        for name, members in obj.get("axiom_systems", {}).items()
-    }
+    members = _get(obj, "axiom_systems", dict, {})
+    systems = {name: AxiomSystem(name, _strings(members, name)) for name in members}
     corpus = Corpus(
         statements,
         systems,
-        tuple(obj.get("properties", [])),
-        tuple(_script_from_json(s) for s in obj.get("scripts", [])),
+        _strings(obj, "properties"),
+        tuple(_script_from_json(s) for s in _objects(obj, "scripts", [])),
     )
     _validate(corpus)
     return corpus

@@ -300,14 +300,28 @@ def model_to_json(model: FiniteAlgebra) -> dict:
     return {"size": model.size, "unit": model.unit, "table": [list(r) for r in model.table]}
 
 
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):  # bool is an int subclass
+        raise ModelFileError(f"bad model file: {what} must be an integer, not {type(value).__name__}")
+    return value
+
+
 def model_from_json(obj) -> FiniteAlgebra:
     if not isinstance(obj, dict):
         raise ModelFileError("model file must be a JSON object")
     try:
-        return FiniteAlgebra(
-            int(obj["size"]), int(obj["unit"]), tuple(tuple(int(v) for v in row) for row in obj["table"])
-        )
-    except (KeyError, TypeError, ValueError) as e:
+        size, unit, rows = obj["size"], obj["unit"], obj["table"]
+    except KeyError as e:
+        raise ModelFileError(f"bad model file: missing {e}") from e
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ModelFileError("bad model file: table must be a list of rows")
+    table = tuple(
+        tuple(_json_int(v, f"table[{i}][{j}]") for j, v in enumerate(row))
+        for i, row in enumerate(rows)
+    )
+    try:
+        return FiniteAlgebra(_json_int(size, "size"), _json_int(unit, "unit"), table)
+    except ValueError as e:
         raise ModelFileError(f"bad model file: {e}") from e
 
 
@@ -315,6 +329,8 @@ def load_model(path: str) -> FiniteAlgebra:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ModelFileError(f"cannot read model file: {e}") from e
+    except RecursionError as e:
+        raise ModelFileError("model file is nested too deeply") from e
     return model_from_json(obj)

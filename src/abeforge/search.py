@@ -110,28 +110,6 @@ def _to_algebra(flat: Sequence[int], n: int) -> FiniteAlgebra:
     return FiniteAlgebra(n, n - 1, table)
 
 
-def _search(system: AxiomSystem, n: int, node_budget: int, threads: int):
-    """All completed tables (unit at n-1), concatenated over first-cell branches."""
-    implicative = _implicative_flag(system)
-    if threads <= 1 or n <= 2 or node_budget:
-        # Budgeted runs stay sequential so the node count at which the budget
-        # trips does not depend on scheduling.
-        return _core.search_tables(n, implicative, node_budget)
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(_core.search_tables, n, implicative, 0, v) for v in range(n)
-        ]
-        tables: list[tuple[int, ...]] = []
-        nodes = 0
-        for fut in futures:  # fixed branch order keeps the stream deterministic
-            part, part_nodes, _ = fut.result()
-            tables.extend(part)
-            nodes += part_nodes
-    return tables, nodes, False
-
-
 def _orbit(flat: bytes, n: int) -> set[bytes]:
     """Every relabeling of a search table (unit at n-1) that keeps the unit
     at n-1, the table itself included."""
@@ -150,7 +128,6 @@ def enumerate_with_stats(
     system: AxiomSystem,
     n: int,
     node_budget: int = 0,
-    threads: int = 1,
 ) -> tuple[list[FiniteAlgebra], int, bool]:
     """One representative per isomorphism class, ascending by canonical form.
 
@@ -165,7 +142,7 @@ def enumerate_with_stats(
         raise ValueError("size must be >= 1")
     if node_budget < 0:
         raise ValueError("node budget must be >= 0")
-    tables, nodes, exceeded = _search(system, n, node_budget, threads)
+    tables, nodes, exceeded = _core.search_tables(n, _implicative_flag(system), node_budget)
     if exceeded:
         return [], nodes, exceeded
     labeled: set[bytes] = set()
@@ -187,9 +164,9 @@ def enumerate_with_stats(
 
 
 def enumerate_models(
-    system: AxiomSystem, n: int, node_budget: int = 0, threads: int = 1
+    system: AxiomSystem, n: int, node_budget: int = 0
 ) -> Iterator[FiniteAlgebra]:
-    models, _, exceeded = enumerate_with_stats(system, n, node_budget, threads)
+    models, _, exceeded = enumerate_with_stats(system, n, node_budget)
     if exceeded:
         raise NodeBudgetExceeded(n)
     yield from models
@@ -215,7 +192,7 @@ def brute_force_models(
     return labeled, len(classes)
 
 
-def _sizes(system: AxiomSystem, max_size: int, node_budget: int, threads: int):
+def _sizes(system: AxiomSystem, max_size: int, node_budget: int):
     """(n, models, nodes, exceeded, millis) for n = 1..max_size, lazily.
 
     node_budget bounds the whole run: each size gets only the nodes the sizes
@@ -227,7 +204,7 @@ def _sizes(system: AxiomSystem, max_size: int, node_budget: int, threads: int):
             yield n, [], 0, True, 0.0
             continue
         start = time.perf_counter()
-        models, nodes, exceeded = enumerate_with_stats(system, n, left, threads)
+        models, nodes, exceeded = enumerate_with_stats(system, n, left)
         millis = (time.perf_counter() - start) * 1000.0
         if node_budget:
             left -= nodes
@@ -239,14 +216,13 @@ def find_counterexample(
     prop: Statement,
     max_size: int,
     node_budget: int = 0,
-    threads: int = 1,
 ) -> Optional[tuple[FiniteAlgebra, Witness]]:
     """First model (smallest size, least canonical form) falsifying the property.
 
     node_budget bounds the nodes of all sizes together.  Raises
     NodeBudgetExceeded at the first size whose search runs out of nodes
     before a counterexample is found."""
-    for n, models, _, exceeded, _ in _sizes(system, max_size, node_budget, threads):
+    for n, models, _, exceeded, _ in _sizes(system, max_size, node_budget):
         if exceeded:
             raise NodeBudgetExceeded(n)
         for model in models:
@@ -263,13 +239,12 @@ def run_enumeration_report(
     statements,
     properties: list[Statement] = (),
     node_budget: int = 0,
-    threads: int = 1,
 ) -> EnumerationReport:
     """Enumerate sizes 1..max_size, then check each property over all models
     in size order.  node_budget bounds the nodes of all sizes together."""
     report = EnumerationReport(axioms=system.name)
     all_models: list[FiniteAlgebra] = []
-    for n, models, nodes, exceeded, millis in _sizes(system, max_size, node_budget, threads):
+    for n, models, nodes, exceeded, millis in _sizes(system, max_size, node_budget):
         report.sizes.append(
             SizeResult(n, None if exceeded else len(models), nodes, millis, exceeded)
         )

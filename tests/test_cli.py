@@ -24,6 +24,17 @@ def write_model(tmp_path, obj, name="model.json"):
 
 M2 = {"size": 2, "unit": 1, "table": [[1, 1], [0, 1]]}
 BAD_AX3 = {"size": 2, "unit": 1, "table": [[0, 1], [0, 1]]}
+# files that are not valid UTF-8 JSON, or that the decoder cannot descend into
+UNREADABLE = {
+    "non-utf8": b"\xff\xfe{",
+    "deep-array": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+def assert_input_error(result):
+    assert result.exit_code == 3
+    assert result.output.startswith("error: ")
+    assert "Traceback" not in result.output
 
 
 class TestReplay:
@@ -60,6 +71,21 @@ class TestReplay:
         path.write_text("{ not json")
         result = invoke(runner, "replay", "--script", str(path))
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    def test_unreadable_file_exits_3(self, runner, tmp_path, kind):
+        path = tmp_path / "corpus.json"
+        path.write_bytes(UNREADABLE[kind])
+        assert_input_error(invoke(runner, "replay", "--script", str(path)))
+
+    def test_wrong_typed_field_exits_3(self, runner, tmp_path, corpus):
+        from abeforge.corpus import corpus_to_json
+
+        obj = corpus_to_json(corpus)
+        obj["scripts"][3]["steps"][0]["at"] = ["L"]
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(obj))
+        assert_input_error(invoke(runner, "replay", "--script", str(path)))
 
 
 class TestEnumerate:
@@ -135,6 +161,16 @@ class TestCheck:
         path.write_text('{"size": 2, "unit"')
         result = invoke(runner, "check", "--model", str(path), "--axioms", "aBE")
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    def test_unreadable_file_exits_3(self, runner, tmp_path, kind):
+        path = tmp_path / "model.json"
+        path.write_bytes(UNREADABLE[kind])
+        assert_input_error(invoke(runner, "check", "--model", str(path), "--axioms", "aBE"))
+
+    def test_non_integer_entry_exits_3(self, runner, tmp_path):
+        path = write_model(tmp_path, {"size": 2, "unit": 1, "table": [[1.7, 1], [0, 1]]})
+        assert_input_error(invoke(runner, "check", "--model", path, "--axioms", "aBE"))
 
 
 class TestSearch:
@@ -246,25 +282,4 @@ class TestDeterminism:
     def test_byte_identical_json(self, runner, args):
         a = invoke(runner, *args)
         b = invoke(runner, *args)
-        assert a.output == b.output
-
-    def test_thread_count_does_not_change_output(self, runner):
-        base = invoke(
-            runner, "enumerate", "--axioms", "aBE", "--max-size", "4", "--emit", "json"
-        )
-        threaded = invoke(
-            runner, "enumerate", "--axioms", "aBE", "--max-size", "4", "--emit", "json",
-            "--threads", "4",
-        )
-        assert base.output == threaded.output
-
-    def test_threads_env_cap_does_not_change_output(self, runner):
-        a = invoke(
-            runner, "enumerate", "--axioms", "aBE", "--max-size", "4", "--emit", "json",
-            "--threads", "4",
-        )
-        b = invoke(
-            runner, "enumerate", "--axioms", "aBE", "--max-size", "4", "--emit", "json",
-            "--threads", "4", env={"ABEFORGE_THREADS": "1"},
-        )
         assert a.output == b.output

@@ -1,7 +1,7 @@
 """The compiled search core, built from the shipped _speed.c, against the pure
-core: identical tables, node counts and budget verdicts on full runs,
-first-cell splits and budgeted runs.  The two cores reach the propagation
-fixpoint by different routes, so this is what holds them to one contract."""
+core: identical tables, node counts and budget verdicts on full runs and
+budgeted runs.  The two cores reach the propagation fixpoint by different
+routes, so this is what holds them to one contract."""
 
 import importlib.util
 import shutil
@@ -52,15 +52,6 @@ def compiled(tmp_path_factory):
 def test_full_runs_match(compiled, name, implicative, max_size):
     for n in range(1, max_size + 1):
         assert compiled.search_tables(n, implicative) == _speed_py.search_tables(n, implicative), n
-
-
-@pytest.mark.parametrize("name, implicative, max_size", SIZES, ids=[s[0] for s in SIZES])
-def test_first_value_splits_match(compiled, name, implicative, max_size):
-    for n in range(1, max_size + 1):
-        for v in range(n):
-            assert compiled.search_tables(n, implicative, 0, v) == _speed_py.search_tables(
-                n, implicative, 0, v
-            ), (n, v)
 
 
 @pytest.mark.parametrize("name, implicative, max_size", SIZES, ids=[s[0] for s in SIZES])

@@ -239,3 +239,19 @@ class TestModelFiles:
     def test_invalid_table_shape(self):
         with pytest.raises(ModelFileError):
             model_from_json({"size": 2, "unit": 0, "table": [[0, 0]]})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"size": 2, "unit": 1, "table": [[1.7, 1], [0, 1]]},
+            {"size": 2, "unit": 1, "table": [[1.0, 1], [0, 1]]},
+            {"size": 2, "unit": 1, "table": [[True, 1], [0, 1]]},
+            {"size": 2, "unit": 1, "table": [["1", 1], [0, 1]]},
+            {"size": 2, "unit": 1, "table": ["11", "01"]},
+            {"size": "2", "unit": 1, "table": [[1, 1], [0, 1]]},
+            {"size": 2, "unit": True, "table": [[1, 1], [0, 1]]},
+        ],
+    )
+    def test_only_integers_accepted(self, obj):
+        with pytest.raises(ModelFileError):
+            model_from_json(obj)

@@ -81,13 +81,6 @@ class TestEnumerate:
         b = list(enumerate_models(system, 5))
         assert a == b
 
-    def test_threads_do_not_change_stream(self, corpus):
-        system = corpus.axiom_system("aBE")
-        seq, nodes_seq, _ = enumerate_with_stats(system, 4, threads=1)
-        par, nodes_par, _ = enumerate_with_stats(system, 4, threads=4)
-        assert seq == par
-        assert nodes_seq == nodes_par
-
     def test_unknown_system_rejected(self, corpus):
         with pytest.raises(UnknownSystemError):
             list(enumerate_models(AxiomSystem("weird", ("ax1",)), 2))
@@ -112,18 +105,6 @@ class TestCoreTwins:
                 a = search._core.search_tables(n, implicative)
                 b = _speed_py.search_tables(n, implicative)
                 assert a == b
-
-    def test_split_branches_cover_full_search(self):
-        n = 4
-        full_tables, full_nodes, _ = _speed_py.search_tables(n, True)
-        merged = []
-        nodes = 0
-        for v in range(n):
-            part, part_nodes, _ = _speed_py.search_tables(n, True, 0, v)
-            merged.extend(part)
-            nodes += part_nodes
-        assert merged == full_tables
-        assert nodes == full_nodes
 
     def test_core_name_is_reported(self):
         assert core_name() in ("cython", "python")
