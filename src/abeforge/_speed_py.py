@@ -1,20 +1,13 @@
-"""Pure-Python twin of the compiled search core in _speed.pyx.
+"""The search core: depth-first fill of a partial table with constraint
+propagation after every assignment.
 
-Both expose search_tables() with the same contract: the same free-cell order,
-the same propagation fixpoint after every assignment, the same node accounting
-and the same output order.  The package picks whichever is available at import
-time.  How each core reaches the fixpoint is its own business: the compiled
-core re-sweeps every axiom instance until nothing changes, this one rechecks
-only the instances of the cells assigned since the last fixpoint.
-
-The compiled core's search_tables() still takes a fourth, optional argument
-that fixes the value of the first free cell.  The package never passes it;
-it stays until _speed.c is regenerated from _speed.pyx or deleted.
+search_tables() returns every complete table over a fixed unit that
+satisfies the axioms, with the number of nodes it tried.  Propagation
+rechecks only the axiom instances of the cells assigned since the last
+fixpoint.
 """
 
 from __future__ import annotations
-
-IMPL_NAME = "python"
 
 
 def _prefill(n: int) -> list[int]:

@@ -7,8 +7,6 @@ proof through explicit instantiation or a single case split.
 
 from __future__ import annotations
 
-import hashlib
-import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -23,13 +21,15 @@ from .statements import (
     literal_eq,
 )
 from .terms import (
+    Const,
     PositionError,
-    Substitution,
     Term,
     format_term,
+    match_pattern,
     replace_at,
     substitute,
     subterm_at,
+    variables,
 )
 
 __all__ = [
@@ -129,8 +129,6 @@ class ProofScript:
 @dataclass(frozen=True, slots=True)
 class VerifiedStatement:
     statement: Statement
-    script_hash: str
-    verified_at: float
 
 
 class ProofError(Exception):
@@ -156,7 +154,7 @@ class Environment:
         self._verified: dict[str, VerifiedStatement] = {}
         for ax in axioms:
             st = self._statements[ax]
-            self._verified[ax] = VerifiedStatement(st, "axiom", time.time())
+            self._verified[ax] = VerifiedStatement(st)
 
     def statement(self, sid: str) -> Statement:
         if sid not in self._statements:
@@ -171,10 +169,6 @@ class Environment:
 
     def admit(self, vs: VerifiedStatement):
         self._verified[vs.statement.id] = vs
-
-
-def _script_hash(script: ProofScript) -> str:
-    return hashlib.sha256(repr(script).encode()).hexdigest()[:16]
 
 
 def _resolve_equation(
@@ -288,8 +282,10 @@ def _replay_clause(script: ProofScript, target: Statement, env: Environment):
         elif isinstance(step, ClauseLiteralRewrite):
             if not 0 <= step.index < len(literals):
                 raise ProofError(script.id, no, f"no literal with index {step.index}")
-            if not step.position:
-                raise ProofError(script.id, no, "literal rewrite position must select a side (L or R)")
+            if step.position[:1] not in ("L", "R"):
+                raise ProofError(
+                    script.id, no, f"literal rewrite position {step.position!r} must start with a side (L or R)"
+                )
             lit = literals[step.index]
             side, rest = step.position[0], step.position[1:]
             term = lit.lhs if side == "L" else lit.rhs
@@ -310,8 +306,6 @@ def _replay_clause(script: ProofScript, target: Statement, env: Environment):
 
 
 def _is_ground(t: Term) -> bool:
-    from .terms import variables
-
     return not variables(t)
 
 
@@ -409,8 +403,6 @@ def _check_refutation_matches_target(script: ProofScript, target: Statement, hyp
         )
     # One-way check: match each target literal pattern against one hypothesis,
     # accumulating a consistent variable -> constant-term renaming.
-    from .terms import match_pattern
-
     binding: dict[str, Term] = {}
 
     def try_assign(idx: int) -> bool:
@@ -453,8 +445,6 @@ def _check_refutation_matches_target(script: ProofScript, target: Statement, hyp
         )
     # The witnesses must be fresh: one distinct declared constant per target
     # variable, or the refutation only covers a special case.
-    from .terms import Const
-
     images = list(binding.values())
     if any(not isinstance(t, Const) or t.name not in script.constants for t in images):
         raise ProofError(script.id, None, "target variables must map to declared constants")
@@ -478,7 +468,7 @@ def replay_proof(script: ProofScript, env: Environment) -> VerifiedStatement:
         _replay_identity(script, target, env)
     else:
         raise ProofError(script.id, None, "rewrite chains only prove identities")
-    vs = VerifiedStatement(target, _script_hash(script), time.time())
+    vs = VerifiedStatement(target)
     env.admit(vs)
     return vs
 

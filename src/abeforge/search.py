@@ -1,20 +1,18 @@
 """Isomorph-free model enumeration, the brute-force oracle, and property search.
 
-The hot inner loop lives in the compiled core (abeforge._speed) with a
-pure-Python twin (_speed_py); set ABEFORGE_PURE=1 to force the fallback.
-The two propagate differently but reach the same fixpoint after every
-assignment and count nodes the same way, so they return identical table
-streams and node counts.
+The hot inner loop, the search over partial tables with constraint
+propagation, lives in _speed_py; this module turns its labeled tables into
+one model per isomorphism class and checks properties over them.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
+from . import _speed_py as _core
 from .models import (
     FiniteAlgebra,
     Witness,
@@ -24,14 +22,6 @@ from .models import (
     satisfies,
 )
 from .statements import AxiomSystem, Statement
-
-if os.environ.get("ABEFORGE_PURE"):
-    from . import _speed_py as _core
-else:
-    try:
-        from . import _speed as _core  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _speed_py as _core
 
 __all__ = [
     "core_name",
@@ -52,7 +42,9 @@ BRUTE_FORCE_MAX = 3
 
 
 def core_name() -> str:
-    return _core.IMPL_NAME
+    """The search core that runs.  There is only one; this stays because the
+    benchmark's setup probe imports it."""
+    return "python"
 
 
 class BruteForceBoundError(ValueError):
@@ -177,6 +169,8 @@ def brute_force_models(
 ) -> tuple[int, int]:
     """Independent oracle: every table over a fixed unit n-1, filtered by the
     generic satisfaction checker.  Returns (labeled count, iso-class count)."""
+    if n < 1:
+        raise ValueError("size must be >= 1")
     if n > BRUTE_FORCE_MAX:
         raise BruteForceBoundError(
             f"brute force is capped at size {BRUTE_FORCE_MAX}, got {n}"

@@ -246,6 +246,12 @@ class TestOracle:
         result = invoke(runner, "oracle", "--axioms", "aBE", "--size", "4")
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("size", ["-1", "0"])
+    def test_size_below_one_exit_3(self, runner, size):
+        result = invoke(runner, "oracle", "--axioms", "aBE", "--size", size)
+        assert_input_error(result)
+        assert result.stderr == "error: size must be >= 1\n"
+
 
 class TestCorpusCommands:
     def test_export_and_reload(self, runner, tmp_path):

@@ -8,6 +8,7 @@ from abeforge.kernel import (
     L2R,
     R2L,
     ClauseInstantiate,
+    ClauseLiteralRewrite,
     CloseConflict,
     CloseRefl,
     Environment,
@@ -194,6 +195,35 @@ class TestReplayShapes:
         )
         with pytest.raises(ProofError):
             replay_proof(collapsed, env)
+
+    def test_literal_rewrite_side_must_be_l_or_r(self, corpus):
+        # ax5 with y := 1 -> z, then 1 -> z collapsed to z on the rhs of literal 0
+        # (x = 1 -> z); a first selector other than L or R names no side
+        statements = dict(corpus.statements)
+        statements["ax5z"] = Clause(
+            "ax5z",
+            (
+                Literal(parse_term("x"), parse_term("z")),
+                Literal(parse_term("x -> (1 -> z)"), UNIT, False),
+                Literal(parse_term("(1 -> z) -> x"), UNIT, False),
+            ),
+        )
+        env = Environment(statements, axioms=("ax1", "ax5"))
+
+        def script(at):
+            return ProofScript(
+                id="ax5z",
+                target="ax5z",
+                steps=(
+                    ClauseInstantiate("ax5", subst(y="1 -> z")),
+                    ClauseLiteralRewrite(0, "ax1", subst(x="z"), at),
+                ),
+                depends_on=("ax1", "ax5"),
+            )
+
+        with pytest.raises(ProofError, match=r"\[ax5z\] step 1: .*'X'"):
+            replay_proof(script("X"), env)
+        assert replay_proof(script("R"), env).statement.id == "ax5z"
 
 
 class TestCorpusReplay:

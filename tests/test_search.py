@@ -1,6 +1,5 @@
 import pytest
 
-from abeforge import _speed_py
 from abeforge.models import canonical_form, canonicalize, is_model, satisfies
 from abeforge.search import (
     BruteForceBoundError,
@@ -28,33 +27,21 @@ GOLDEN_LABELED = {"aBE": {1: 1, 2: 1, 3: 5}, "implicative-aBE": {1: 1, 2: 1, 3: 
 ABE_TRANS_CEX_SIZE = 4
 
 
-@pytest.fixture(params=["selected", "pure"])
-def twin(request, monkeypatch):
-    """Run search-level tests against both cores when the compiled one exists."""
-    import abeforge.search as search
-
-    if request.param == "pure":
-        monkeypatch.setattr(search, "_core", _speed_py)
-    return request.param
-
-
 class TestEnumerate:
-    def test_size_one_is_trivial(self, corpus, twin):
+    def test_size_one_is_trivial(self, corpus):
         models = list(enumerate_models(corpus.axiom_system("implicative-aBE"), 1))
         assert len(models) == 1
         assert models[0].size == 1
 
-    def test_size_two_forced(self, corpus, twin):
+    def test_size_two_forced(self, corpus):
         models = list(enumerate_models(corpus.axiom_system("implicative-aBE"), 2))
         assert len(models) == 1
         assert models[0].table == ((1, 1), (0, 1))
 
     @pytest.mark.parametrize("name", ["aBE", "implicative-aBE"])
-    def test_golden_counts(self, corpus, twin, name):
+    def test_golden_counts(self, corpus, name):
         system = corpus.axiom_system(name)
         for n, want in GOLDEN_CLASSES[name].items():
-            if twin == "pure" and n > 4:
-                continue
             assert len(list(enumerate_models(system, n))) == want
 
     @pytest.mark.parametrize("name", ["aBE", "implicative-aBE"])
@@ -97,17 +84,8 @@ class TestEnumerate:
 
 
 class TestCoreTwins:
-    def test_pure_and_selected_agree(self, corpus):
-        for n in (3, 4):
-            for implicative in (False, True):
-                import abeforge.search as search
-
-                a = search._core.search_tables(n, implicative)
-                b = _speed_py.search_tables(n, implicative)
-                assert a == b
-
     def test_core_name_is_reported(self):
-        assert core_name() in ("cython", "python")
+        assert core_name() == "python"
 
 
 class TestBruteForce:
