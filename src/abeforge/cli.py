@@ -403,8 +403,12 @@ def corpus_group():
 def corpus_export(out_path):
     """Write the canonical corpus file."""
     corpus = _load_corpus_or_die(None)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(corpus_to_json(corpus)))
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(dumps_canonical(corpus_to_json(corpus)))
+    except OSError as e:
+        click.echo(f"error: cannot write {out_path}: {e.strerror}", err=True)
+        sys.exit(EXIT_INPUT_ERROR)
     click.echo(f"wrote {out_path}")
     sys.exit(EXIT_OK)
 

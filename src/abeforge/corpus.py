@@ -1,21 +1,24 @@
-"""The built-in statement registry and proof scripts, plus the file format.
+"""The corpus: statements, axiom systems, properties and proof scripts.
 
-Statement ids: ax1..ax6 (the defining axioms), trans (the transitivity
-quasi-identity), lem8a/lem8b and lem10..lem18 (the lemma chain), plus the
-model-checkable commutativity identity.  Scripts: one per lemma, the
-antisymmetry clause-form note (script id "ax5-clause"), and the concluding
-refutation (script id "thm", target "trans") -- 13 in total.
+The built-in corpus is the file data/corpus.json, which the package reads
+as its own corpus.json (a symlink in the source tree, a copy once built).
+It loads through the same checks as any other corpus file.  Statement ids:
+ax1..ax6 (the defining axioms), trans (the transitivity quasi-identity),
+lem8a/lem8b and lem10..lem18 (the lemma chain), plus the model-checkable
+commutativity identity.  Scripts: one per lemma, the antisymmetry
+clause-form note (script id "ax5-clause"), and the concluding refutation
+(script id "thm", target "trans") -- 13 in total.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Mapping
 
 from .kernel import (
     L2R,
-    R2L,
     ClauseInstantiate,
     ClauseLiteralRewrite,
     CloseConflict,
@@ -32,6 +35,7 @@ from .terms import Term, format_term, parse_term
 __all__ = ["Corpus", "CorpusError", "load_corpus", "corpus_to_json", "corpus_from_json", "dumps_canonical"]
 
 AXIOM_IDS = ("ax1", "ax2", "ax3", "ax4", "ax5", "ax6")
+BUILTIN_PATH = Path(__file__).with_name("corpus.json")
 
 
 class CorpusError(ValueError):
@@ -65,245 +69,22 @@ class Corpus:
         return Environment(self.statements, axioms=AXIOM_IDS)
 
 
-def _lit(lhs: str, rhs: str, positive: bool = True, consts=()) -> Literal:
-    return Literal(parse_term(lhs, consts), parse_term(rhs, consts), positive)
-
-
-def _ident(sid: str, lhs: str, rhs: str) -> Identity:
-    return Identity(sid, parse_term(lhs), parse_term(rhs))
-
-
-def _subst(consts=(), **kw: str) -> dict[str, Term]:
-    return {v: parse_term(t, consts) for v, t in kw.items()}
-
-
-def _build_statements() -> dict[str, Statement]:
-    sts: list[Statement] = [
-        _ident("ax1", "1 -> x", "x"),
-        _ident("ax2", "x -> 1", "1"),
-        _ident("ax3", "x -> x", "1"),
-        _ident("ax4", "x -> (y -> z)", "y -> (x -> z)"),
-        # Antisymmetry, kept in clause form; the quasi reading is display metadata.
-        QuasiIdentity(
-            "ax5",
-            hypotheses=(_lit("x -> y", "1"), _lit("y -> x", "1")),
-            conclusion=_lit("x", "y"),
-        ),
-        _ident("ax6", "(x -> y) -> x", "x"),
-        QuasiIdentity(
-            "trans",
-            hypotheses=(_lit("x -> y", "1"), _lit("y -> z", "1")),
-            conclusion=_lit("x -> z", "1"),
-        ),
-        Clause("lem8a", (_lit("x", "y -> x"), _lit("(y -> x) -> x", "1", False))),
-        Clause("lem8b", (_lit("x", "(x -> y) -> y"), _lit("((x -> y) -> y) -> x", "1", False))),
-        _ident("lem10", "x -> y", "(z -> x) -> (x -> y)"),
-        _ident("lem11", "((y -> x) -> z) -> t", "((y -> x) -> z) -> ((x -> z) -> t)"),
-        _ident("lem12", "(((x -> y) -> z) -> y) -> (x -> y)", "1"),
-        _ident("lem13", "((((x -> y) -> y) -> x) -> y) -> y", "1"),
-        _ident("lem14", "y", "(((x -> y) -> y) -> x) -> y"),
-        _ident("lem15", "x -> y", "x -> (((x -> y) -> z) -> y)"),
-        _ident("lem16", "((x -> y) -> y) -> x", "((x -> y) -> y) -> (y -> x)"),
-        _ident("lem17", "y -> x", "((x -> y) -> y) -> x"),
-        Clause("lem18", (_lit("(x -> y) -> y", "x"), _lit("y -> x", "1", False))),
-        # Corollary-level claim; model-checked only, no proof script.
-        _ident("commutativity", "(x -> y) -> y", "(y -> x) -> x"),
-    ]
-    return {st.id: st for st in sts}
-
-
-def _build_scripts() -> tuple[ProofScript, ...]:
-    abc = ("a", "b", "c")
-    return (
-        # Antisymmetry in disjunctive form, made explicit once so the lemma
-        # scripts below can split and instantiate it.
-        ProofScript(
-            id="ax5-clause",
-            target="ax5",
-            steps=(ClauseInstantiate("ax5", {}),),
-            depends_on=("ax5",),
-            comment="x = y or x -> y != 1 or y -> x != 1",
-        ),
-        ProofScript(
-            id="lem8a",
-            target="lem8a",
-            steps=(
-                ClauseInstantiate("ax5", _subst(x="x", y="y -> x")),
-                LiteralElim(
-                    1,
-                    (
-                        Rewrite("ax4", _subst(x="x", y="y", z="x"), "", L2R),
-                        Rewrite("ax3", _subst(x="x"), "R", L2R),
-                        Rewrite("ax2", _subst(x="y"), "", L2R),
-                    ),
-                ),
-            ),
-            depends_on=("ax2", "ax3", "ax4", "ax5"),
-        ),
-        ProofScript(
-            id="lem8b",
-            target="lem8b",
-            steps=(
-                ClauseInstantiate("ax5", _subst(x="x", y="(x -> y) -> y")),
-                LiteralElim(
-                    1,
-                    (
-                        Rewrite("ax4", _subst(x="x", y="x -> y", z="y"), "", L2R),
-                        Rewrite("ax3", _subst(x="x -> y"), "", L2R),
-                    ),
-                ),
-            ),
-            depends_on=("ax3", "ax4", "ax5"),
-        ),
-        ProofScript(
-            id="lem10",
-            target="lem10",
-            steps=(
-                Rewrite("ax6", _subst(x="x -> y", y="z -> x"), "", R2L),
-                Rewrite("ax4", _subst(x="x -> y", y="z", z="x"), "L", L2R),
-                Rewrite("ax6", _subst(x="x", y="y"), "LR", L2R),
-            ),
-            depends_on=("ax4", "ax6"),
-        ),
-        ProofScript(
-            id="lem11",
-            target="lem11",
-            steps=(
-                Rewrite("lem10", _subst(x="(y -> x) -> z", y="t", z="x"), "", L2R),
-                Rewrite("ax4", _subst(x="x -> ((y -> x) -> z)", y="(y -> x) -> z", z="t"), "", L2R),
-                Rewrite("ax4", _subst(x="x", y="y -> x", z="z"), "RL", L2R),
-                Rewrite("lem10", _subst(x="x", y="z", z="y"), "RL", R2L),
-            ),
-            depends_on=("ax4", "lem10"),
-        ),
-        ProofScript(
-            id="lem12",
-            target="lem12",
-            steps=(
-                Rewrite("ax6", _subst(x="x -> y", y="z"), "R", R2L),
-                Rewrite("ax4", _subst(x="(x -> y) -> z", y="x", z="y"), "R", L2R),
-                Rewrite(
-                    "ax4",
-                    _subst(x="((x -> y) -> z) -> y", y="x", z="((x -> y) -> z) -> y"),
-                    "",
-                    L2R,
-                ),
-                Rewrite("ax3", _subst(x="((x -> y) -> z) -> y"), "R", L2R),
-                Rewrite("ax2", _subst(x="x"), "", L2R),
-            ),
-            depends_on=("ax2", "ax3", "ax4", "ax6"),
-        ),
-        ProofScript(
-            id="lem13",
-            target="lem13",
-            steps=(
-                Rewrite("lem11", _subst(y="(x -> y) -> y", x="x", z="y", t="y"), "", L2R),
-                Rewrite("lem12", _subst(x="x -> y", y="y", z="x"), "", L2R),
-            ),
-            depends_on=("lem11", "lem12"),
-        ),
-        ProofScript(
-            id="lem14",
-            target="lem14",
-            steps=(
-                ClauseInstantiate("lem8a", _subst(x="y", y="((x -> y) -> y) -> x")),
-                LiteralElim(1, (Rewrite("lem13", _subst(x="x", y="y"), "", L2R),)),
-            ),
-            depends_on=("lem8a", "lem13"),
-        ),
-        ProofScript(
-            id="lem15",
-            target="lem15",
-            steps=(
-                Rewrite("ax6", _subst(x="x -> y", y="z"), "", R2L),
-                Rewrite("ax4", _subst(x="(x -> y) -> z", y="x", z="y"), "", L2R),
-            ),
-            depends_on=("ax4", "ax6"),
-        ),
-        ProofScript(
-            id="lem16",
-            target="lem16",
-            # Reconstructed intermediate step: expand with lem15 at z := y,
-            # giving ((x->y)->y) -> (((((x->y)->y)->x)->y)->x), then collapse
-            # the inner (((x->y)->y)->x)->y to y with lem14.
-            steps=(
-                Rewrite("lem15", _subst(x="(x -> y) -> y", y="x", z="y"), "", L2R),
-                Rewrite("lem14", _subst(x="x", y="y"), "RL", R2L),
-            ),
-            depends_on=("lem14", "lem15"),
-            comment="intermediate instance reconstructed: lem15 with z := y, then lem14 at RL",
-        ),
-        ProofScript(
-            id="lem17",
-            target="lem17",
-            steps=(
-                Rewrite("lem10", _subst(x="y", y="x", z="x -> y"), "", L2R),
-                Rewrite("lem16", _subst(x="x", y="y"), "", R2L),
-            ),
-            depends_on=("lem10", "lem16"),
-        ),
-        ProofScript(
-            id="lem18",
-            target="lem18",
-            steps=(
-                ClauseInstantiate("lem8b", _subst(x="x", y="y")),
-                ClauseLiteralRewrite(1, "lem17", _subst(x="x", y="y"), "L", R2L),
-            ),
-            depends_on=("lem8b", "lem17"),
-        ),
-        ProofScript(
-            id="thm",
-            target="trans",
-            constants=abc,
-            hypotheses=(
-                _lit("a -> b", "1", True, abc),
-                _lit("b -> c", "1", True, abc),
-                _lit("a -> c", "1", False, abc),
-            ),
-            steps=(
-                Split(
-                    "lem18",
-                    _subst(abc, x="c", y="b"),
-                    branches=(
-                        (
-                            # (c -> b) -> b = c assumed; derive a -> c = 1
-                            Rewrite(3, {}, "R", R2L),
-                            Rewrite("ax4", _subst(abc, x="a", y="c -> b", z="b"), "", L2R),
-                            Rewrite(0, {}, "R", L2R),
-                            Rewrite("ax2", _subst(abc, x="c -> b"), "", L2R),
-                            CloseConflict(2),
-                        ),
-                        (CloseConflict(1),),  # b -> c != 1 against hypothesis 1
-                    ),
-                ),
-            ),
-            depends_on=("lem18", "ax2", "ax4"),
-        ),
-    )
-
-
 def load_corpus(path: str | None = None) -> Corpus:
-    """The built-in corpus, or one loaded from a file in the exchange format."""
-    if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return corpus_from_json(json.load(fh))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise CorpusError(f"cannot read corpus file: {e}") from e
-        except RecursionError as e:
-            # the JSON decoder and the term parser recurse once per level
-            raise CorpusError("corpus file is nested too deeply") from e
-    statements = _build_statements()
-    systems = {
-        "aBE": AxiomSystem("aBE", ("ax1", "ax2", "ax3", "ax4", "ax5")),
-        "implicative-aBE": AxiomSystem("implicative-aBE", AXIOM_IDS),
-    }
-    corpus = Corpus(statements, systems, ("trans", "commutativity"), _build_scripts())
-    _validate(corpus)
-    return corpus
+    """The corpus in a file of the exchange format; by default the built-in one."""
+    try:
+        with open(BUILTIN_PATH if path is None else path, "r", encoding="utf-8") as fh:
+            return corpus_from_json(json.load(fh))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise CorpusError(f"cannot read corpus file: {e}") from e
+    except RecursionError as e:
+        # the JSON decoder and the term parser recurse once per level
+        raise CorpusError("corpus file is nested too deeply") from e
 
 
 def _validate(corpus: Corpus):
+    for sid in AXIOM_IDS:
+        if sid not in corpus.statements:
+            raise CorpusError(f"missing axiom {sid!r}")
     for name, system in corpus.axiom_systems.items():
         for sid in system.members:
             if sid not in corpus.statements:
@@ -371,7 +152,8 @@ def _lit_from_json(obj: dict, consts=()) -> Literal:
     polarity = _get(obj, "polarity", str)
     if polarity not in ("=", "!="):
         raise CorpusError(f"bad literal polarity {polarity!r}")
-    return _lit(_get(obj, "lhs", str), _get(obj, "rhs", str), polarity == "=", consts)
+    lhs, rhs = _get(obj, "lhs", str), _get(obj, "rhs", str)
+    return Literal(parse_term(lhs, consts), parse_term(rhs, consts), polarity == "=")
 
 
 def _lits_from_json(obj: dict, key: str, consts=(), default=_REQUIRED) -> tuple[Literal, ...]:

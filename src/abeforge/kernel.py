@@ -41,7 +41,6 @@ __all__ = [
     "CloseConflict",
     "CloseRefl",
     "ProofScript",
-    "VerifiedStatement",
     "Environment",
     "ProofError",
     "verify_rewrite",
@@ -126,11 +125,6 @@ class ProofScript:
     comment: str = ""
 
 
-@dataclass(frozen=True, slots=True)
-class VerifiedStatement:
-    statement: Statement
-
-
 class ProofError(Exception):
     """Replay failure, pointing at the script and step that broke."""
 
@@ -151,10 +145,7 @@ class Environment:
 
     def __init__(self, statements: Mapping[str, Statement], axioms: Sequence[str] = ()):
         self._statements = dict(statements)
-        self._verified: dict[str, VerifiedStatement] = {}
-        for ax in axioms:
-            st = self._statements[ax]
-            self._verified[ax] = VerifiedStatement(st)
+        self._verified: dict[str, Statement] = {ax: self._statements[ax] for ax in axioms}
 
     def statement(self, sid: str) -> Statement:
         if sid not in self._statements:
@@ -164,11 +155,11 @@ class Environment:
     def is_verified(self, sid: str) -> bool:
         return sid in self._verified
 
-    def verified(self, sid: str) -> VerifiedStatement:
+    def verified(self, sid: str) -> Statement:
         return self._verified[sid]
 
-    def admit(self, vs: VerifiedStatement):
-        self._verified[vs.statement.id] = vs
+    def admit(self, st: Statement):
+        self._verified[st.id] = st
 
 
 def _resolve_equation(
@@ -191,7 +182,7 @@ def _resolve_equation(
         return hyp.lhs, hyp.rhs
     if not env.is_verified(just):
         raise ProofError(script_id, step_no, f"justification {just!r} is not verified")
-    st = env.verified(just).statement
+    st = env.verified(just)
     if not isinstance(st, Identity):
         raise ProofError(script_id, step_no, f"justification {just!r} is not an identity")
     return st.lhs, st.rhs
@@ -260,7 +251,7 @@ def _replay_clause(script: ProofScript, target: Statement, env: Environment):
         raise ProofError(script.id, 0, "clause derivations must start with clause-instantiate")
     if not env.is_verified(first.clause):
         raise ProofError(script.id, 0, f"clause {first.clause!r} is not verified")
-    base = env.verified(first.clause).statement
+    base = env.verified(first.clause)
     literals = list(clause_form(instantiate(base, first.substitution)).literals)
 
     for no, step in enumerate(steps[1:], start=1):
@@ -319,7 +310,7 @@ def _replay_refutation(script: ProofScript, target: Statement, env: Environment)
     split = script.steps[0]
     if not env.is_verified(split.clause):
         raise ProofError(script.id, 0, f"clause {split.clause!r} is not verified")
-    base = env.verified(split.clause).statement
+    base = env.verified(split.clause)
     literals = clause_form(instantiate(base, split.substitution)).literals
     for lit in literals:
         if not (_is_ground(lit.lhs) and _is_ground(lit.rhs)):
@@ -452,7 +443,7 @@ def _check_refutation_matches_target(script: ProofScript, target: Statement, hyp
         raise ProofError(script.id, None, "target variables must map to pairwise distinct constants")
 
 
-def replay_proof(script: ProofScript, env: Environment) -> VerifiedStatement:
+def replay_proof(script: ProofScript, env: Environment) -> Statement:
     """Replay one script; on success the target joins the verified environment."""
     for dep in script.depends_on:
         if not env.is_verified(dep):
@@ -468,9 +459,8 @@ def replay_proof(script: ProofScript, env: Environment) -> VerifiedStatement:
         _replay_identity(script, target, env)
     else:
         raise ProofError(script.id, None, "rewrite chains only prove identities")
-    vs = VerifiedStatement(target)
-    env.admit(vs)
-    return vs
+    env.admit(target)
+    return target
 
 
 def verify_corpus(corpus) -> list[tuple[str, str]]:

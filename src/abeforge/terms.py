@@ -23,13 +23,11 @@ __all__ = [
     "parse_term",
     "format_term",
     "substitute",
-    "compose",
     "match_pattern",
     "subterm_at",
     "replace_at",
     "positions",
     "variables",
-    "constants",
 ]
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -193,14 +191,6 @@ def substitute(t: Term, s: Substitution) -> Term:
     return t
 
 
-def compose(first: Substitution, second: Substitution) -> dict[str, Term]:
-    """The substitution equivalent to applying `first` then `second`."""
-    out = {v: substitute(img, second) for v, img in first.items()}
-    for v, img in second.items():
-        out.setdefault(v, img)
-    return out
-
-
 def match_pattern(pattern: Term, subject: Term) -> Optional[dict[str, Term]]:
     """One-way matching: pattern variables bind, subject variables are inert.
 
@@ -270,12 +260,4 @@ def variables(t: Term) -> set[str]:
         return {t.name}
     if isinstance(t, Arrow):
         return variables(t.left) | variables(t.right)
-    return set()
-
-
-def constants(t: Term) -> set[str]:
-    if isinstance(t, Const):
-        return {t.name}
-    if isinstance(t, Arrow):
-        return constants(t.left) | constants(t.right)
     return set()

@@ -97,7 +97,7 @@ def test_criterion_4_kernel_soundness_bridge(corpus, implicative_models):
     env = corpus.environment()
     verified = []
     for script in corpus.scripts:
-        verified.append(replay_proof(script, env).statement)
+        verified.append(replay_proof(script, env))
     violations = []
     for st in verified:
         for model in implicative_models:

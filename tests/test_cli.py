@@ -1,10 +1,14 @@
 import json
+import pathlib
 
 import pytest
 from click.testing import CliRunner
 
 from abeforge.cli import main
+from abeforge.corpus import corpus_to_json
 from abeforge.models import model_to_json
+
+DATA_CORPUS = pathlib.Path(__file__).resolve().parent.parent / "data" / "corpus.json"
 
 
 @pytest.fixture()
@@ -37,6 +41,22 @@ def assert_input_error(result):
     assert "Traceback" not in result.output
 
 
+def without_ax6(corpus) -> dict:
+    """The built-in corpus file less ax6, its system memberships, and every
+    script that depends on ax6 or on a statement proved from it."""
+    obj = corpus_to_json(corpus)
+    obj["statements"] = [st for st in obj["statements"] if st["id"] != "ax6"]
+    obj["axiom_systems"] = {name: [m for m in ms if m != "ax6"] for name, ms in obj["axiom_systems"].items()}
+    gone, kept = {"ax6"}, []
+    for script in obj["scripts"]:
+        if gone.intersection(script["depends_on"]):
+            gone.add(script["target"])
+        else:
+            kept.append(script)
+    obj["scripts"] = kept
+    return obj
+
+
 class TestReplay:
     def test_full_corpus(self, runner):
         result = invoke(runner, "replay")
@@ -56,8 +76,6 @@ class TestReplay:
         assert "branch 1" in result.output
 
     def test_broken_script_file(self, runner, tmp_path, corpus):
-        from abeforge.corpus import corpus_to_json
-
         obj = corpus_to_json(corpus)
         obj["scripts"][3]["steps"][1]["subst"]["y"] = "x"
         path = tmp_path / "broken.json"
@@ -79,13 +97,20 @@ class TestReplay:
         assert_input_error(invoke(runner, "replay", "--script", str(path)))
 
     def test_wrong_typed_field_exits_3(self, runner, tmp_path, corpus):
-        from abeforge.corpus import corpus_to_json
-
         obj = corpus_to_json(corpus)
         obj["scripts"][3]["steps"][0]["at"] = ["L"]
         path = tmp_path / "corpus.json"
         path.write_text(json.dumps(obj))
         assert_input_error(invoke(runner, "replay", "--script", str(path)))
+
+    @pytest.mark.parametrize("case", ["empty", "no-ax6"])
+    def test_file_missing_an_axiom_exits_3(self, runner, tmp_path, corpus, case):
+        obj, missing = ({}, "ax1") if case == "empty" else (without_ax6(corpus), "ax6")
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(obj))
+        result = invoke(runner, "replay", "--script", str(path))
+        assert_input_error(result)
+        assert result.stderr == f"error: missing axiom {missing!r}\n"
 
 
 class TestEnumerate:
@@ -261,6 +286,13 @@ class TestCorpusCommands:
         replay = invoke(runner, "replay", "--script", str(out))
         assert replay.exit_code == 0
 
+    @pytest.mark.parametrize("target", ["missing-dir", "dir"])
+    def test_export_to_unwritable_path_exits_3(self, runner, tmp_path, target):
+        out = tmp_path / "nosuch" / "corpus.json" if target == "missing-dir" else tmp_path
+        result = invoke(runner, "corpus", "export", "--out", str(out))
+        assert_input_error(result)
+        assert result.stderr.startswith(f"error: cannot write {out}: ")
+
     def test_show_statement(self, runner):
         result = invoke(runner, "corpus", "show", "ax5")
         assert result.exit_code == 0
@@ -270,6 +302,13 @@ class TestCorpusCommands:
         result = invoke(runner, "corpus", "show", "lem10")
         assert result.exit_code == 0
         assert "rewrite ax6" in result.output
+
+    def test_show_script_as_the_file_has_it(self, runner):
+        # corpus show prints the statement, then the script as replay --show does
+        shown = invoke(runner, "corpus", "show", "lem13").output
+        replayed = invoke(runner, "replay", "--script", str(DATA_CORPUS), "--show", "lem13").output
+        assert "rewrite lem11 [t := y, x := x, y := (x -> y) -> y, z := y] at root L2R" in replayed
+        assert shown.endswith(replayed)
 
     def test_show_unknown(self, runner):
         result = invoke(runner, "corpus", "show", "lem99")

@@ -82,6 +82,12 @@ def test_reloaded_corpus_replays(corpus, tmp_path):
     assert all(status == "verified" for _, status in verify_corpus(again))
 
 
+def test_builtin_corpus_found_from_any_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    report = verify_corpus(load_corpus())
+    assert [status for _, status in report] == ["verified"] * 13
+
+
 def test_reference_file_in_sync(corpus):
     path = pathlib.Path(__file__).resolve().parent.parent / "data" / "corpus.json"
     assert path.read_text() == dumps_canonical(corpus_to_json(corpus))

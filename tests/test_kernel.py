@@ -105,16 +105,14 @@ class TestVerifyRewrite:
 
 class TestReplayShapes:
     def test_lem10_rewrite_chain(self, corpus, env):
-        vs = replay_proof(corpus.script("lem10"), env)
-        assert vs.statement == corpus.statement("lem10")
+        assert replay_proof(corpus.script("lem10"), env) == corpus.statement("lem10")
         assert env.is_verified("lem10")
 
     def test_lem14_clause_derivation(self, corpus):
         env = corpus.environment()
         for sid in ("ax5-clause", "lem8a", "lem10", "lem11", "lem12", "lem13"):
             replay_proof(corpus.script(sid), env)
-        vs = replay_proof(corpus.script("lem14"), env)
-        assert vs.statement == corpus.statement("lem14")
+        assert replay_proof(corpus.script("lem14"), env) == corpus.statement("lem14")
 
     def test_theorem_refutation(self, corpus):
         env = corpus.environment()
@@ -172,8 +170,7 @@ class TestReplayShapes:
             ),
             depends_on=("em", "ax3"),
         )
-        vs = replay_proof(script, env)
-        assert vs.statement.id == "selfneq"
+        assert replay_proof(script, env).id == "selfneq"
 
     def test_refutation_needs_distinct_constants(self, corpus):
         env = corpus.environment()
@@ -223,7 +220,7 @@ class TestReplayShapes:
 
         with pytest.raises(ProofError, match=r"\[ax5z\] step 1: .*'X'"):
             replay_proof(script("X"), env)
-        assert replay_proof(script("R"), env).statement.id == "ax5z"
+        assert replay_proof(script("R"), env).id == "ax5z"
 
 
 class TestCorpusReplay:

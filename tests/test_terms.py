@@ -1,6 +1,5 @@
 import pytest
 from hypothesis import given
-import hypothesis.strategies as st
 
 from abeforge.terms import (
     UNIT,
@@ -9,7 +8,6 @@ from abeforge.terms import (
     PositionError,
     TermSyntaxError,
     Var,
-    compose,
     format_term,
     match_pattern,
     parse_term,
@@ -89,11 +87,6 @@ class TestSubstitute:
     def test_simultaneous_no_resubstitution(self):
         s = {"x": parse_term("x -> y"), "y": z, "z": x}
         assert substitute(parse_term("x -> (y -> z)"), s) == parse_term("(x -> y) -> (z -> x)")
-
-    @given(terms(), st.fixed_dictionaries({}, optional={n: terms(max_leaves=4) for n in "xyz"}))
-    def test_composition(self, t, sigma):
-        tau = {"x": y, "t": parse_term("x -> 1")}
-        assert substitute(substitute(t, sigma), tau) == substitute(t, compose(sigma, tau))
 
 
 class TestMatch:
