@@ -33,7 +33,6 @@ from .models import (
 from .search import (
     EnumerationReport,
     NodeBudgetExceeded,
-    UnknownSystemError,
     brute_force_models,
     find_counterexample,
     run_enumeration_report,

@@ -93,7 +93,11 @@ def _validate(corpus: Corpus):
         if prop not in corpus.statements:
             raise CorpusError(f"property references unknown id {prop!r}")
     seen: set[str] = set(AXIOM_IDS)
+    script_ids: set[str] = set()
     for script in corpus.scripts:
+        if script.id in script_ids:
+            raise CorpusError(f"duplicate script id {script.id!r}")
+        script_ids.add(script.id)
         if script.target not in corpus.statements:
             raise CorpusError(f"script {script.id!r} targets unknown id {script.target!r}")
         for dep in script.depends_on:

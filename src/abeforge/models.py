@@ -10,7 +10,7 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .statements import AxiomSystem, Literal, Statement, clause_form
 from .terms import Arrow, Const, Term, Unit, Var
@@ -23,6 +23,8 @@ __all__ = [
     "satisfies",
     "is_model",
     "relabel",
+    "relabelings",
+    "from_flat",
     "canonical_form",
     "canonicalize",
     "are_isomorphic",
@@ -184,110 +186,34 @@ def relabel(model: FiniteAlgebra, perm: Sequence[int]) -> FiniteAlgebra:
     return FiniteAlgebra(n, perm[model.unit], tuple(tuple(row) for row in table))
 
 
-def _canonical_tuple(model: FiniteAlgebra) -> tuple[int, ...]:
-    """Lexicographically least row-major table over permutations sending the
-    unit to index n-1.
-
-    Branch and bound over relabelings, built cell by cell in row-major order
-    of the new table.  An element met in a cell before it has a label takes
-    the next free label (any other label would make that cell larger), so
-    only the columns of row 0 branch; after row 0 every label is fixed.  The
-    bound starts as the table with the unit swapped to n-1 (the identity for
-    a search table), and a branch stops at its first cell above the bound.
-    """
+def relabelings(model: FiniteAlgebra) -> Iterator[bytes]:
+    """The row-major table under each of the (n-1)! relabelings that send the
+    unit to n-1, as bytes; a table fixed by some of them repeats."""
     n, unit, t = model.size, model.unit, model.table
-    last = n - 1
-    swap = list(range(n))
-    swap[unit], swap[last] = last, unit
-    best = [swap[t[swap[i]][swap[j]]] for i in range(n) for j in range(n)]
-    cur = [0] * (n * n)
-    perm = [-1] * n  # old element -> new label
-    inv = [-1] * n  # new label -> old element
-    perm[unit] = last
-    inv[last] = unit
+    rest = [x for x in range(n) if x != unit]
+    label = [n - 1] * n  # old element -> new label
+    for order in itertools.permutations(rest):  # new label -> old element
+        order += (unit,)
+        for new, old in enumerate(order):
+            label[old] = new
+        yield bytes([label[t[i][j]] for i in order for j in order])
 
-    def rest_rows(below: bool) -> bool:
-        """Rows 1.. under the now complete labelling; True if best was replaced."""
-        pos = n
-        for r in range(1, n):
-            row = t[inv[r]]
-            for c in range(n):
-                p = perm[row[inv[c]]]
-                if not below:
-                    b = best[pos]
-                    if p > b:
-                        return False
-                    below = p < b
-                cur[pos] = p
-                pos += 1
-        if below:
-            best[:] = cur
-        return below
 
-    def fill_row0(c: int, k: int, below: bool) -> bool:
-        """Row 0 from column c on, with labels 0..k-1 given.  below says the
-        prefix is already less than best.  True if best was replaced."""
-        k0 = k
-        row = t[inv[0]]
-        replaced = False
-        while c < n:
-            if inv[c] < 0:  # label c == k is free: branch
-                replaced = branch(c, below)
-                break
-            v = row[inv[c]]
-            p = perm[v]
-            if p < 0:
-                p = perm[v] = k
-                inv[k] = v
-                k += 1
-            if not below:
-                b = best[c]
-                if p > b:
-                    break
-                below = p < b
-            cur[c] = p
-            c += 1
-        else:
-            replaced = rest_rows(below)
-        for label in range(k0, k):
-            perm[inv[label]] = -1
-            inv[label] = -1
-        return replaced
-
-    def branch(k: int, below: bool) -> bool:
-        """Try every unlabeled element as label k (also column k of row 0)."""
-        replaced = False
-        for x in range(n):
-            if perm[x] >= 0:
-                continue
-            perm[x] = k
-            inv[k] = x
-            if fill_row0(k, k + 1, below):
-                # The new best runs through this prefix, so the prefix is no
-                # longer below it.
-                replaced = True
-                below = False
-            perm[x] = -1
-            inv[k] = -1
-        return replaced
-
-    if inv[0] < 0:
-        branch(0, False)
-    else:  # n == 1
-        fill_row0(0, 0, False)
-    return tuple(best)
+def from_flat(flat: Sequence[int], n: int) -> FiniteAlgebra:
+    """The algebra of a row-major n x n table with the unit at n-1."""
+    return FiniteAlgebra(n, n - 1, tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n)))
 
 
 def canonical_form(model: FiniteAlgebra) -> bytes:
-    """Relabeling-invariant key; equal iff the models are isomorphic."""
-    return bytes([model.size]) + bytes(_canonical_tuple(model))
+    """Relabeling-invariant key; equal iff the models are isomorphic.
+
+    The lexicographically least row-major table over the relabelings that
+    send the unit to n-1, after the size."""
+    return bytes([model.size]) + min(relabelings(model))
 
 
 def canonicalize(model: FiniteAlgebra) -> FiniteAlgebra:
-    n = model.size
-    flat = _canonical_tuple(model)
-    table = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
-    return FiniteAlgebra(n, n - 1, table)
+    return from_flat(min(relabelings(model)), model.size)
 
 
 def are_isomorphic(m1: FiniteAlgebra, m2: FiniteAlgebra) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from . import _speed_py as _core
 from .models import (
@@ -18,7 +18,9 @@ from .models import (
     Witness,
     canonical_form,
     canonicalize,
+    from_flat,
     is_model,
+    relabelings,
     satisfies,
 )
 from .statements import AxiomSystem, Statement
@@ -97,25 +99,6 @@ def _implicative_flag(system: AxiomSystem) -> bool:
     )
 
 
-def _to_algebra(flat: Sequence[int], n: int) -> FiniteAlgebra:
-    table = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
-    return FiniteAlgebra(n, n - 1, table)
-
-
-def _orbit(flat: bytes, n: int) -> set[bytes]:
-    """Every relabeling of a search table (unit at n-1) that keeps the unit
-    at n-1, the table itself included."""
-    last = n - 1
-    orbit = set()
-    inv = [last] * n
-    for perm in itertools.permutations(range(last)):  # new label -> old element
-        perm += (last,)
-        for new, old in enumerate(perm):
-            inv[old] = new
-        orbit.add(bytes([inv[flat[i * n + j]] for i in perm for j in perm]))
-    return orbit
-
-
 def enumerate_with_stats(
     system: AxiomSystem,
     n: int,
@@ -142,9 +125,9 @@ def enumerate_with_stats(
         labeled.add(bytes(tables.pop()))
     survivors: list[tuple[bytes, FiniteAlgebra]] = []
     while labeled:
-        model = canonicalize(_to_algebra(next(iter(labeled)), n))
+        model = canonicalize(from_flat(next(iter(labeled)), n))
         flat = bytes(v for row in model.table for v in row)
-        orbit = _orbit(flat, n)
+        orbit = set(relabelings(model))
         if not orbit <= labeled:
             raise RuntimeError(
                 f"incomplete search at size {n}: a relabeling of a found table is missing"
@@ -178,7 +161,7 @@ def brute_force_models(
     labeled = 0
     classes: set[bytes] = set()
     for flat in itertools.product(range(n), repeat=n * n):
-        model = _to_algebra(flat, n)
+        model = from_flat(flat, n)
         ok, _ = is_model(model, system, statements)
         if ok:
             labeled += 1

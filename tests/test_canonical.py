@@ -1,7 +1,8 @@
-"""The branch-and-bound canonicalizer against the plain (n-1)! scan, the
-enumerator's orbit subtraction against the per-table canonicity filter, and
-the orbit-counting identity that ties the enumerator's classes to its labeled
-tables at sizes the brute-force oracle cannot reach."""
+"""The canonical form and the unit-fixing relabelings against a plain
+(n-1)! scan written here, the enumerator's orbit subtraction against the
+per-table canonicity filter, and the orbit-counting identity that ties the
+enumerator's classes to its labeled tables at sizes the brute-force oracle
+cannot reach."""
 
 import itertools
 import math
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given
 
 from abeforge import search
-from abeforge.models import FiniteAlgebra, canonical_form, canonicalize
+from abeforge.models import FiniteAlgebra, canonical_form, canonicalize, from_flat, relabelings
 from abeforge.search import enumerate_with_stats
 
 
@@ -45,7 +46,7 @@ def reference_enumerate(system, n):
     tables, _, _ = search._core.search_tables(n, search._implicative_flag(system))
     survivors = []
     for flat in tables:
-        model = search._to_algebra(flat, n)
+        model = from_flat(flat, n)
         if canonicalize(model) == model:
             survivors.append((bytes(flat), model))
     survivors.sort(key=lambda kv: kv[0])
@@ -53,10 +54,17 @@ def reference_enumerate(system, n):
 
 
 def assert_matches_reference(model):
-    flat, _ = reference_canonical(model)
+    flat, automorphisms = reference_canonical(model)
     n = model.size
     assert canonical_form(model) == bytes([n]) + bytes(flat)
-    assert canonicalize(model) == search._to_algebra(flat, n)
+    assert canonicalize(model) == from_flat(flat, n)
+    # one table per unit-fixing relabeling; the orbit is the class's, so the
+    # canonical model has the same one
+    tables = list(relabelings(model))
+    assert len(tables) == math.factorial(n - 1)
+    orbit = set(tables)
+    assert len(orbit) == math.factorial(n - 1) // automorphisms
+    assert orbit == set(relabelings(canonicalize(model)))
 
 
 @st.composite
@@ -72,7 +80,7 @@ def test_agrees_with_scan_on_every_labeled_table(name, max_size):
     for n in range(1, max_size + 1):
         tables, _, _ = search._core.search_tables(n, implicative)
         for flat in tables:
-            assert_matches_reference(search._to_algebra(flat, n))
+            assert_matches_reference(from_flat(flat, n))
 
 
 @given(arbitrary_tables())
@@ -119,7 +127,7 @@ def test_incomplete_search_raises(corpus, monkeypatch):
     tables, _, _ = core_search(4, False)
     dropped = tables[0]
     # a table alone in its orbit would take its class with it unnoticed
-    assert len(search._orbit(bytes(dropped), 4)) > 1
+    assert len(set(relabelings(from_flat(dropped, 4)))) > 1
 
     def lossy_search(*args):
         found, nodes, exceeded = core_search(*args)

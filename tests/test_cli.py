@@ -1,8 +1,11 @@
+import copy
 import json
 import pathlib
 
+import hypothesis.strategies as st
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
 
 from abeforge.cli import main
 from abeforge.corpus import corpus_to_json
@@ -112,6 +115,15 @@ class TestReplay:
         assert_input_error(result)
         assert result.stderr == f"error: missing axiom {missing!r}\n"
 
+    def test_duplicate_script_id_exits_3(self, runner, tmp_path, corpus):
+        obj = corpus_to_json(corpus)
+        obj["scripts"].append(next(s for s in obj["scripts"] if s["id"] == "lem10"))
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(obj))
+        result = invoke(runner, "replay", "--script", str(path))
+        assert_input_error(result)
+        assert result.stderr == "error: duplicate script id 'lem10'\n"
+
 
 class TestEnumerate:
     def test_json_report(self, runner):
@@ -164,6 +176,15 @@ class TestEnumerate:
         assert "--budget-nodes" in result.output
 
 
+# where a field of M2 can be replaced, and what by
+M2_PATHS = [("size",), ("unit",), ("table",), ("table", 0), ("table", 1), ("table", 0, 0), ("table", 1, 1)]
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=3) | st.integers(-2, 3) | st.integers(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=5,
+)
+
+
 class TestCheck:
     def test_good_model_with_property(self, runner, tmp_path):
         path = write_model(tmp_path, M2)
@@ -196,6 +217,24 @@ class TestCheck:
     def test_non_integer_entry_exits_3(self, runner, tmp_path):
         path = write_model(tmp_path, {"size": 2, "unit": 1, "table": [[1.7, 1], [0, 1]]})
         assert_input_error(invoke(runner, "check", "--model", path, "--axioms", "aBE"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(M2_PATHS), ANY_JSON)
+    def test_any_field_replaced_is_checked_or_rejected(self, path, value):
+        # a model file is checked (exit 0 or 4) or rejected with exit 3
+        obj = copy.deepcopy(M2)
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            pathlib.Path("model.json").write_text(json.dumps(obj))
+            result = invoke(runner, "check", "--model", "model.json", "--axioms", "aBE")
+        assert result.exit_code in (0, 3, 4)
+        assert "Traceback" not in result.output
+        if result.exit_code == 3:
+            assert result.output.startswith("error: ")
 
 
 class TestSearch:

@@ -121,6 +121,13 @@ def test_duplicate_statement_id_rejected(corpus):
         corpus_from_json(obj)
 
 
+def test_duplicate_script_id_rejected(corpus):
+    obj = corpus_to_json(corpus)
+    obj["scripts"].append(next(s for s in obj["scripts"] if s["id"] == "lem10"))
+    with pytest.raises(CorpusError, match="duplicate script id 'lem10'"):
+        corpus_from_json(obj)
+
+
 def field_paths(obj, prefix=()):
     """The key path of every value below the top level of a JSON tree."""
     if isinstance(obj, dict):
