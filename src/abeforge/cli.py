@@ -10,7 +10,7 @@ import sys
 
 import click
 
-from .corpus import Corpus, CorpusError, corpus_to_json, dumps_canonical, load_corpus
+from .corpus import BUILTIN_PATH, Corpus, CorpusError, load_corpus
 from .kernel import (
     ClauseInstantiate,
     ClauseLiteralRewrite,
@@ -70,17 +70,10 @@ def _witness_text(w: Witness) -> str:
     return f"witness {vals}"
 
 
-def _load_corpus_or_die(path: str | None) -> Corpus:
+def _or_die(lookup, *args):
+    """lookup(*args); on a CorpusError, print it and exit 3."""
     try:
-        return load_corpus(path)
-    except CorpusError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(EXIT_INPUT_ERROR)
-
-
-def _system_or_die(corpus: Corpus, name: str):
-    try:
-        return corpus.axiom_system(name)
+        return lookup(*args)
     except CorpusError as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(EXIT_INPUT_ERROR)
@@ -150,16 +143,12 @@ def _show_script(corpus: Corpus, script: ProofScript):
 @click.option("--emit", type=click.Choice(["text", "json"]), default="text")
 def replay(script_path, show_id, emit):
     """Replay proof scripts and report per-statement status."""
-    corpus = _load_corpus_or_die(script_path)
+    corpus = _or_die(load_corpus, script_path)
     if show_id:
         try:
             _show_script(corpus, corpus.script(show_id))
         except CorpusError:
-            try:
-                st = corpus.statement(show_id)
-            except CorpusError as e:
-                click.echo(f"error: {e}", err=True)
-                sys.exit(EXIT_INPUT_ERROR)
+            st = _or_die(corpus.statement, show_id)
             click.echo(f"{st.id}: {st}")
         sys.exit(EXIT_OK)
     report = verify_corpus(corpus)
@@ -234,16 +223,12 @@ def _report_text(report: EnumerationReport, timings: bool):
 @click.option("--timings", is_flag=True, help="include wall-clock timings (not byte-stable)")
 def enumerate_cmd(axioms_name, max_size, property_ids, emit, budget_nodes, timings):
     """Isomorph-free enumeration of all models up to a size bound."""
-    corpus = _load_corpus_or_die(None)
-    system = _system_or_die(corpus, axioms_name)
+    corpus = _or_die(load_corpus, None)
+    system = _or_die(corpus.axiom_system, axioms_name)
     if max_size < 1:
         click.echo("error: --max-size must be >= 1", err=True)
         sys.exit(EXIT_INPUT_ERROR)
-    try:
-        props = [corpus.statement(pid) for pid in property_ids]
-    except CorpusError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(EXIT_INPUT_ERROR)
+    props = [_or_die(corpus.statement, pid) for pid in property_ids]
     report = run_enumeration_report(system, max_size, corpus.statements, props, budget_nodes)
     if emit == "json":
         _emit_json(_report_json(report, timings))
@@ -264,13 +249,14 @@ def enumerate_cmd(axioms_name, max_size, property_ids, emit, budget_nodes, timin
 @click.option("--emit", type=click.Choice(["text", "json"]), default="text")
 def check(model_path, axioms_name, property_id, emit):
     """Check a model file against an axiom system and optional property."""
-    corpus = _load_corpus_or_die(None)
-    system = _system_or_die(corpus, axioms_name)
+    corpus = _or_die(load_corpus, None)
+    system = _or_die(corpus.axiom_system, axioms_name)
     try:
         model = load_model(model_path)
     except ModelFileError as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(EXIT_INPUT_ERROR)
+    prop = None if property_id is None else _or_die(corpus.statement, property_id)
     ok, witness = is_model(model, system, corpus.statements)
     out = {"model": "yes" if ok else "no", "axioms": axioms_name}
     violated = not ok
@@ -278,12 +264,7 @@ def check(model_path, axioms_name, property_id, emit):
         out["failed_axiom"] = witness.statement_id
         out["witness"] = _witness_json(witness)
     prop_ok = True
-    if ok and property_id is not None:
-        try:
-            prop = corpus.statement(property_id)
-        except CorpusError as e:
-            click.echo(f"error: {e}", err=True)
-            sys.exit(EXIT_INPUT_ERROR)
+    if ok and prop is not None:
         prop_ok, pw = satisfies(model, prop)
         out["property"] = {"id": property_id, "status": "holds" if prop_ok else "counterexample"}
         if not prop_ok:
@@ -296,7 +277,7 @@ def check(model_path, axioms_name, property_id, emit):
             click.echo(f"model: yes ({axioms_name})")
         else:
             click.echo(f"model: no; {witness.statement_id} violated, {_witness_text(witness)}")
-        if ok and property_id is not None:
+        if ok and prop is not None:
             if prop_ok:
                 click.echo(f"{property_id}: holds")
             else:
@@ -317,13 +298,9 @@ def check(model_path, axioms_name, property_id, emit):
 @click.option("--budget-nodes", type=click.IntRange(min=0), default=0, help=BUDGET_HELP)
 def search(axioms_name, property_id, max_size, emit, budget_nodes):
     """Look for a model of the axioms that violates a property."""
-    corpus = _load_corpus_or_die(None)
-    system = _system_or_die(corpus, axioms_name)
-    try:
-        prop = corpus.statement(property_id)
-    except CorpusError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(EXIT_INPUT_ERROR)
+    corpus = _or_die(load_corpus, None)
+    system = _or_die(corpus.axiom_system, axioms_name)
+    prop = _or_die(corpus.statement, property_id)
     if max_size < 1:
         click.echo("error: --max-size must be >= 1", err=True)
         sys.exit(EXIT_INPUT_ERROR)
@@ -373,8 +350,8 @@ def search(axioms_name, property_id, max_size, emit, budget_nodes):
 @click.option("--emit", type=click.Choice(["text", "json"]), default="text")
 def oracle(axioms_name, size, emit):
     """Brute-force labeled and iso-class counts (small sizes only)."""
-    corpus = _load_corpus_or_die(None)
-    system = _system_or_die(corpus, axioms_name)
+    corpus = _or_die(load_corpus, None)
+    system = _or_die(corpus.axiom_system, axioms_name)
     try:
         labeled, classes = brute_force_models(system, size, corpus.statements)
     except ValueError as e:  # BruteForceBoundError included
@@ -400,11 +377,13 @@ def corpus_group():
 @corpus_group.command("export")
 @click.option("--out", "out_path", required=True, type=click.Path())
 def corpus_export(out_path):
-    """Write the canonical corpus file."""
-    corpus = _load_corpus_or_die(None)
+    """Write the built-in corpus file, byte for byte."""
+    _or_die(load_corpus, None)
+    # read before out_path is truncated, which may be the built-in file itself
+    data = BUILTIN_PATH.read_bytes()
     try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(dumps_canonical(corpus_to_json(corpus)))
+        with open(out_path, "wb") as fh:
+            fh.write(data)
     except OSError as e:
         click.echo(f"error: cannot write {out_path}: {e.strerror}", err=True)
         sys.exit(EXIT_INPUT_ERROR)
@@ -416,7 +395,7 @@ def corpus_export(out_path):
 @click.argument("sid")
 def corpus_show(sid):
     """Print a statement or script in human-readable form."""
-    corpus = _load_corpus_or_die(None)
+    corpus = _or_die(load_corpus, None)
     shown = False
     try:
         st = corpus.statement(sid)

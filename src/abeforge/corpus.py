@@ -2,12 +2,15 @@
 
 The built-in corpus is the file data/corpus.json, which the package reads
 as its own corpus.json (a symlink in the source tree, a copy once built).
-It loads through the same checks as any other corpus file.  Statement ids:
-ax1..ax6 (the defining axioms), trans (the transitivity quasi-identity),
-lem8a/lem8b and lem10..lem18 (the lemma chain), plus the model-checkable
-commutativity identity.  Scripts: one per lemma, the antisymmetry
-clause-form note (script id "ax5-clause"), and the concluding refutation
-(script id "thm", target "trans") -- 13 in total.
+It loads through the same checks as any other corpus file.  The reader
+below (corpus_from_json) is the one owner of the format: nothing writes a
+Corpus back to JSON, and `corpus export` copies the built-in file's bytes.
+
+Statement ids: ax1..ax6 (the defining axioms), trans (the transitivity
+quasi-identity), lem8a/lem8b and lem10..lem18 (the lemma chain), plus the
+model-checkable commutativity identity.  Scripts: one per lemma, the
+antisymmetry clause-form note (script id "ax5-clause"), and the concluding
+refutation (script id "thm", target "trans") -- 13 in total.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from .kernel import (
     Split,
 )
 from .statements import AxiomSystem, Clause, Identity, Literal, QuasiIdentity, Statement
-from .terms import Term, format_term, parse_term
+from .terms import Term, parse_term
 
-__all__ = ["Corpus", "CorpusError", "load_corpus", "corpus_to_json", "corpus_from_json", "dumps_canonical"]
+__all__ = ["Corpus", "CorpusError", "load_corpus", "corpus_from_json"]
 
 AXIOM_IDS = ("ax1", "ax2", "ax3", "ax4", "ax5", "ax6")
 BUILTIN_PATH = Path(__file__).with_name("corpus.json")
@@ -144,14 +147,6 @@ def _objects(obj: dict, key: str, default=_REQUIRED) -> list[dict]:
     return [_typed(v, dict, f"an entry of {key!r}") for v in _get(obj, key, list, default)]
 
 
-def _lit_to_json(lit: Literal) -> dict:
-    return {
-        "lhs": format_term(lit.lhs),
-        "polarity": "=" if lit.positive else "!=",
-        "rhs": format_term(lit.rhs),
-    }
-
-
 def _lit_from_json(obj: dict, consts=()) -> Literal:
     polarity = _get(obj, "polarity", str)
     if polarity not in ("=", "!="):
@@ -162,20 +157,6 @@ def _lit_from_json(obj: dict, consts=()) -> Literal:
 
 def _lits_from_json(obj: dict, key: str, consts=(), default=_REQUIRED) -> tuple[Literal, ...]:
     return tuple(_lit_from_json(l, consts) for l in _objects(obj, key, default))
-
-
-def _statement_to_json(st: Statement) -> dict:
-    if isinstance(st, Identity):
-        return {"id": st.id, "kind": "identity", "lhs": format_term(st.lhs), "rhs": format_term(st.rhs)}
-    if isinstance(st, Clause):
-        return {"id": st.id, "kind": "clause", "literals": [_lit_to_json(l) for l in st.literals]}
-    assert isinstance(st, QuasiIdentity)
-    return {
-        "id": st.id,
-        "kind": "quasi",
-        "hypotheses": [_lit_to_json(h) for h in st.hypotheses],
-        "conclusion": _lit_to_json(st.conclusion),
-    }
 
 
 def _statement_from_json(obj: dict) -> Statement:
@@ -193,46 +174,6 @@ def _statement_from_json(obj: dict) -> Statement:
     except ValueError as e:  # CorpusError, TermSyntaxError, or a rejected statement
         raise CorpusError(f"bad statement object: {e}") from e
     raise CorpusError(f"unknown statement kind {kind!r}")
-
-
-def _subst_to_json(s: Mapping[str, Term]) -> dict:
-    return {v: format_term(t) for v, t in s.items()}
-
-
-def _step_to_json(step) -> dict:
-    if isinstance(step, Rewrite):
-        return {
-            "rule": "rewrite",
-            "by": step.justification,
-            "subst": _subst_to_json(step.substitution),
-            "at": step.position,
-            "dir": step.direction,
-        }
-    if isinstance(step, ClauseInstantiate):
-        return {"rule": "clause-instantiate", "clause": step.clause, "subst": _subst_to_json(step.substitution)}
-    if isinstance(step, LiteralElim):
-        return {"rule": "literal-elim", "literal": step.index, "chain": [_step_to_json(s) for s in step.chain]}
-    if isinstance(step, ClauseLiteralRewrite):
-        return {
-            "rule": "clause-literal-rewrite",
-            "literal": step.index,
-            "by": step.justification,
-            "subst": _subst_to_json(step.substitution),
-            "at": step.position,
-            "dir": step.direction,
-        }
-    if isinstance(step, Split):
-        return {
-            "rule": "split",
-            "clause": step.clause,
-            "subst": _subst_to_json(step.substitution),
-            "branches": [[_step_to_json(s) for s in br] for br in step.branches],
-        }
-    if isinstance(step, CloseConflict):
-        return {"rule": "close-conflict", "hypothesis": step.hypothesis}
-    if isinstance(step, CloseRefl):
-        return {"rule": "close-refl"}
-    raise TypeError(f"not a step: {step!r}")
 
 
 def _subst_from_json(obj: dict, consts) -> dict[str, Term]:
@@ -280,20 +221,6 @@ def _step_from_json(obj: dict, consts=()):
     raise CorpusError(f"unknown step rule {rule!r}")
 
 
-def _script_to_json(script: ProofScript) -> dict:
-    out = {
-        "id": script.id,
-        "target": script.target,
-        "constants": list(script.constants),
-        "hypotheses": [_lit_to_json(h) for h in script.hypotheses],
-        "depends_on": list(script.depends_on),
-        "steps": [_step_to_json(s) for s in script.steps],
-    }
-    if script.comment:
-        out["comment"] = script.comment
-    return out
-
-
 def _script_from_json(obj: dict) -> ProofScript:
     try:
         target = _get(obj, "target", str)
@@ -309,15 +236,6 @@ def _script_from_json(obj: dict) -> ProofScript:
         )
     except ValueError as e:  # CorpusError, TermSyntaxError, or a reserved constant
         raise CorpusError(f"bad script object: {e}") from e
-
-
-def corpus_to_json(corpus: Corpus) -> dict:
-    return {
-        "statements": [_statement_to_json(st) for st in corpus.statements.values()],
-        "axiom_systems": {name: list(s.members) for name, s in corpus.axiom_systems.items()},
-        "properties": list(corpus.properties),
-        "scripts": [_script_to_json(s) for s in corpus.scripts],
-    }
 
 
 def corpus_from_json(obj: dict) -> Corpus:
@@ -342,7 +260,3 @@ def corpus_from_json(obj: dict) -> Corpus:
     _validate(corpus)
     return corpus
 
-
-def dumps_canonical(obj: dict) -> str:
-    """Canonical serialization: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"

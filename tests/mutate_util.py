@@ -6,7 +6,7 @@ so every rejection exercises the kernel's checks rather than the loader's.
 
 import random
 
-from abeforge.corpus import _script_from_json, _script_to_json
+from abeforge.corpus import _script_from_json
 
 TERM_POOL = ["x", "1", "y -> x", "(x -> y) -> x", "x -> y -> z"]
 POSITION_POOL = ["", "L", "R", "LL", "LR", "RL", "RR"]
@@ -102,5 +102,5 @@ def mutate(script_json, site, rng: random.Random):
     return out
 
 
-def mutated_script(script, site, rng):
-    return _script_from_json(mutate(_script_to_json(script), site, rng))
+def mutated_script(script_json, site, rng):
+    return _script_from_json(mutate(script_json, site, rng))

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from abeforge.cli import main as cli_main
-from abeforge.corpus import _script_to_json, load_corpus
+from abeforge.corpus import load_corpus
 from abeforge.kernel import ProofError, replay_proof, verify_corpus
 from abeforge.models import satisfies
 from abeforge.search import brute_force_models, enumerate_models, enumerate_with_stats
@@ -44,29 +44,29 @@ def test_criterion_1_corpus_replay(corpus):
     _verdict(1, "corpus replay", ok, f"13 scripts in {elapsed * 1000:.0f} ms")
 
 
-def test_criterion_2_perturbation_suite(corpus):
+def test_criterion_2_perturbation_suite(corpus, corpus_json):
     rng = random.Random(1736)
     total = 0
     rejected = 0
     diagnostics_ok = True
     rounds = 3  # every mutable field of every step, three seeded values each
-    for script in corpus.scripts:
-        for site in mutation_sites(_script_to_json(script)):
+    for script in corpus_json["scripts"]:
+        for site in mutation_sites(script):
             for _ in range(rounds):
                 total += 1
                 bad = mutated_script(script, site, rng)
                 env = corpus.environment()
                 try:
                     for dep in corpus.scripts:
-                        if dep.id == script.id:
+                        if dep.id == script["id"]:
                             replay_proof(bad, env)
                             break
                         replay_proof(dep, env)
                 except ProofError as e:
                     rejected += 1
-                    if e.script != script.id:
+                    if e.script != script["id"]:
                         diagnostics_ok = False
-    ok = total >= 100 and rejected == total and diagnostics_ok
+    ok = total == 426 and rejected == total and diagnostics_ok
     _verdict(2, "perturbation suite", ok, f"{rejected}/{total} mutations rejected")
 
 

@@ -8,10 +8,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 
 from abeforge.cli import main
-from abeforge.corpus import corpus_to_json
 from abeforge.models import model_to_json
-
-DATA_CORPUS = pathlib.Path(__file__).resolve().parent.parent / "data" / "corpus.json"
+from conftest import DATA_CORPUS
 
 
 @pytest.fixture()
@@ -31,6 +29,7 @@ def write_model(tmp_path, obj, name="model.json"):
 
 M2 = {"size": 2, "unit": 1, "table": [[1, 1], [0, 1]]}
 BAD_AX3 = {"size": 2, "unit": 1, "table": [[0, 1], [0, 1]]}
+BAD_AX2 = {"size": 2, "unit": 1, "table": [[0, 0], [0, 1]]}
 # files that are not valid UTF-8 JSON, or that the decoder cannot descend into
 UNREADABLE = {
     "non-utf8": b"\xff\xfe{",
@@ -44,10 +43,9 @@ def assert_input_error(result):
     assert "Traceback" not in result.output
 
 
-def without_ax6(corpus) -> dict:
-    """The built-in corpus file less ax6, its system memberships, and every
-    script that depends on ax6 or on a statement proved from it."""
-    obj = corpus_to_json(corpus)
+def without_ax6(obj) -> dict:
+    """The parsed corpus file `obj` less ax6, its system memberships, and
+    every script that depends on ax6 or on a statement proved from it."""
     obj["statements"] = [st for st in obj["statements"] if st["id"] != "ax6"]
     obj["axiom_systems"] = {name: [m for m in ms if m != "ax6"] for name, ms in obj["axiom_systems"].items()}
     gone, kept = {"ax6"}, []
@@ -78,11 +76,10 @@ class TestReplay:
         assert "split on lem18" in result.output
         assert "branch 1" in result.output
 
-    def test_broken_script_file(self, runner, tmp_path, corpus):
-        obj = corpus_to_json(corpus)
-        obj["scripts"][3]["steps"][1]["subst"]["y"] = "x"
+    def test_broken_script_file(self, runner, tmp_path, corpus_json):
+        corpus_json["scripts"][3]["steps"][1]["subst"]["y"] = "x"
         path = tmp_path / "broken.json"
-        path.write_text(json.dumps(obj))
+        path.write_text(json.dumps(corpus_json))
         result = invoke(runner, "replay", "--script", str(path))
         assert result.exit_code == 2
         assert "failed" in result.output
@@ -99,27 +96,25 @@ class TestReplay:
         path.write_bytes(UNREADABLE[kind])
         assert_input_error(invoke(runner, "replay", "--script", str(path)))
 
-    def test_wrong_typed_field_exits_3(self, runner, tmp_path, corpus):
-        obj = corpus_to_json(corpus)
-        obj["scripts"][3]["steps"][0]["at"] = ["L"]
+    def test_wrong_typed_field_exits_3(self, runner, tmp_path, corpus_json):
+        corpus_json["scripts"][3]["steps"][0]["at"] = ["L"]
         path = tmp_path / "corpus.json"
-        path.write_text(json.dumps(obj))
+        path.write_text(json.dumps(corpus_json))
         assert_input_error(invoke(runner, "replay", "--script", str(path)))
 
     @pytest.mark.parametrize("case", ["empty", "no-ax6"])
-    def test_file_missing_an_axiom_exits_3(self, runner, tmp_path, corpus, case):
-        obj, missing = ({}, "ax1") if case == "empty" else (without_ax6(corpus), "ax6")
+    def test_file_missing_an_axiom_exits_3(self, runner, tmp_path, corpus_json, case):
+        obj, missing = ({}, "ax1") if case == "empty" else (without_ax6(corpus_json), "ax6")
         path = tmp_path / "corpus.json"
         path.write_text(json.dumps(obj))
         result = invoke(runner, "replay", "--script", str(path))
         assert_input_error(result)
         assert result.stderr == f"error: missing axiom {missing!r}\n"
 
-    def test_duplicate_script_id_exits_3(self, runner, tmp_path, corpus):
-        obj = corpus_to_json(corpus)
-        obj["scripts"].append(next(s for s in obj["scripts"] if s["id"] == "lem10"))
+    def test_duplicate_script_id_exits_3(self, runner, tmp_path, corpus_json):
+        corpus_json["scripts"].append(next(s for s in corpus_json["scripts"] if s["id"] == "lem10"))
         path = tmp_path / "corpus.json"
-        path.write_text(json.dumps(obj))
+        path.write_text(json.dumps(corpus_json))
         result = invoke(runner, "replay", "--script", str(path))
         assert_input_error(result)
         assert result.stderr == "error: duplicate script id 'lem10'\n"
@@ -201,6 +196,14 @@ class TestCheck:
         assert result.exit_code == 4
         assert "ax3 violated" in result.output
         assert "x=0" in result.output
+
+    @pytest.mark.parametrize("model", [M2, BAD_AX2], ids=["model", "not-a-model"])
+    def test_unknown_property_exit_3(self, runner, tmp_path, model):
+        # the property is looked up before the model is checked
+        path = write_model(tmp_path, model)
+        result = invoke(runner, "check", "--model", path, "--axioms", "aBE", "--property", "nosuch")
+        assert_input_error(result)
+        assert result.stderr == "error: unknown statement id 'nosuch'\n"
 
     def test_truncated_json_exit_3(self, runner, tmp_path):
         path = tmp_path / "trunc.json"
@@ -322,8 +325,18 @@ class TestCorpusCommands:
         out = tmp_path / "corpus.json"
         result = invoke(runner, "corpus", "export", "--out", str(out))
         assert result.exit_code == 0
+        assert out.read_bytes() == DATA_CORPUS.read_bytes()
         replay = invoke(runner, "replay", "--script", str(out))
         assert replay.exit_code == 0
+
+    def test_export_onto_the_builtin_file(self, runner, tmp_path, monkeypatch):
+        # --out naming the file export reads leaves it whole
+        builtin = tmp_path / "corpus.json"
+        builtin.write_bytes(DATA_CORPUS.read_bytes())
+        monkeypatch.setattr("abeforge.cli.BUILTIN_PATH", builtin)
+        result = invoke(runner, "corpus", "export", "--out", str(builtin))
+        assert result.exit_code == 0
+        assert builtin.read_bytes() == DATA_CORPUS.read_bytes()
 
     @pytest.mark.parametrize("target", ["missing-dir", "dir"])
     def test_export_to_unwritable_path_exits_3(self, runner, tmp_path, target):

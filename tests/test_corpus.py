@@ -1,20 +1,11 @@
-import copy
-import json
-import pathlib
-
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from abeforge.corpus import (
-    CorpusError,
-    corpus_from_json,
-    corpus_to_json,
-    dumps_canonical,
-    load_corpus,
-)
+from abeforge.corpus import CorpusError, corpus_from_json, load_corpus
 from abeforge.kernel import verify_corpus
 from abeforge.statements import Clause, Identity, QuasiIdentity
+from conftest import read_corpus_json
 
 
 def test_registry_counts(corpus):
@@ -68,64 +59,40 @@ def test_full_replay(corpus):
     assert all(status == "verified" for _, status in verify_corpus(corpus))
 
 
-def test_round_trip_byte_stable(corpus):
-    s1 = dumps_canonical(corpus_to_json(corpus))
-    again = corpus_from_json(json.loads(s1))
-    s2 = dumps_canonical(corpus_to_json(again))
-    assert s1 == s2
-
-
-def test_reloaded_corpus_replays(corpus, tmp_path):
-    path = tmp_path / "corpus.json"
-    path.write_text(dumps_canonical(corpus_to_json(corpus)))
-    again = load_corpus(str(path))
-    assert all(status == "verified" for _, status in verify_corpus(again))
-
-
 def test_builtin_corpus_found_from_any_directory(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     report = verify_corpus(load_corpus())
     assert [status for _, status in report] == ["verified"] * 13
 
 
-def test_reference_file_in_sync(corpus):
-    path = pathlib.Path(__file__).resolve().parent.parent / "data" / "corpus.json"
-    assert path.read_text() == dumps_canonical(corpus_to_json(corpus))
-
-
-def test_unknown_dependency_rejected(corpus):
-    obj = corpus_to_json(corpus)
-    obj["scripts"][3]["depends_on"].append("lem99")
+def test_unknown_dependency_rejected(corpus_json):
+    corpus_json["scripts"][3]["depends_on"].append("lem99")
     with pytest.raises(CorpusError, match="lem99"):
-        corpus_from_json(obj)
+        corpus_from_json(corpus_json)
 
 
-def test_unknown_step_rule_rejected(corpus):
-    obj = corpus_to_json(corpus)
-    obj["scripts"][0]["steps"][0]["rule"] = "frobnicate"
+def test_unknown_step_rule_rejected(corpus_json):
+    corpus_json["scripts"][0]["steps"][0]["rule"] = "frobnicate"
     with pytest.raises(CorpusError, match="frobnicate"):
-        corpus_from_json(obj)
+        corpus_from_json(corpus_json)
 
 
-def test_bad_polarity_rejected(corpus):
-    obj = corpus_to_json(corpus)
-    obj["statements"][4]["hypotheses"][0]["polarity"] = "=="
+def test_bad_polarity_rejected(corpus_json):
+    corpus_json["statements"][4]["hypotheses"][0]["polarity"] = "=="
     with pytest.raises(CorpusError):
-        corpus_from_json(obj)
+        corpus_from_json(corpus_json)
 
 
-def test_duplicate_statement_id_rejected(corpus):
-    obj = corpus_to_json(corpus)
-    obj["statements"].append(obj["statements"][0])
+def test_duplicate_statement_id_rejected(corpus_json):
+    corpus_json["statements"].append(corpus_json["statements"][0])
     with pytest.raises(CorpusError, match="duplicate"):
-        corpus_from_json(obj)
+        corpus_from_json(corpus_json)
 
 
-def test_duplicate_script_id_rejected(corpus):
-    obj = corpus_to_json(corpus)
-    obj["scripts"].append(next(s for s in obj["scripts"] if s["id"] == "lem10"))
+def test_duplicate_script_id_rejected(corpus_json):
+    corpus_json["scripts"].append(next(s for s in corpus_json["scripts"] if s["id"] == "lem10"))
     with pytest.raises(CorpusError, match="duplicate script id 'lem10'"):
-        corpus_from_json(obj)
+        corpus_from_json(corpus_json)
 
 
 def field_paths(obj, prefix=()):
@@ -141,8 +108,7 @@ def field_paths(obj, prefix=()):
         yield from field_paths(value, prefix + (key,))
 
 
-CORPUS_JSON = corpus_to_json(load_corpus())
-FIELD_PATHS = list(field_paths(CORPUS_JSON))
+FIELD_PATHS = list(field_paths(read_corpus_json()))
 JSON_VALUES = st.one_of(
     st.none(),
     st.booleans(),
@@ -161,7 +127,7 @@ JSON_VALUES = st.one_of(
 @given(st.sampled_from(FIELD_PATHS), JSON_VALUES)
 def test_any_field_replaced_loads_and_replays_or_is_rejected(path, value):
     # a corpus file either loads and replays to a verdict or is rejected at load
-    obj = copy.deepcopy(CORPUS_JSON)
+    obj = read_corpus_json()
     parent = obj
     for key in path[:-1]:
         parent = parent[key]
