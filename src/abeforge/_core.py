@@ -1,0 +1,173 @@
+"""The search core: depth-first fill of a partial table with constraint
+propagation after every assignment and the least-number heuristic (LNH,
+Zhang & Zhang, "SEM: a system for enumerating models", IJCAI 1995).
+
+search_tables() returns, for every model over a fixed unit, at least one
+table isomorphic to it, with the number of nodes it tried.  Propagation
+rechecks only the axiom instances of the cells assigned since the last
+fixpoint; _speed_py runs the same propagator without LNH.
+"""
+
+from __future__ import annotations
+
+
+def _prefill(n: int) -> list[int]:
+    """Cells forced by 1->x = x, x->1 = 1 and x->x = 1, unit at n-1."""
+    u = n - 1
+    t = [-1] * (n * n)
+    for j in range(n):
+        t[u * n + j] = j
+    for i in range(n):
+        t[i * n + u] = u
+        t[i * n + i] = u
+    return t
+
+
+def _propagate(
+    t: list[int], n: int, implicative: bool, trail: list[int], queue: list[int]
+) -> bool:
+    """Propagate the assigned cells in `queue` to a fixpoint.
+
+    Each cell (a,b) = v taken off the queue rechecks only the axiom instances
+    it takes part in: antisymmetry against (b,a); contraction (a -> b) -> a = a
+    (when implicative); and exchange x -> (y -> z) = y -> (x -> z) with (a,b)
+    as one of the index cells y -> z, x -> z or as one of the two cells they
+    select.  Every forced cell is recorded on the trail for backtracking and
+    queued in turn.  The rules are monotone, so the fixpoint (or the
+    contradiction) does not depend on the queue order.  The caller queues
+    every assigned cell once, then only the cells it assigns itself.
+    Returns False on contradiction; the queue is left in no defined state.
+    """
+    u = n - 1
+    rows = range(0, n * n, n)
+    push = queue.append
+    record = trail.append
+    while queue:
+        c = queue.pop()
+        a, b = divmod(c, n)
+        v = t[c]
+        # antisymmetry: a -> b = 1 and b -> a = 1 with a != b is impossible
+        if v == u and a != b and t[b * n + a] == u:
+            return False
+        # contraction with (a,b) as its premise: v -> a = a
+        if implicative:
+            d = v * n + a
+            w = t[d]
+            if w < 0:
+                t[d] = a
+                record(d)
+                push(d)
+            elif w != a:
+                return False
+        an = a * n
+        # (a,b) as an index cell: w -> (a -> b) = a -> (w -> b), i.e.
+        # (w,v) = (a,q) where q = w -> b
+        for wn in rows:
+            q = t[wn + b]
+            if q < 0 or wn == an:
+                continue
+            c1 = wn + v
+            c2 = an + q
+            x1 = t[c1]
+            x2 = t[c2]
+            if x1 >= 0:
+                if x2 < 0:
+                    t[c2] = x1
+                    record(c2)
+                    push(c2)
+                elif x1 != x2:
+                    return False
+            elif x2 >= 0:
+                t[c1] = x2
+                record(c1)
+                push(c1)
+        # (a,b) as a selected cell: a -> (y -> z) = y -> (a -> z) for every
+        # y -> z = b, i.e. (y,q) = v where q = a -> z
+        for z in range(n):
+            q = t[an + z]
+            if q < 0 or b not in t[z::n]:
+                continue
+            for yn in rows:
+                if t[yn + z] == b and yn != an:
+                    c2 = yn + q
+                    x2 = t[c2]
+                    if x2 < 0:
+                        t[c2] = v
+                        record(c2)
+                        push(c2)
+                    elif x2 != v:
+                        return False
+    return True
+
+
+def search_tables(
+    n: int,
+    implicative: bool,
+    node_budget: int = 0,
+) -> tuple[list[bytes], int, bool]:
+    """Depth-first fill of the free cells in (max(i, j), row-major) order.
+
+    A decision on cell (i, j) tries, in ascending order, only the unit, the
+    labels that an earlier decision on the path or the cell itself names (as
+    an index or a value), and the least label named by none of them.  The
+    labels left out are interchangeable with that least one: a relabeling
+    that swaps two of them fixes every decision, hence the propagated
+    table and the cell, and maps the models below one value onto the models
+    below the other.  So every model has an isomorphic table among the
+    results, but the results are not closed under relabeling.
+
+    Returns (complete tables satisfying all axioms as flat row-major bytes,
+    nodes tried, budget exceeded).  A node is one attempted cell assignment.
+    node_budget 0 means unlimited.
+    """
+    u = n - 1
+    t = _prefill(n)
+    free = [i * n + j for i in range(u) for j in range(u) if i != j]
+    free.sort(key=lambda c: (max(divmod(c, n)), c))
+    results: list[bytes] = []
+    nodes = 0
+    exceeded = False
+    # how often the decisions on the current path name each label
+    named = [0] * n
+
+    trail: list[int] = []
+    if not _propagate(t, n, implicative, trail, [c for c, v in enumerate(t) if v >= 0]):
+        return results, nodes, exceeded
+
+    def rec(k: int):
+        # free[:k] are all assigned, and stay so below this frame
+        nonlocal nodes, exceeded
+        for k in range(k, len(free)):
+            cell = free[k]
+            if t[cell] < 0:
+                break
+        else:
+            results.append(bytes(t))
+            return
+        i, j = divmod(cell, n)
+        named[i] += 1
+        named[j] += 1
+        fresh = next((v for v in range(u) if not named[v]), u)
+        values = [v for v in range(u) if named[v] or v == fresh]
+        values.append(u)
+        for v in values:
+            if node_budget and nodes >= node_budget:
+                exceeded = True
+                break
+            nodes += 1
+            mark = len(trail)
+            t[cell] = v
+            trail.append(cell)
+            named[v] += 1
+            if _propagate(t, n, implicative, trail, [cell]):
+                rec(k + 1)
+            named[v] -= 1
+            while len(trail) > mark:
+                t[trail.pop()] = -1
+            if exceeded:
+                break
+        named[i] -= 1
+        named[j] -= 1
+
+    rec(0)
+    return results, nodes, exceeded

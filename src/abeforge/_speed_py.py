@@ -1,102 +1,16 @@
-"""The search core: depth-first fill of a partial table with constraint
-propagation after every assignment.
+"""The complete search: depth-first fill of the free cells in row-major
+order over the propagator of _core, without symmetry breaking.
 
-search_tables() returns every complete table over a fixed unit that
-satisfies the axioms, with the number of nodes it tried.  Propagation
-rechecks only the axiom instances of the cells assigned since the last
-fixpoint.
+It returns every labeled table over the fixed unit, a set closed under the
+relabelings that fix the unit.  The package does not run it: it is the
+reference that the tests (the orbit-counting identity, the per-table filter,
+the propagator's sweep reference) and the benchmark's parity gate use, until
+ROADMAP item 1(a) moves it into tests/.
 """
 
 from __future__ import annotations
 
-
-def _prefill(n: int) -> list[int]:
-    """Cells forced by 1->x = x, x->1 = 1 and x->x = 1, unit at n-1."""
-    u = n - 1
-    t = [-1] * (n * n)
-    for j in range(n):
-        t[u * n + j] = j
-    for i in range(n):
-        t[i * n + u] = u
-        t[i * n + i] = u
-    return t
-
-
-def _propagate(
-    t: list[int], n: int, implicative: bool, trail: list[int], queue: list[int]
-) -> bool:
-    """Propagate the assigned cells in `queue` to a fixpoint.
-
-    Each cell (a,b) = v taken off the queue rechecks only the axiom instances
-    it takes part in: antisymmetry against (b,a); contraction (a -> b) -> a = a
-    (when implicative); and exchange x -> (y -> z) = y -> (x -> z) with (a,b)
-    as one of the index cells y -> z, x -> z or as one of the two cells they
-    select.  Every forced cell is recorded on the trail for backtracking and
-    queued in turn.  The rules are monotone, so the fixpoint (or the
-    contradiction) does not depend on the queue order.  The caller queues
-    every assigned cell once, then only the cells it assigns itself.
-    Returns False on contradiction; the queue is left in no defined state.
-    """
-    u = n - 1
-    rows = range(0, n * n, n)
-    push = queue.append
-    record = trail.append
-    while queue:
-        c = queue.pop()
-        a, b = divmod(c, n)
-        v = t[c]
-        # antisymmetry: a -> b = 1 and b -> a = 1 with a != b is impossible
-        if v == u and a != b and t[b * n + a] == u:
-            return False
-        # contraction with (a,b) as its premise: v -> a = a
-        if implicative:
-            d = v * n + a
-            w = t[d]
-            if w < 0:
-                t[d] = a
-                record(d)
-                push(d)
-            elif w != a:
-                return False
-        an = a * n
-        # (a,b) as an index cell: w -> (a -> b) = a -> (w -> b), i.e.
-        # (w,v) = (a,q) where q = w -> b
-        for wn in rows:
-            q = t[wn + b]
-            if q < 0 or wn == an:
-                continue
-            c1 = wn + v
-            c2 = an + q
-            x1 = t[c1]
-            x2 = t[c2]
-            if x1 >= 0:
-                if x2 < 0:
-                    t[c2] = x1
-                    record(c2)
-                    push(c2)
-                elif x1 != x2:
-                    return False
-            elif x2 >= 0:
-                t[c1] = x2
-                record(c1)
-                push(c1)
-        # (a,b) as a selected cell: a -> (y -> z) = y -> (a -> z) for every
-        # y -> z = b, i.e. (y,q) = v where q = a -> z
-        for z in range(n):
-            q = t[an + z]
-            if q < 0 or b not in t[z::n]:
-                continue
-            for yn in rows:
-                if t[yn + z] == b and yn != an:
-                    c2 = yn + q
-                    x2 = t[c2]
-                    if x2 < 0:
-                        t[c2] = v
-                        record(c2)
-                        push(c2)
-                    elif x2 != v:
-                        return False
-    return True
+from ._core import _prefill, _propagate
 
 
 def search_tables(

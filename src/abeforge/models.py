@@ -6,7 +6,6 @@ table may violate everything.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -118,25 +117,39 @@ def _compile_literal(lit: Literal, index: Mapping[str, int]):
     return lambda tab, unit, a: lhs(tab, unit, a) != rhs(tab, unit, a)
 
 
-@functools.lru_cache(maxsize=1024)
+# id(statement) -> (statement, names, closure).  Keyed by identity: hashing
+# a frozen statement walks its whole term tree on every lookup.  The entry
+# holds its statement, so no other object can take that id while it lives.
+_compiled: dict[int, tuple] = {}
+_COMPILED_MAX = 1024
+
+
 def _compile(st: Statement):
-    """(sorted variable names, closure (table, unit, values) -> clause holds).
+    """(sorted variable names, closure (table, unit, values) -> clause holds),
+    built once per statement object.
 
     Literals are tried in clause order up to the first true one, each left
     side before its right side, as evaluate would be called, so an unbound
     constant raises under the same assignments."""
+    entry = _compiled.get(id(st))
+    if entry is not None and entry[0] is st:
+        return entry[1], entry[2]
     names = sorted(st.free_variables())
     index = {name: i for i, name in enumerate(names)}
     literals = [_compile_literal(lit, index) for lit in clause_form(st).literals]
     if len(literals) == 1:
-        return names, literals[0]
+        holds = literals[0]
+    else:
 
-    def holds(tab, unit, a):
-        for lit in literals:
-            if lit(tab, unit, a):
-                return True
-        return False
+        def holds(tab, unit, a):
+            for lit in literals:
+                if lit(tab, unit, a):
+                    return True
+            return False
 
+    if len(_compiled) >= _COMPILED_MAX:
+        _compiled.clear()
+    _compiled[id(st)] = (st, names, holds)
     return names, holds
 
 

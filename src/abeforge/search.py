@@ -1,8 +1,9 @@
 """Isomorph-free model enumeration, the brute-force oracle, and property search.
 
 The hot inner loop, the search over partial tables with constraint
-propagation, lives in _speed_py; this module turns its labeled tables into
-one model per isomorphism class and checks properties over them.
+propagation and the least-number heuristic, lives in _core; this module turns
+its labeled tables into one model per isomorphism class and checks
+properties over them.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from . import _speed_py as _core
+from . import _core
 from .models import (
     FiniteAlgebra,
     Witness,
@@ -106,12 +107,14 @@ def enumerate_with_stats(
 ) -> tuple[list[FiniteAlgebra], int, bool]:
     """One representative per isomorphism class, ascending by canonical form.
 
-    A complete search returns every labeled table with the unit at n-1, a set
-    closed under the relabelings that fix the unit.  So isomorph rejection
-    canonicalizes one table per class and removes the canonical table's
-    whole orbit from the labeled set, until the set is empty.  An orbit
-    member missing from the set means the search missed a model, and raises
-    RuntimeError.  A size whose budget ran out returns no models.
+    The core returns at least one labeled table (unit at n-1) of every class.
+    Isomorph rejection canonicalizes one table, removes the canonical
+    table's whole orbit (its unit-fixing relabelings) from the labeled set,
+    and repeats until the set is empty.  The core's tables are not closed
+    under relabeling, so an orbit member missing from the set says nothing;
+    the tests check completeness instead, by the orbit-counting identity
+    against the complete search of _speed_py.  A size whose budget ran out
+    returns no models.
     """
     if n < 1:
         raise ValueError("size must be >= 1")
@@ -120,19 +123,12 @@ def enumerate_with_stats(
     tables, nodes, exceeded = _core.search_tables(n, _implicative_flag(system), node_budget)
     if exceeded:
         return [], nodes, exceeded
-    labeled: set[bytes] = set()
-    while tables:  # drain the core's list so tuples and bytes do not pile up
-        labeled.add(bytes(tables.pop()))
+    labeled = set(tables)
     survivors: list[tuple[bytes, FiniteAlgebra]] = []
     while labeled:
         model = canonicalize(from_flat(next(iter(labeled)), n))
         flat = bytes(v for row in model.table for v in row)
-        orbit = set(relabelings(model))
-        if not orbit <= labeled:
-            raise RuntimeError(
-                f"incomplete search at size {n}: a relabeling of a found table is missing"
-            )
-        labeled -= orbit
+        labeled.difference_update(relabelings(model))
         survivors.append((flat, model))
     survivors.sort(key=lambda kv: kv[0])  # one size, so the flat table is the key
     return [m for _, m in survivors], nodes, exceeded

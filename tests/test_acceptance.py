@@ -13,9 +13,14 @@ from click.testing import CliRunner
 from abeforge.cli import main as cli_main
 from abeforge.corpus import load_corpus
 from abeforge.kernel import ProofError, replay_proof, verify_corpus
-from abeforge.models import satisfies
+from abeforge.models import relabelings, satisfies
 from abeforge.search import brute_force_models, enumerate_models, enumerate_with_stats
 from mutate_util import mutated_script, mutation_sites
+
+# Labeled implicative-aBE tables of size 8 (unit at 7) that the complete
+# row-major search finds, recorded once (28,725,672 nodes); the classes the
+# enumerator emits must stand for all of them.
+COMPLETE_LABELED_8 = 7036
 
 
 def _verdict(num, name, ok, detail=""):
@@ -31,9 +36,22 @@ def corpus():
 
 
 @pytest.fixture(scope="module")
-def implicative_models(corpus):
+def implicative_runs(corpus):
+    """{n: (models, nodes, seconds)} of the implicative-aBE enumeration for
+    n <= 8, run once for criteria 3, 4 and 6."""
     system = corpus.axiom_system("implicative-aBE")
-    return [m for n in range(1, 6) for m in enumerate_models(system, n)]
+    runs = {}
+    for n in range(1, 9):
+        start = time.perf_counter()
+        models, nodes, exceeded = enumerate_with_stats(system, n)
+        assert not exceeded
+        runs[n] = (models, nodes, time.perf_counter() - start)
+    return runs
+
+
+@pytest.fixture(scope="module")
+def implicative_models(implicative_runs):
+    return [m for models, _, _ in implicative_runs.values() for m in models]
 
 
 def test_criterion_1_corpus_replay(corpus):
@@ -70,26 +88,21 @@ def test_criterion_2_perturbation_suite(corpus, corpus_json):
     _verdict(2, "perturbation suite", ok, f"{rejected}/{total} mutations rejected")
 
 
-def test_criterion_3_theorem_at_desk_scale(corpus):
-    system = corpus.axiom_system("implicative-aBE")
+def test_criterion_3_theorem_at_desk_scale(corpus, implicative_runs, implicative_models):
     trans = corpus.statement("trans")
     start = time.perf_counter()
-    node_counts = {}
-    violated = False
-    for n in range(1, 7):
-        models, nodes, exceeded = enumerate_with_stats(system, n)
-        assert not exceeded
-        node_counts[n] = nodes
-        for model in models:
-            if not satisfies(model, trans)[0]:
-                violated = True
-    elapsed = time.perf_counter() - start
-    ok = not violated and elapsed <= 600.0
+    violated = any(not satisfies(model, trans)[0] for model in implicative_models)
+    elapsed = time.perf_counter() - start + sum(s for _, _, s in implicative_runs.values())
+    node_counts = {n: nodes for n, (_, nodes, _) in implicative_runs.items()}
+    size8 = implicative_runs[8][0]
+    labeled = sum(len(set(relabelings(model))) for model in size8)
+    ok = not violated and len(size8) == 8 and labeled == COMPLETE_LABELED_8 and elapsed <= 600.0
     _verdict(
         3,
-        "no transitivity counterexample up to size 6",
+        "no transitivity counterexample up to size 8",
         ok,
-        f"{elapsed:.2f} s single-threaded, nodes per size {node_counts}",
+        f"{elapsed:.2f} s single-threaded, {len(size8)} classes at size 8 standing for "
+        f"{labeled} of {COMPLETE_LABELED_8} labeled tables, nodes per size {node_counts}",
     )
 
 
@@ -103,7 +116,7 @@ def test_criterion_4_kernel_soundness_bridge(corpus, implicative_models):
         for model in implicative_models:
             if not satisfies(model, st)[0]:
                 violations.append((st.id, model.size))
-    ok = not violations and len(implicative_models) == 7
+    ok = not violations and len(implicative_models) == 23
     _verdict(
         4,
         "kernel-soundness bridge",
@@ -131,7 +144,7 @@ def test_criterion_6_commutativity_corollary(corpus, implicative_models):
     violations = [m.size for m in implicative_models if not satisfies(m, comm)[0]]
     _verdict(
         6,
-        "commutativity corollary up to size 5",
+        "commutativity corollary up to size 8",
         not violations,
         f"{len(implicative_models)} models checked",
     )

@@ -1,19 +1,35 @@
 """The canonical form and the unit-fixing relabelings against a plain
 (n-1)! scan written here, the enumerator's orbit subtraction against the
 per-table canonicity filter, and the orbit-counting identity that ties the
-enumerator's classes to its labeled tables at sizes the brute-force oracle
-cannot reach."""
+enumerator's classes to the labeled tables of the complete search at sizes
+the brute-force oracle cannot reach.
+
+The complete search (_speed_py) is the reference: the core that runs breaks
+symmetry, so its tables are not closed under relabeling and only the
+identity shows that it missed no class."""
 
 import itertools
 import math
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from abeforge import search
-from abeforge.models import FiniteAlgebra, canonical_form, canonicalize, from_flat, relabelings
+from abeforge import _speed_py, search
+from abeforge.models import (
+    FiniteAlgebra,
+    canonical_form,
+    canonicalize,
+    from_flat,
+    is_model,
+    relabelings,
+)
 from abeforge.search import enumerate_with_stats
+
+# Labeled tables of the complete search, recorded once; the identity below
+# checks every size, these pin the largest.
+COMPLETE_LABELED = {("aBE", 5): 5153, ("implicative-aBE", 6): 91, ("implicative-aBE", 7): 631}
 
 
 def reference_canonical(model):
@@ -41,9 +57,9 @@ def reference_canonical(model):
 
 
 def reference_enumerate(system, n):
-    """The per-table filter: every labeled table that equals its canonical
-    form, ascending."""
-    tables, _, _ = search._core.search_tables(n, search._implicative_flag(system))
+    """The per-table filter: every labeled table of the complete search that
+    equals its canonical form, ascending."""
+    tables, _, _ = _speed_py.search_tables(n, search._implicative_flag(system))
     survivors = []
     for flat in tables:
         model = from_flat(flat, n)
@@ -90,28 +106,26 @@ def test_agrees_with_scan_on_arbitrary_tables(model):
     assert_matches_reference(model)
 
 
-@pytest.mark.parametrize("name, max_size", [("aBE", 5), ("implicative-aBE", 6)])
-def test_orbit_counting_identity(corpus, monkeypatch, name, max_size):
-    # Sum over the emitted classes of (n-1)!/|Aut| must equal the number of
-    # labeled tables the search core handed to isomorph rejection.
-    labeled_counts = []
-    core_search = search._core.search_tables
+def orbit_sum(models):
+    """Sum over the classes of (n-1)!/|Aut|: the labeled tables they stand for."""
+    total = 0
+    for model in models:
+        _, automorphisms = reference_canonical(model)
+        total += math.factorial(model.size - 1) // automorphisms
+    return total
 
-    def counting_search(*args):
-        result = core_search(*args)
-        labeled_counts.append(len(result[0]))
-        return result
 
-    monkeypatch.setattr(search._core, "search_tables", counting_search)
+@pytest.mark.parametrize("name, max_size", [("aBE", 5), ("implicative-aBE", 7)])
+def test_orbit_counting_identity(corpus, name, max_size):
+    # The emitted classes must stand for exactly the labeled tables of the
+    # complete search.
     system = corpus.axiom_system(name)
     for n in range(1, max_size + 1):
+        tables, _, _ = _speed_py.search_tables(n, search._implicative_flag(system))
         models, _, _ = enumerate_with_stats(system, n)
-        labeled = labeled_counts.pop()
-        orbits = 0
-        for model in models:
-            _, automorphisms = reference_canonical(model)
-            orbits += math.factorial(n - 1) // automorphisms
-        assert orbits == labeled, n
+        assert orbit_sum(models) == len(tables), n
+        if (name, n) in COMPLETE_LABELED:
+            assert len(tables) == COMPLETE_LABELED[name, n]
 
 
 @pytest.mark.parametrize("name, max_size", [("aBE", 5), ("implicative-aBE", 6)])
@@ -122,23 +136,38 @@ def test_orbit_subtraction_matches_per_table_filter(corpus, name, max_size):
         assert models == reference_enumerate(system, n), n
 
 
-def test_incomplete_search_raises(corpus, monkeypatch):
+def test_orbit_counting_identity_catches_a_lost_class(corpus, monkeypatch):
+    n = 4
     core_search = search._core.search_tables
-    tables, _, _ = core_search(4, False)
-    dropped = tables[0]
-    # a table alone in its orbit would take its class with it unnoticed
-    assert len(set(relabelings(from_flat(dropped, 4)))) > 1
+    tables, _, _ = core_search(n, False)
+    # a table that no other table of the core's output is isomorphic to, so
+    # that dropping it drops its class
+    classes = Counter(canonical_form(from_flat(t, n)) for t in tables)
+    dropped = next(t for t in tables if classes[canonical_form(from_flat(t, n))] == 1)
 
     def lossy_search(*args):
         found, nodes, exceeded = core_search(*args)
         return [t for t in found if t != dropped], nodes, exceeded
 
     monkeypatch.setattr(search._core, "search_tables", lossy_search)
-    with pytest.raises(RuntimeError, match="incomplete search at size 4"):
-        enumerate_with_stats(corpus.axiom_system("aBE"), 4)
+    models, _, _ = enumerate_with_stats(corpus.axiom_system("aBE"), n)
+    complete, _, _ = _speed_py.search_tables(n, False)
+    assert len(models) == len(classes) - 1
+    assert orbit_sum(models) < len(complete)
+
+
+@pytest.mark.parametrize("name, max_size", [("aBE", 5), ("implicative-aBE", 7)])
+def test_core_returns_distinct_models(corpus, name, max_size):
+    system = corpus.axiom_system(name)
+    for n in range(1, max_size + 1):
+        tables, _, _ = search._core.search_tables(n, search._implicative_flag(system))
+        assert len(set(tables)) == len(tables), n
+        for flat in tables:
+            ok, _ = is_model(from_flat(flat, n), system, corpus.statements)
+            assert ok, (n, flat)
 
 
 def test_exceeded_budget_returns_no_models(corpus):
-    # the core has found 401 labeled tables by then
+    # the core has found 443 labeled tables by then
     models, nodes, exceeded = enumerate_with_stats(corpus.axiom_system("aBE"), 5, node_budget=5000)
     assert (models, nodes, exceeded) == ([], 5000, True)

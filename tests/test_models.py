@@ -19,7 +19,7 @@ from abeforge.models import (
     satisfies,
 )
 from abeforge.statements import Clause, Identity, Literal, clause_form
-from abeforge.terms import Arrow, Const, Var, parse_term
+from abeforge.terms import UNIT, Arrow, Const, Var, parse_term
 from conftest import terms
 
 M2 = FiniteAlgebra(2, 1, ((1, 1), (0, 1)))
@@ -182,6 +182,23 @@ class TestCompiledSatisfies:
         with pytest.raises(KeyError) as want:
             evaluate(M2, st_.lhs, {"x": 0})
         assert got.value.args == want.value.args == ("unbound name 'a'",)
+
+    def test_statements_sharing_an_id_do_not_share_a_closure(self):
+        holds = Identity("p", Arrow(Var("x"), Var("x")), UNIT)
+        fails = Identity("p", Var("x"), Arrow(Var("x"), Var("x")))
+        assert satisfies(M2, holds) == (True, None)
+        assert satisfies(M2, fails) == (False, Witness("p", {"x": 0}, ((0, 1),)))
+        assert satisfies(M2, holds) == (True, None)
+
+    def test_lookup_does_not_hash_the_statement(self):
+        # hashing a frozen statement walks its term tree
+        class Unhashable(Identity):
+            def __hash__(self):
+                raise AssertionError("the statement was hashed")
+
+        st_ = Unhashable("u", Arrow(Var("x"), Var("x")), UNIT)
+        assert satisfies(M2, st_) == (True, None)
+        assert satisfies(M2, st_) == (True, None)
 
 
 class TestIsModel:

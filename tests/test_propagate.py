@@ -1,13 +1,13 @@
-"""The queue-driven propagator of the pure search core against the fixpoint
-sweep it replaced, kept here as the reference: same verdict and same fixpoint
-on arbitrary partial tables, and the same search result, tables and node
-counts, when the sweep drives a plain depth-first search."""
+"""The queue-driven propagator of the search core against the fixpoint sweep
+it replaced, kept here as the reference: same verdict and same fixpoint on
+arbitrary partial tables, and the same search result, tables and node
+counts, when the sweep drives the complete row-major depth-first search."""
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from abeforge import _speed_py
+from abeforge import _core, _speed_py
 
 
 def sweep_propagate(t, n, implicative, trail):
@@ -64,7 +64,7 @@ def sweep_search_tables(n, implicative):
     """Depth-first fill of the free cells in row-major order, re-sweeping the
     whole table after every assignment; (tables, nodes) as search_tables."""
     u = n - 1
-    t = _speed_py._prefill(n)
+    t = _core._prefill(n)
     free = [i * n + j for i in range(u) for j in range(u) if i != j]
     results = []
     nodes = 0
@@ -97,7 +97,7 @@ def partial_tables(draw):
     """(n, implicative, prefilled table with some free cells assigned)."""
     n = draw(st.integers(1, 6))
     implicative = draw(st.booleans())
-    t = _speed_py._prefill(n)
+    t = _core._prefill(n)
     free = [c for c in range(n * n) if t[c] < 0]
     if free:
         cells = draw(st.lists(st.sampled_from(free), max_size=len(free), unique=True))
@@ -114,7 +114,7 @@ def same_closure(t, n, implicative, queue):
     ref = list(t)
     ok_ref = sweep_propagate(ref, n, implicative, [])
     trail = []
-    ok = _speed_py._propagate(t, n, implicative, trail, queue)
+    ok = _core._propagate(t, n, implicative, trail, queue)
     assert ok == ok_ref
     if ok:
         assert t == ref
@@ -139,7 +139,7 @@ def test_same_fixpoint_one_assignment_at_a_time(n, implicative, data):
     # The search queues the prefill once and then only the cell it assigns;
     # every step must land on the sweep's fixpoint, and undoing the step's
     # trail must restore the table it started from.
-    t = _speed_py._prefill(n)
+    t = _core._prefill(n)
     ok, _ = same_closure(t, n, implicative, assigned(t))
     for _ in range(n * n):
         free = [c for c, v in enumerate(t) if v < 0]
