@@ -1,12 +1,16 @@
 """Command-line front end.
 
 Exit codes: 0 ok, 2 proof failure, 3 input error, 4 counterexample found.
+
+The model layers (models, search and its core) are imported inside the
+commands that run them, so that `replay` and `corpus` start without them.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from typing import TYPE_CHECKING
 
 import click
 
@@ -22,23 +26,12 @@ from .kernel import (
     Split,
     verify_corpus,
 )
-from .models import (
-    ModelFileError,
-    Witness,
-    is_model,
-    load_model,
-    model_to_json,
-    satisfies,
-)
-from .search import (
-    EnumerationReport,
-    NodeBudgetExceeded,
-    brute_force_models,
-    find_counterexample,
-    run_enumeration_report,
-)
 from .statements import Clause, Identity, QuasiIdentity
 from .terms import format_term
+
+if TYPE_CHECKING:
+    from .models import Witness
+    from .search import EnumerationReport
 
 EXIT_OK = 0
 EXIT_PROOF_FAILURE = 2
@@ -174,6 +167,8 @@ def replay(script_path, show_id, emit):
 
 
 def _report_json(report: EnumerationReport, timings: bool) -> dict:
+    from .models import model_to_json
+
     return {
         "axioms": report.axioms,
         "sizes": [
@@ -199,6 +194,8 @@ def _report_json(report: EnumerationReport, timings: bool) -> dict:
 
 
 def _report_text(report: EnumerationReport, timings: bool):
+    from .models import model_to_json
+
     click.echo(f"axiom system: {report.axioms}")
     click.echo(f"{'n':>3} {'count':>8} {'nodes':>12}" + (f" {'millis':>10}" if timings else ""))
     for s in report.sizes:
@@ -223,6 +220,8 @@ def _report_text(report: EnumerationReport, timings: bool):
 @click.option("--timings", is_flag=True, help="include wall-clock timings (not byte-stable)")
 def enumerate_cmd(axioms_name, max_size, property_ids, emit, budget_nodes, timings):
     """Isomorph-free enumeration of all models up to a size bound."""
+    from .search import run_enumeration_report
+
     corpus = _or_die(load_corpus, None)
     system = _or_die(corpus.axiom_system, axioms_name)
     if max_size < 1:
@@ -249,6 +248,8 @@ def enumerate_cmd(axioms_name, max_size, property_ids, emit, budget_nodes, timin
 @click.option("--emit", type=click.Choice(["text", "json"]), default="text")
 def check(model_path, axioms_name, property_id, emit):
     """Check a model file against an axiom system and optional property."""
+    from .models import ModelFileError, is_model, load_model, satisfies
+
     corpus = _or_die(load_corpus, None)
     system = _or_die(corpus.axiom_system, axioms_name)
     try:
@@ -298,6 +299,9 @@ def check(model_path, axioms_name, property_id, emit):
 @click.option("--budget-nodes", type=click.IntRange(min=0), default=0, help=BUDGET_HELP)
 def search(axioms_name, property_id, max_size, emit, budget_nodes):
     """Look for a model of the axioms that violates a property."""
+    from .models import model_to_json
+    from .search import NodeBudgetExceeded, find_counterexample
+
     corpus = _or_die(load_corpus, None)
     system = _or_die(corpus.axiom_system, axioms_name)
     prop = _or_die(corpus.statement, property_id)
@@ -350,6 +354,8 @@ def search(axioms_name, property_id, max_size, emit, budget_nodes):
 @click.option("--emit", type=click.Choice(["text", "json"]), default="text")
 def oracle(axioms_name, size, emit):
     """Brute-force labeled and iso-class counts (small sizes only)."""
+    from .search import brute_force_models
+
     corpus = _or_die(load_corpus, None)
     system = _or_die(corpus.axiom_system, axioms_name)
     try:

@@ -16,10 +16,10 @@ refutation (script id "thm", target "trans") -- 13 in total.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
+from ._record import record
 from .kernel import (
     L2R,
     ClauseInstantiate,
@@ -45,7 +45,7 @@ class CorpusError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Corpus:
     statements: Mapping[str, Statement]
     axiom_systems: Mapping[str, AxiomSystem]

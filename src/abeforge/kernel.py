@@ -7,9 +7,9 @@ proof through explicit instantiation or a single case split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
+from ._record import record
 from .statements import (
     Clause,
     Identity,
@@ -52,7 +52,7 @@ L2R = "L2R"
 R2L = "R2L"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Rewrite:
     """Apply one equation (a verified identity or a ground hypothesis) at a position.
 
@@ -65,13 +65,13 @@ class Rewrite:
     direction: str = L2R
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ClauseInstantiate:
     clause: str
     substitution: Mapping[str, Term]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class LiteralElim:
     """Delete a not-equal literal by proving its two sides equal inline."""
 
@@ -79,7 +79,7 @@ class LiteralElim:
     chain: tuple[Rewrite, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ClauseLiteralRewrite:
     """Rewrite inside one literal; the position's first selector picks the side
     (L = literal lhs, R = literal rhs), the rest descends into that term."""
@@ -91,7 +91,7 @@ class ClauseLiteralRewrite:
     direction: str = L2R
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Split:
     """Case split on an instantiated ground clause; one branch per literal."""
 
@@ -100,12 +100,12 @@ class Split:
     branches: tuple[tuple["BranchStep", ...], ...]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class CloseConflict:
     hypothesis: int
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class CloseRefl:
     pass
 
@@ -114,7 +114,7 @@ BranchStep = Union[Rewrite, CloseConflict, CloseRefl]
 Step = Union[Rewrite, ClauseInstantiate, LiteralElim, ClauseLiteralRewrite, Split]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ProofScript:
     id: str
     target: str

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
+from ._record import record
 from .statements import AxiomSystem, Literal, Statement, clause_form
 from .terms import Arrow, Const, Term, Unit, Var
 
@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FiniteAlgebra:
     size: int
     unit: int
@@ -51,7 +51,7 @@ class FiniteAlgebra:
             raise ValueError("table entry out of range")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Witness:
     statement_id: str
     assignment: dict[str, int]
@@ -258,8 +258,9 @@ def model_from_json(obj) -> FiniteAlgebra:
         tuple(_json_int(v, f"table[{i}][{j}]") for j, v in enumerate(row))
         for i, row in enumerate(rows)
     )
+    size, unit = _json_int(size, "size"), _json_int(unit, "unit")
     try:
-        return FiniteAlgebra(_json_int(size, "size"), _json_int(unit, "unit"), table)
+        return FiniteAlgebra(size, unit, table)
     except ValueError as e:
         raise ModelFileError(f"bad model file: {e}") from e
 

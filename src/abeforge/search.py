@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from . import _core
+from ._record import field, record
 from .models import (
     FiniteAlgebra,
     Witness,
@@ -66,7 +66,7 @@ class NodeBudgetExceeded(RuntimeError):
         self.size = size
 
 
-@dataclass
+@record
 class SizeResult:
     size: int
     count: Optional[int]  # None when the budget was exceeded
@@ -75,7 +75,7 @@ class SizeResult:
     exceeded: bool = False
 
 
-@dataclass
+@record
 class PropertyResult:
     property_id: str
     status: str  # "holds" | "counterexample"
@@ -83,7 +83,7 @@ class PropertyResult:
     witness: Optional[Witness] = None
 
 
-@dataclass
+@record
 class EnumerationReport:
     axioms: str
     sizes: list[SizeResult] = field(default_factory=list)

@@ -7,9 +7,9 @@ form (negated hypotheses plus the conclusion).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
+from ._record import record
 from .terms import Substitution, Term, format_term, substitute, variables
 
 __all__ = [
@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Literal:
     lhs: Term
     rhs: Term
@@ -53,7 +53,7 @@ class Statement:
         return out
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Identity(Statement):
     id: str
     lhs: Term
@@ -63,7 +63,7 @@ class Identity(Statement):
         return f"{format_term(self.lhs)} = {format_term(self.rhs)}"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Clause(Statement):
     id: str
     literals: tuple[Literal, ...]
@@ -76,7 +76,7 @@ class Clause(Statement):
         return " or ".join(str(l) for l in self.literals)
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class QuasiIdentity(Statement):
     id: str
     hypotheses: tuple[Literal, ...]
@@ -92,7 +92,7 @@ class QuasiIdentity(Statement):
         return f"{hyps} ==> {self.conclusion}"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class AxiomSystem:
     name: str
     members: tuple[str, ...]

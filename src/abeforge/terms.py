@@ -8,8 +8,9 @@ so :func:`parse_term` takes the declared constant set as a parameter.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
+
+from ._record import record
 
 __all__ = [
     "Term",
@@ -41,7 +42,7 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Var(Term):
     name: str
 
@@ -53,7 +54,7 @@ class Var(Term):
         return f"Var({self.name})"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Const(Term):
     name: str
 
@@ -65,7 +66,7 @@ class Const(Term):
         return f"Const({self.name})"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Unit(Term):
     def __repr__(self):
         return "Unit"
@@ -74,7 +75,7 @@ class Unit(Term):
 UNIT = Unit()
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Arrow(Term):
     left: Term
     right: Term

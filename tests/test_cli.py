@@ -221,6 +221,17 @@ class TestCheck:
         path = write_model(tmp_path, {"size": 2, "unit": 1, "table": [[1.7, 1], [0, 1]]})
         assert_input_error(invoke(runner, "check", "--model", path, "--axioms", "aBE"))
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("size", True, "size must be an integer, not bool"), ("unit", "1", "unit must be an integer, not str")],
+        ids=["size", "unit"],
+    )
+    def test_non_integer_size_or_unit_names_the_field_once(self, runner, tmp_path, key, value, message):
+        path = write_model(tmp_path, {**M2, key: value})
+        result = invoke(runner, "check", "--model", path, "--axioms", "aBE")
+        assert_input_error(result)
+        assert result.stderr == f"error: bad model file: {message}\n"
+
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(M2_PATHS), ANY_JSON)
     def test_any_field_replaced_is_checked_or_rejected(self, path, value):
@@ -238,6 +249,58 @@ class TestCheck:
         assert "Traceback" not in result.output
         if result.exit_code == 3:
             assert result.output.startswith("error: ")
+
+
+# JSON documents of any shape, whose object keys are often the ones the
+# corpus and model formats read, so that some documents get past the top level
+FORMAT_KEYS = (
+    "statements", "axiom_systems", "properties", "scripts", "kind", "id", "lhs", "rhs", "literals",
+    "hypotheses", "conclusion", "polarity", "target", "constants", "steps", "depends_on", "rule",
+    "by", "subst", "at", "dir", "size", "unit", "table",
+)
+ANY_DOCUMENT = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers(-2, 3) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(FORMAT_KEYS) | st.text(max_size=2), inner, max_size=4),
+    max_leaves=12,
+)
+WHOLE_FILE_COMMANDS = {
+    "replay": ("replay", "--script"),
+    "check": ("check", "--axioms", "aBE", "--model"),
+}
+
+
+def run_on_file(command: str, data: bytes):
+    """`command` on a file holding `data`, as the exit code and stderr."""
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        pathlib.Path("input.json").write_bytes(data)
+        result = invoke(runner, *WHOLE_FILE_COMMANDS[command], "input.json")
+    return result.exit_code, result.stderr
+
+
+def assert_verdict_or_one_error(code: int, stderr: str):
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in stderr
+    if code == 3:
+        assert stderr.startswith("error: ")
+        assert stderr.count("\n") == 1 and stderr.endswith("\n")
+        assert stderr.count("bad model file:") <= 1
+
+
+class TestWholeFileFuzz:
+    """Any file given to `replay --script` or `check --model` gets a verdict
+    or one line of error with exit 3, never a traceback."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(WHOLE_FILE_COMMANDS)), st.binary(max_size=64))
+    def test_arbitrary_bytes(self, command, data):
+        assert_verdict_or_one_error(*run_on_file(command, data))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(WHOLE_FILE_COMMANDS)), ANY_DOCUMENT)
+    def test_arbitrary_json_documents(self, command, document):
+        assert_verdict_or_one_error(*run_on_file(command, json.dumps(document).encode()))
 
 
 class TestSearch:
