@@ -1,14 +1,18 @@
 """The search core: depth-first fill of a partial table with constraint
-propagation after every assignment and the least-number heuristic (LNH,
-Zhang & Zhang, "SEM: a system for enumerating models", IJCAI 1995).
+propagation after every assignment, the least-number heuristic (LNH,
+Zhang & Zhang, "SEM: a system for enumerating models", IJCAI 1995) and a
+lex-leader prefix test (orderly generation: Read, "Every one a winner",
+1978; McKay, "Isomorph-free exhaustive generation", 1998).
 
-search_tables() returns, for every model over a fixed unit, at least one
+search_tables() returns, for every model over a fixed unit, exactly one
 table isomorphic to it, with the number of nodes it tried.  Propagation
 rechecks only the axiom instances of the cells assigned since the last
-fixpoint; _speed_py runs the same propagator without LNH.
+fixpoint; _speed_py runs the same propagator without symmetry breaking.
 """
 
 from __future__ import annotations
+
+import itertools
 
 
 def _prefill(n: int) -> list[int]:
@@ -100,6 +104,54 @@ def _propagate(
     return True
 
 
+def _relabelings(n: int, order: list[int]) -> list[tuple[bytes, bytes, int]]:
+    """(label map, cell map, 0) for every non-identity relabeling pi that
+    fixes the unit: label map[x] = pi(x), and cell map[p] is the cell
+    (pi^-1 i, pi^-1 j) whose value pi sends to cell (i, j) = order[p]."""
+    u = n - 1
+    out = []
+    # permutations come in lexicographic order, the identity first
+    for images in itertools.islice(itertools.permutations(range(u)), 1, None):
+        inverse = [u] * n
+        for old, new in enumerate(images):
+            inverse[new] = old
+        cells = bytes(inverse[c // n] * n + inverse[c % n] for c in order)
+        out.append((bytes(images + (u,)), cells, 0))
+    return out
+
+
+def _least_so_far(
+    t: list[int], order: list[int], tied: list[tuple[bytes, bytes, int]]
+) -> list[tuple[bytes, bytes, int]] | None:
+    """The lex-leader prefix test in the cell order `order`.
+
+    Compares t with each relabeling pi in `tied` from the position it
+    reached, cell by cell, up to the first cell where either side is
+    unassigned.  Returns None when some pi gives a smaller value first, so
+    that every completion of t has a smaller relabeling.  Otherwise returns
+    the relabelings still tied with the position each one reached; the
+    others already give a larger value on a prefix that stays fixed below.
+    """
+    m = len(order)
+    below = []
+    for entry in tied:
+        label, cells, p = entry
+        while p < m:
+            x = t[order[p]]
+            y = t[cells[p]]
+            if x < 0 or y < 0:
+                # most relabelings wait where they were: share their entry
+                below.append(entry if p == entry[2] else (label, cells, p))
+                break
+            y = label[y]
+            if y != x:
+                if y < x:
+                    return None
+                break
+            p += 1
+    return below
+
+
 def search_tables(
     n: int,
     implicative: bool,
@@ -109,16 +161,18 @@ def search_tables(
 
     A decision on cell (i, j) tries, in ascending order, only the unit, the
     labels that an earlier decision on the path or the cell itself names (as
-    an index or a value), and the least label named by none of them.  The
-    labels left out are interchangeable with that least one: a relabeling
-    that swaps two of them fixes every decision, hence the propagated
-    table and the cell, and maps the models below one value onto the models
-    below the other.  So every model has an isomorphic table among the
-    results, but the results are not closed under relabeling.
+    an index or a value), and the least label named by none of them (LNH).
+    After every assignment that propagates, the partial table is compared
+    with each unit-fixing relabeling of itself in the same cell order, and
+    cut when one is smaller on the filled prefix (orderly generation).  So
+    the search reaches exactly one table of every model: the least of its
+    class in cell order.  LNH never cuts that table: were it to use a label
+    b where the least unnamed label a was open, swapping a and b would fix
+    the prefix and give a smaller table.
 
-    Returns (complete tables satisfying all axioms as flat row-major bytes,
-    nodes tried, budget exceeded).  A node is one attempted cell assignment.
-    node_budget 0 means unlimited.
+    Returns (one complete table per isomorphism class, as flat row-major
+    bytes, nodes tried, budget exceeded).  A node is one attempted cell
+    assignment.  node_budget 0 means unlimited.
     """
     u = n - 1
     t = _prefill(n)
@@ -133,9 +187,13 @@ def search_tables(
     trail: list[int] = []
     if not _propagate(t, n, implicative, trail, [c for c, v in enumerate(t) if v >= 0]):
         return results, nodes, exceeded
+    tied = _least_so_far(t, free, _relabelings(n, free))
+    if tied is None:
+        return results, nodes, exceeded
 
-    def rec(k: int):
-        # free[:k] are all assigned, and stay so below this frame
+    def rec(k: int, tied: list[tuple[bytes, bytes, int]]):
+        # free[:k] are all assigned, and stay so below this frame; every
+        # relabeling missing from tied is already larger than t
         nonlocal nodes, exceeded
         for k in range(k, len(free)):
             cell = free[k]
@@ -160,7 +218,9 @@ def search_tables(
             trail.append(cell)
             named[v] += 1
             if _propagate(t, n, implicative, trail, [cell]):
-                rec(k + 1)
+                below = _least_so_far(t, free, tied)
+                if below is not None:
+                    rec(k + 1, below)
             named[v] -= 1
             while len(trail) > mark:
                 t[trail.pop()] = -1
@@ -169,5 +229,5 @@ def search_tables(
         named[i] -= 1
         named[j] -= 1
 
-    rec(0)
+    rec(0, tied)
     return results, nodes, exceeded

@@ -1,9 +1,9 @@
 """Isomorph-free model enumeration, the brute-force oracle, and property search.
 
 The hot inner loop, the search over partial tables with constraint
-propagation and the least-number heuristic, lives in _core; this module turns
-its labeled tables into one model per isomorphism class and checks
-properties over them.
+propagation, the least-number heuristic and orderly generation, lives in
+_core and returns one labeled table per isomorphism class; this module
+canonicalizes and sorts them and checks properties over them.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .models import (
     canonicalize,
     from_flat,
     is_model,
-    relabelings,
     satisfies,
 )
 from .statements import AxiomSystem, Statement
@@ -107,14 +106,11 @@ def enumerate_with_stats(
 ) -> tuple[list[FiniteAlgebra], int, bool]:
     """One representative per isomorphism class, ascending by canonical form.
 
-    The core returns at least one labeled table (unit at n-1) of every class.
-    Isomorph rejection canonicalizes one table, removes the canonical
-    table's whole orbit (its unit-fixing relabelings) from the labeled set,
-    and repeats until the set is empty.  The core's tables are not closed
-    under relabeling, so an orbit member missing from the set says nothing;
-    the tests check completeness instead, by the orbit-counting identity
-    against the complete search of _speed_py.  A size whose budget ran out
-    returns no models.
+    The core returns exactly one labeled table (unit at n-1) of every class,
+    the least of its class in the core's cell order; isomorph rejection
+    canonicalizes each one and sorts them.  Completeness is checked by the
+    tests, by the orbit-counting identity against the complete search of
+    _speed_py.  A size whose budget ran out returns no models.
     """
     if n < 1:
         raise ValueError("size must be >= 1")
@@ -123,15 +119,9 @@ def enumerate_with_stats(
     tables, nodes, exceeded = _core.search_tables(n, _implicative_flag(system), node_budget)
     if exceeded:
         return [], nodes, exceeded
-    labeled = set(tables)
-    survivors: list[tuple[bytes, FiniteAlgebra]] = []
-    while labeled:
-        model = canonicalize(from_flat(next(iter(labeled)), n))
-        flat = bytes(v for row in model.table for v in row)
-        labeled.difference_update(relabelings(model))
-        survivors.append((flat, model))
-    survivors.sort(key=lambda kv: kv[0])  # one size, so the flat table is the key
-    return [m for _, m in survivors], nodes, exceeded
+    models = [canonicalize(from_flat(flat, n)) for flat in tables]
+    models.sort(key=lambda m: m.table)  # one size, so rows compare as the flat table
+    return models, nodes, exceeded
 
 
 def enumerate_models(

@@ -3,6 +3,8 @@
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 """
 
+import hashlib
+import itertools
 import json
 import random
 import time
@@ -13,7 +15,7 @@ from click.testing import CliRunner
 from abeforge.cli import main as cli_main
 from abeforge.corpus import load_corpus
 from abeforge.kernel import ProofError, replay_proof, verify_corpus
-from abeforge.models import relabelings, satisfies
+from abeforge.models import FiniteAlgebra, canonical_form, relabelings, satisfies
 from abeforge.search import brute_force_models, enumerate_models, enumerate_with_stats
 from mutate_util import mutated_script, mutation_sites
 
@@ -21,6 +23,11 @@ from mutate_util import mutated_script, mutation_sites
 # row-major search finds, recorded once (28,725,672 nodes); the classes the
 # enumerator emits must stand for all of them.
 COMPLETE_LABELED_8 = 7036
+
+# SHA-256 of the canonical forms of the implicative-aBE classes of size 8,
+# concatenated in output order, recorded once before the search used
+# orderly generation.
+IMPLICATIVE_8_DIGEST = "5092b29427987ad37bf2797bf8029a66a56580d1194ba11c091800ed5c2d982d"
 
 
 def _verdict(num, name, ok, detail=""):
@@ -52,6 +59,46 @@ def implicative_runs(corpus):
 @pytest.fixture(scope="module")
 def implicative_models(implicative_runs):
     return [m for models, _, _ in implicative_runs.values() for m in models]
+
+
+@pytest.fixture(scope="module")
+def implicative_forms(implicative_runs):
+    """{n: canonical forms of the size-n classes, in output order}."""
+    return {
+        n: [canonical_form(m) for m in models] for n, (models, _, _) in implicative_runs.items()
+    }
+
+
+def simplicial_complexes(faces):
+    """The abstract simplicial complexes with `faces` nonempty faces, one per
+    class under vertex relabeling.  Each is a sorted tuple of its nonempty
+    faces as sorted vertex tuples, its vertices 0..k-1."""
+    found = set()
+    for k in range(faces + 1):
+        higher = [f for size in range(2, k + 1) for f in itertools.combinations(range(k), size)]
+        for extra in itertools.combinations(higher, faces - k):
+            present = set(extra)
+            if any(
+                facet not in present
+                for face in extra
+                if len(face) > 2
+                for facet in itertools.combinations(face, len(face) - 1)
+            ):
+                continue
+            complex_ = [(v,) for v in range(k)] + list(extra)
+            found.add(min(
+                tuple(sorted(tuple(sorted(perm[v] for v in face)) for face in complex_))
+                for perm in itertools.permutations(range(k))
+            ))
+    return sorted(found)
+
+
+def complex_algebra(complex_):
+    """The faces with x -> y = F_y minus F_x, the empty face as the unit."""
+    faces = [frozenset(face) for face in complex_] + [frozenset()]
+    index = {face: i for i, face in enumerate(faces)}
+    n = len(faces)
+    return FiniteAlgebra(n, n - 1, tuple(tuple(index[y - x] for y in faces) for x in faces))
 
 
 def test_criterion_1_corpus_replay(corpus):
@@ -106,6 +153,11 @@ def test_criterion_3_theorem_at_desk_scale(corpus, implicative_runs, implicative
     )
 
 
+def test_criterion_3b_size_8_digest(implicative_forms):
+    digest = hashlib.sha256(b"".join(implicative_forms[8])).hexdigest()
+    _verdict("3b", "implicative-aBE size-8 digest", digest == IMPLICATIVE_8_DIGEST, digest)
+
+
 def test_criterion_4_kernel_soundness_bridge(corpus, implicative_models):
     env = corpus.environment()
     verified = []
@@ -137,6 +189,27 @@ def test_criterion_5_oracle_equivalence(corpus):
             if n <= 2 and classes != 1:
                 mismatches.append((name, n, classes, "expected 1"))
     _verdict(5, "oracle equivalence n<=3", not mismatches, f"mismatches: {mismatches}")
+
+
+def test_criterion_5b_simplicial_complex_oracle(implicative_forms):
+    # The faces of a simplicial complex with x -> y = F_y minus F_x satisfy
+    # ax1-ax6, and in a finite implication algebra (Abbott, 1967) each
+    # element is known by the set of coatoms above it, so the complexes with
+    # n-1 nonempty faces should give exactly the classes of size n.  The
+    # construction shares no code with the search but canonical_form.
+    mismatches = []
+    counts = {}
+    for n, forms in implicative_forms.items():
+        oracle = {canonical_form(complex_algebra(c)) for c in simplicial_complexes(n - 1)}
+        counts[n] = len(oracle)
+        if oracle != set(forms):
+            mismatches.append((n, len(oracle), len(forms)))
+    _verdict(
+        "5b",
+        "simplicial-complex oracle n<=8",
+        not mismatches,
+        f"classes per size {counts}, mismatches: {mismatches}",
+    )
 
 
 def test_criterion_6_commutativity_corollary(corpus, implicative_models):

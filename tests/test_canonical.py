@@ -1,8 +1,8 @@
 """The canonical form and the unit-fixing relabelings against a plain
-(n-1)! scan written here, the enumerator's orbit subtraction against the
-per-table canonicity filter, and the orbit-counting identity that ties the
-enumerator's classes to the labeled tables of the complete search at sizes
-the brute-force oracle cannot reach.
+(n-1)! scan written here, the enumerator against the per-table canonicity
+filter, the core's one table per class, and the orbit-counting identity
+that ties the enumerator's classes to the labeled tables of the complete
+search at sizes the brute-force oracle cannot reach.
 
 The complete search (_speed_py) is the reference: the core that runs breaks
 symmetry, so its tables are not closed under relabeling and only the
@@ -156,18 +156,30 @@ def test_orbit_counting_identity_catches_a_lost_class(corpus, monkeypatch):
     assert orbit_sum(models) < len(complete)
 
 
+def cell_order_key(flat, n):
+    """The row-major table read in the core's cell order: by max(i, j),
+    then row-major."""
+    return bytes(flat[c] for c in sorted(range(n * n), key=lambda c: (max(divmod(c, n)), c)))
+
+
 @pytest.mark.parametrize("name, max_size", [("aBE", 5), ("implicative-aBE", 7)])
 def test_core_returns_distinct_models(corpus, name, max_size):
+    # one table per class: no two are isomorphic, and each is the least of
+    # its orbit in the order the core fills the cells
     system = corpus.axiom_system(name)
     for n in range(1, max_size + 1):
         tables, _, _ = search._core.search_tables(n, search._implicative_flag(system))
         assert len(set(tables)) == len(tables), n
+        assert len({canonical_form(from_flat(flat, n)) for flat in tables}) == len(tables), n
         for flat in tables:
-            ok, _ = is_model(from_flat(flat, n), system, corpus.statements)
+            model = from_flat(flat, n)
+            ok, _ = is_model(model, system, corpus.statements)
             assert ok, (n, flat)
+            least = min(cell_order_key(table, n) for table in relabelings(model))
+            assert cell_order_key(flat, n) == least, (n, flat)
 
 
 def test_exceeded_budget_returns_no_models(corpus):
-    # the core has found 443 labeled tables by then
-    models, nodes, exceeded = enumerate_with_stats(corpus.axiom_system("aBE"), 5, node_budget=5000)
-    assert (models, nodes, exceeded) == ([], 5000, True)
+    # the core has found 151 labeled tables by then
+    models, nodes, exceeded = enumerate_with_stats(corpus.axiom_system("aBE"), 5, node_budget=2000)
+    assert (models, nodes, exceeded) == ([], 2000, True)

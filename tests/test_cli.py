@@ -152,7 +152,7 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("budget", [1, 9, 10, 100, 600])
     def test_budget_bounds_the_whole_run(self, runner, budget):
-        # aBE needs 0, 0, 9, 464 and 40,457 nodes at sizes 1..5
+        # aBE needs 0, 0, 9, 208 and 4,982 nodes at sizes 1..5
         result = invoke(
             runner,
             "enumerate", "--axioms", "aBE", "--max-size", "5",

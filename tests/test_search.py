@@ -131,13 +131,13 @@ class TestFindCounterexample:
         assert again == witness
 
     def test_budget_is_shared_by_the_sizes(self, corpus):
-        # trans first fails at size 4, which needs 464 nodes after the 9 of
-        # size 3; a budget of 472 covers each size alone but not both
+        # trans first fails at size 4, which needs 208 nodes after the 9 of
+        # size 3; a budget of 216 covers each size alone but not both
         system = corpus.axiom_system("aBE")
         prop = corpus.statement("trans")
-        assert find_counterexample(system, prop, 4, node_budget=473) is not None
+        assert find_counterexample(system, prop, 4, node_budget=217) is not None
         with pytest.raises(NodeBudgetExceeded) as info:
-            find_counterexample(system, prop, 4, node_budget=472)
+            find_counterexample(system, prop, 4, node_budget=216)
         assert info.value.size == 4
 
     def test_result_is_deterministic(self, corpus):
