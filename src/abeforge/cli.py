@@ -1,6 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 ok, 2 proof failure, 3 input error, 4 counterexample found.
+A malformed command line is an input error: one `error: ` line on stderr.
 
 The model layers (models, search and its core) are imported inside the
 commands that run them, so that `replay` and `corpus` start without them.
@@ -8,11 +9,11 @@ commands that run them, so that `replay` and `corpus` start without them.
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import sys
 from typing import TYPE_CHECKING
-
-import click
 
 from .corpus import BUILTIN_PATH, Corpus, CorpusError, load_corpus
 from .kernel import (
@@ -43,8 +44,6 @@ BUDGET_HELP = (
     "isomorph rejection and property checks are not bounded"
 )
 
-click.UsageError.exit_code = EXIT_INPUT_ERROR
-
 
 def _emit_json(obj: dict):
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
@@ -63,18 +62,18 @@ def _witness_text(w: Witness) -> str:
     return f"witness {vals}"
 
 
+def _input_error(message) -> int:
+    """Print one `error: ` line on stderr; the input-error exit code."""
+    sys.stderr.write(f"error: {message}\n")
+    return EXIT_INPUT_ERROR
+
+
 def _or_die(lookup, *args):
     """lookup(*args); on a CorpusError, print it and exit 3."""
     try:
         return lookup(*args)
     except CorpusError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(EXIT_INPUT_ERROR)
-
-
-@click.group()
-def main():
-    """Verification workbench for implicative aBE algebras."""
+        sys.exit(_input_error(e))
 
 
 # ---------------------------------------------------------------------------
@@ -117,23 +116,19 @@ def _show_step(step, indent: int) -> list[str]:
 
 def _show_script(corpus: Corpus, script: ProofScript):
     target = corpus.statement(script.target)
-    click.echo(f"script {script.id}  (target {script.target}: {target})")
+    print(f"script {script.id}  (target {script.target}: {target})")
     if script.comment:
-        click.echo(f"  # {script.comment}")
+        print(f"  # {script.comment}")
     if script.constants:
-        click.echo(f"  constants: {', '.join(script.constants)}")
+        print(f"  constants: {', '.join(script.constants)}")
     for i, h in enumerate(script.hypotheses):
-        click.echo(f"  hypothesis {i}: {h}")
+        print(f"  hypothesis {i}: {h}")
     if script.depends_on:
-        click.echo(f"  depends on: {', '.join(script.depends_on)}")
+        print(f"  depends on: {', '.join(script.depends_on)}")
     for line in [l for s in script.steps for l in _show_step(s, 1)]:
-        click.echo(line)
+        print(line)
 
 
-@main.command()
-@click.option("--script", "script_path", type=click.Path(), help="verify a corpus file instead of the built-in one")
-@click.option("--show", "show_id", help="pretty-print one script or statement and exit")
-@click.option("--emit", type=click.Choice(["text", "json"]), default="text")
 def replay(script_path, show_id, emit):
     """Replay proof scripts and report per-statement status."""
     corpus = _or_die(load_corpus, script_path)
@@ -142,8 +137,8 @@ def replay(script_path, show_id, emit):
             _show_script(corpus, corpus.script(show_id))
         except CorpusError:
             st = _or_die(corpus.statement, show_id)
-            click.echo(f"{st.id}: {st}")
-        sys.exit(EXIT_OK)
+            print(f"{st.id}: {st}")
+        return EXIT_OK
     report = verify_corpus(corpus)
     verified = sum(1 for _, status in report if status == "verified")
     if emit == "json":
@@ -156,9 +151,9 @@ def replay(script_path, show_id, emit):
         )
     else:
         for sid, status in report:
-            click.echo(f"{sid}: {status}")
-        click.echo(f"{verified}/{len(report)} verified")
-    sys.exit(EXIT_OK if verified == len(report) else EXIT_PROOF_FAILURE)
+            print(f"{sid}: {status}")
+        print(f"{verified}/{len(report)} verified")
+    return EXIT_OK if verified == len(report) else EXIT_PROOF_FAILURE
 
 
 # ---------------------------------------------------------------------------
@@ -196,28 +191,21 @@ def _report_json(report: EnumerationReport, timings: bool) -> dict:
 def _report_text(report: EnumerationReport, timings: bool):
     from .models import model_to_json
 
-    click.echo(f"axiom system: {report.axioms}")
-    click.echo(f"{'n':>3} {'count':>8} {'nodes':>12}" + (f" {'millis':>10}" if timings else ""))
+    print(f"axiom system: {report.axioms}")
+    print(f"{'n':>3} {'count':>8} {'nodes':>12}" + (f" {'millis':>10}" if timings else ""))
     for s in report.sizes:
         count = "exceeded" if s.exceeded else str(s.count)
         line = f"{s.size:>3} {count:>8} {s.nodes:>12}"
         if timings:
             line += f" {s.millis:>10.1f}"
-        click.echo(line)
+        print(line)
     for p in report.properties:
         if p.status == "holds":
-            click.echo(f"property {p.property_id}: holds in all enumerated models")
+            print(f"property {p.property_id}: holds in all enumerated models")
         else:
-            click.echo(f"property {p.property_id}: counterexample {model_to_json(p.model)}; {_witness_text(p.witness)}")
+            print(f"property {p.property_id}: counterexample {model_to_json(p.model)}; {_witness_text(p.witness)}")
 
 
-@main.command("enumerate")
-@click.option("--axioms", "axioms_name", required=True)
-@click.option("--max-size", type=int, required=True)
-@click.option("--property", "property_ids", multiple=True, help="also model-check these statement ids")
-@click.option("--emit", type=click.Choice(["text", "json"]), default="text")
-@click.option("--budget-nodes", type=click.IntRange(min=0), default=0, help=BUDGET_HELP)
-@click.option("--timings", is_flag=True, help="include wall-clock timings (not byte-stable)")
 def enumerate_cmd(axioms_name, max_size, property_ids, emit, budget_nodes, timings):
     """Isomorph-free enumeration of all models up to a size bound."""
     from .search import run_enumeration_report
@@ -225,15 +213,14 @@ def enumerate_cmd(axioms_name, max_size, property_ids, emit, budget_nodes, timin
     corpus = _or_die(load_corpus, None)
     system = _or_die(corpus.axiom_system, axioms_name)
     if max_size < 1:
-        click.echo("error: --max-size must be >= 1", err=True)
-        sys.exit(EXIT_INPUT_ERROR)
+        return _input_error("--max-size must be >= 1")
     props = [_or_die(corpus.statement, pid) for pid in property_ids]
     report = run_enumeration_report(system, max_size, corpus.statements, props, budget_nodes)
     if emit == "json":
         _emit_json(_report_json(report, timings))
     else:
         _report_text(report, timings)
-    sys.exit(EXIT_OK)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +228,6 @@ def enumerate_cmd(axioms_name, max_size, property_ids, emit, budget_nodes, timin
 # ---------------------------------------------------------------------------
 
 
-@main.command()
-@click.option("--model", "model_path", required=True, type=click.Path())
-@click.option("--axioms", "axioms_name", required=True)
-@click.option("--property", "property_id", default=None)
-@click.option("--emit", type=click.Choice(["text", "json"]), default="text")
 def check(model_path, axioms_name, property_id, emit):
     """Check a model file against an axiom system and optional property."""
     from .models import ModelFileError, is_model, load_model, satisfies
@@ -255,8 +237,7 @@ def check(model_path, axioms_name, property_id, emit):
     try:
         model = load_model(model_path)
     except ModelFileError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(EXIT_INPUT_ERROR)
+        return _input_error(e)
     prop = None if property_id is None else _or_die(corpus.statement, property_id)
     ok, witness = is_model(model, system, corpus.statements)
     out = {"model": "yes" if ok else "no", "axioms": axioms_name}
@@ -275,15 +256,15 @@ def check(model_path, axioms_name, property_id, emit):
         _emit_json(out)
     else:
         if ok:
-            click.echo(f"model: yes ({axioms_name})")
+            print(f"model: yes ({axioms_name})")
         else:
-            click.echo(f"model: no; {witness.statement_id} violated, {_witness_text(witness)}")
+            print(f"model: no; {witness.statement_id} violated, {_witness_text(witness)}")
         if ok and prop is not None:
             if prop_ok:
-                click.echo(f"{property_id}: holds")
+                print(f"{property_id}: holds")
             else:
-                click.echo(f"{property_id}: violated, {_witness_text(pw)}")
-    sys.exit(EXIT_COUNTEREXAMPLE if violated else EXIT_OK)
+                print(f"{property_id}: violated, {_witness_text(pw)}")
+    return EXIT_COUNTEREXAMPLE if violated else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +272,6 @@ def check(model_path, axioms_name, property_id, emit):
 # ---------------------------------------------------------------------------
 
 
-@main.command()
-@click.option("--axioms", "axioms_name", required=True)
-@click.option("--violates", "property_id", required=True)
-@click.option("--max-size", type=int, required=True)
-@click.option("--emit", type=click.Choice(["text", "json"]), default="text")
-@click.option("--budget-nodes", type=click.IntRange(min=0), default=0, help=BUDGET_HELP)
 def search(axioms_name, property_id, max_size, emit, budget_nodes):
     """Look for a model of the axioms that violates a property."""
     from .models import model_to_json
@@ -306,8 +281,7 @@ def search(axioms_name, property_id, max_size, emit, budget_nodes):
     system = _or_die(corpus.axiom_system, axioms_name)
     prop = _or_die(corpus.statement, property_id)
     if max_size < 1:
-        click.echo("error: --max-size must be >= 1", err=True)
-        sys.exit(EXIT_INPUT_ERROR)
+        return _input_error("--max-size must be >= 1")
     try:
         result = find_counterexample(system, prop, max_size, budget_nodes)
     except NodeBudgetExceeded as e:
@@ -317,14 +291,14 @@ def search(axioms_name, property_id, max_size, emit, budget_nodes):
                  "status": "exceeded", "size": e.size}
             )
         else:
-            click.echo(f"node budget exceeded at size {e.size}")
-        sys.exit(EXIT_OK)
+            print(f"node budget exceeded at size {e.size}")
+        return EXIT_OK
     if result is None:
         if emit == "json":
             _emit_json({"axioms": axioms_name, "violates": property_id, "max_size": max_size, "status": "none"})
         else:
-            click.echo(f"none up to {max_size}")
-        sys.exit(EXIT_OK)
+            print(f"none up to {max_size}")
+        return EXIT_OK
     model, witness = result
     if emit == "json":
         _emit_json(
@@ -338,9 +312,9 @@ def search(axioms_name, property_id, max_size, emit, budget_nodes):
             }
         )
     else:
-        click.echo(f"counterexample of size {model.size}: {model_to_json(model)}")
-        click.echo(_witness_text(witness))
-    sys.exit(EXIT_COUNTEREXAMPLE)
+        print(f"counterexample of size {model.size}: {model_to_json(model)}")
+        print(_witness_text(witness))
+    return EXIT_COUNTEREXAMPLE
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +322,6 @@ def search(axioms_name, property_id, max_size, emit, budget_nodes):
 # ---------------------------------------------------------------------------
 
 
-@main.command()
-@click.option("--axioms", "axioms_name", required=True)
-@click.option("--size", type=int, required=True)
-@click.option("--emit", type=click.Choice(["text", "json"]), default="text")
 def oracle(axioms_name, size, emit):
     """Brute-force labeled and iso-class counts (small sizes only)."""
     from .search import brute_force_models
@@ -361,13 +331,12 @@ def oracle(axioms_name, size, emit):
     try:
         labeled, classes = brute_force_models(system, size, corpus.statements)
     except ValueError as e:  # BruteForceBoundError included
-        click.echo(f"error: {e}", err=True)
-        sys.exit(EXIT_INPUT_ERROR)
+        return _input_error(e)
     if emit == "json":
         _emit_json({"axioms": axioms_name, "size": size, "labeled": labeled, "classes": classes})
     else:
-        click.echo(f"labeled {labeled}, classes {classes}")
-    sys.exit(EXIT_OK)
+        print(f"labeled {labeled}, classes {classes}")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +344,6 @@ def oracle(axioms_name, size, emit):
 # ---------------------------------------------------------------------------
 
 
-@main.group("corpus")
-def corpus_group():
-    """Inspect or export the built-in corpus."""
-
-
-@corpus_group.command("export")
-@click.option("--out", "out_path", required=True, type=click.Path())
 def corpus_export(out_path):
     """Write the built-in corpus file, byte for byte."""
     _or_die(load_corpus, None)
@@ -391,14 +353,11 @@ def corpus_export(out_path):
         with open(out_path, "wb") as fh:
             fh.write(data)
     except OSError as e:
-        click.echo(f"error: cannot write {out_path}: {e.strerror}", err=True)
-        sys.exit(EXIT_INPUT_ERROR)
-    click.echo(f"wrote {out_path}")
-    sys.exit(EXIT_OK)
+        return _input_error(f"cannot write {out_path}: {e.strerror}")
+    print(f"wrote {out_path}")
+    return EXIT_OK
 
 
-@corpus_group.command("show")
-@click.argument("sid")
 def corpus_show(sid):
     """Print a statement or script in human-readable form."""
     corpus = _or_die(load_corpus, None)
@@ -406,7 +365,7 @@ def corpus_show(sid):
     try:
         st = corpus.statement(sid)
         kind = {Identity: "identity", Clause: "clause", QuasiIdentity: "quasi-identity"}[type(st)]
-        click.echo(f"{st.id} ({kind}): {st}")
+        print(f"{st.id} ({kind}): {st}")
         shown = True
     except CorpusError:
         pass
@@ -416,9 +375,116 @@ def corpus_show(sid):
     except CorpusError:
         pass
     if not shown:
-        click.echo(f"error: unknown id {sid!r}", err=True)
-        sys.exit(EXIT_INPUT_ERROR)
-    sys.exit(EXIT_OK)
+        return _input_error(f"unknown id {sid!r}")
+    return EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# command line
+# ---------------------------------------------------------------------------
+
+
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is an input error: one `error: ` line, exit 3.
+    An option is only ever its full name: no abbreviations, no `-h`."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument("--help", action="help", help="show this message and exit")
+
+    def error(self, message):
+        sys.exit(_input_error(message))
+
+
+def _node_count(text: str) -> int:
+    """A `--budget-nodes` value: an integer, 0 or more."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {n}")
+    return n
+
+
+def _parser(prog: str | None) -> argparse.ArgumentParser:
+    parser = _Parser(prog=prog, description="Verification workbench for implicative aBE algebras.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(group, name, run):
+        sub = group.add_parser(name, help=run.__doc__, description=run.__doc__)
+        sub.set_defaults(run=run)
+        return sub
+
+    def axioms(sub):
+        sub.add_argument("--axioms", dest="axioms_name", required=True, metavar="NAME")
+
+    def max_size(sub):
+        sub.add_argument("--max-size", type=int, required=True, metavar="N")
+
+    def emit(sub):
+        sub.add_argument("--emit", choices=("text", "json"), default="text")
+
+    def budget(sub):
+        sub.add_argument("--budget-nodes", type=_node_count, default=0, metavar="N", help=BUDGET_HELP)
+
+    sub = command(commands, "replay", replay)
+    sub.add_argument("--script", dest="script_path", metavar="PATH",
+                     help="verify a corpus file instead of the built-in one")
+    sub.add_argument("--show", dest="show_id", metavar="ID", help="pretty-print one script or statement and exit")
+    emit(sub)
+
+    sub = command(commands, "enumerate", enumerate_cmd)
+    axioms(sub)
+    max_size(sub)
+    sub.add_argument("--property", dest="property_ids", action="append", default=[], metavar="ID",
+                     help="also model-check these statement ids")
+    emit(sub)
+    budget(sub)
+    sub.add_argument("--timings", action="store_true", help="include wall-clock timings (not byte-stable)")
+
+    sub = command(commands, "check", check)
+    sub.add_argument("--model", dest="model_path", required=True, metavar="PATH")
+    axioms(sub)
+    sub.add_argument("--property", dest="property_id", metavar="ID")
+    emit(sub)
+
+    sub = command(commands, "search", search)
+    axioms(sub)
+    sub.add_argument("--violates", dest="property_id", required=True, metavar="ID")
+    max_size(sub)
+    emit(sub)
+    budget(sub)
+
+    sub = command(commands, "oracle", oracle)
+    axioms(sub)
+    sub.add_argument("--size", type=int, required=True, metavar="N")
+    emit(sub)
+
+    doc = "Inspect or export the built-in corpus."
+    corpus = commands.add_parser("corpus", help=doc, description=doc)
+    corpus_commands = corpus.add_subparsers(metavar="COMMAND", required=True)
+    sub = command(corpus_commands, "export", corpus_export)
+    sub.add_argument("--out", dest="out_path", required=True, metavar="PATH")
+    sub = command(corpus_commands, "show", corpus_show)
+    sub.add_argument("sid", metavar="SID")
+    return parser
+
+
+def main(args=None, prog_name=None):
+    """Run one command line, `sys.argv[1:]` by default, and exit with its code."""
+    try:
+        try:
+            options = vars(_parser(prog_name).parse_args(args))
+            code = options.pop("run")(**options)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone. Point stdout at the null device, so that the
+        # flush at interpreter exit has somewhere to put what is buffered.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

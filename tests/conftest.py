@@ -1,14 +1,20 @@
+import contextlib
+import io
 import json
+import os
 from pathlib import Path
+from typing import NamedTuple
 
 import hypothesis.strategies as st
 import pytest
 
+from abeforge.cli import main
 from abeforge.corpus import load_corpus
 from abeforge.terms import UNIT, Arrow, Const, Var
 
 VAR_NAMES = ("x", "y", "z", "t", "w")
 DATA_CORPUS = Path(__file__).resolve().parent.parent / "data" / "corpus.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def terms(max_leaves: int = 12, with_constants: bool = False):
@@ -25,6 +31,27 @@ def terms(max_leaves: int = 12, with_constants: bool = False):
 def read_corpus_json() -> dict:
     """A fresh parse of the built-in corpus file, free to edit."""
     return json.loads(DATA_CORPUS.read_text(encoding="utf-8"))
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
+def run_cli(*args: str) -> CliResult:
+    """`abeforge.cli.main(args)` in this process: the code it exits with,
+    and what it wrote to stdout and to stderr, kept apart."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+        main(list(args))
+    return CliResult(exit_.value.code, out.getvalue(), err.getvalue())
+
+
+def child_env() -> dict:
+    """This environment with the checkout's src/ first on PYTHONPATH, for a
+    child process that imports abeforge."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture(scope="session")

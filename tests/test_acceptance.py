@@ -10,13 +10,12 @@ import random
 import time
 
 import pytest
-from click.testing import CliRunner
 
-from abeforge.cli import main as cli_main
 from abeforge.corpus import load_corpus
 from abeforge.kernel import ProofError, replay_proof, verify_corpus
 from abeforge.models import FiniteAlgebra, canonical_form, relabelings, satisfies
 from abeforge.search import brute_force_models, enumerate_models, enumerate_with_stats
+from conftest import run_cli
 from mutate_util import mutated_script, mutation_sites
 
 # Labeled implicative-aBE tables of size 8 (unit at 7) that the complete
@@ -224,7 +223,6 @@ def test_criterion_6_commutativity_corollary(corpus, implicative_models):
 
 
 def test_criterion_7_determinism():
-    runner = CliRunner()
     commands = [
         ["replay", "--emit", "json"],
         ["enumerate", "--axioms", "implicative-aBE", "--max-size", "5", "--emit", "json"],
@@ -234,8 +232,8 @@ def test_criterion_7_determinism():
     ]
     stable = True
     for args in commands:
-        a = runner.invoke(cli_main, args, catch_exceptions=False).output
-        b = runner.invoke(cli_main, args, catch_exceptions=False).output
+        a = run_cli(*args).stdout
+        b = run_cli(*args).stdout
         if a != b or not a:
             stable = False
         json.loads(a)

@@ -1,24 +1,17 @@
 import copy
 import json
 import pathlib
+import subprocess
+import sys
+import tempfile
 
 import hypothesis.strategies as st
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 
-from abeforge.cli import main
+from abeforge.cli import BUDGET_HELP
 from abeforge.models import model_to_json
-from conftest import DATA_CORPUS
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
-
-
-def invoke(runner, *args, env=None):
-    return runner.invoke(main, list(args), env=env, catch_exceptions=False)
+from conftest import DATA_CORPUS, child_env, run_cli
 
 
 def write_model(tmp_path, obj, name="model.json"):
@@ -39,8 +32,9 @@ UNREADABLE = {
 
 def assert_input_error(result):
     assert result.exit_code == 3
-    assert result.output.startswith("error: ")
-    assert "Traceback" not in result.output
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
 
 
 def without_ax6(obj) -> dict:
@@ -59,116 +53,110 @@ def without_ax6(obj) -> dict:
 
 
 class TestReplay:
-    def test_full_corpus(self, runner):
-        result = invoke(runner, "replay")
+    def test_full_corpus(self):
+        result = run_cli("replay")
         assert result.exit_code == 0
-        assert "13/13 verified" in result.output
+        assert "13/13 verified" in result.stdout
 
-    def test_json_emit(self, runner):
-        result = invoke(runner, "replay", "--emit", "json")
+    def test_json_emit(self):
+        result = run_cli("replay", "--emit", "json")
         assert result.exit_code == 0
-        obj = json.loads(result.output)
+        obj = json.loads(result.stdout)
         assert obj["verified"] == obj["total"] == 13
 
-    def test_show_refutation(self, runner):
-        result = invoke(runner, "replay", "--show", "thm")
+    def test_show_refutation(self):
+        result = run_cli("replay", "--show", "thm")
         assert result.exit_code == 0
-        assert "split on lem18" in result.output
-        assert "branch 1" in result.output
+        assert "split on lem18" in result.stdout
+        assert "branch 1" in result.stdout
 
-    def test_broken_script_file(self, runner, tmp_path, corpus_json):
+    def test_broken_script_file(self, tmp_path, corpus_json):
         corpus_json["scripts"][3]["steps"][1]["subst"]["y"] = "x"
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(corpus_json))
-        result = invoke(runner, "replay", "--script", str(path))
+        result = run_cli("replay", "--script", str(path))
         assert result.exit_code == 2
-        assert "failed" in result.output
+        assert "failed" in result.stdout
 
-    def test_malformed_file_exits_3(self, runner, tmp_path):
+    def test_malformed_file_exits_3(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{ not json")
-        result = invoke(runner, "replay", "--script", str(path))
+        result = run_cli("replay", "--script", str(path))
         assert result.exit_code == 3
 
     @pytest.mark.parametrize("kind", UNREADABLE)
-    def test_unreadable_file_exits_3(self, runner, tmp_path, kind):
+    def test_unreadable_file_exits_3(self, tmp_path, kind):
         path = tmp_path / "corpus.json"
         path.write_bytes(UNREADABLE[kind])
-        assert_input_error(invoke(runner, "replay", "--script", str(path)))
+        assert_input_error(run_cli("replay", "--script", str(path)))
 
-    def test_wrong_typed_field_exits_3(self, runner, tmp_path, corpus_json):
+    def test_wrong_typed_field_exits_3(self, tmp_path, corpus_json):
         corpus_json["scripts"][3]["steps"][0]["at"] = ["L"]
         path = tmp_path / "corpus.json"
         path.write_text(json.dumps(corpus_json))
-        assert_input_error(invoke(runner, "replay", "--script", str(path)))
+        assert_input_error(run_cli("replay", "--script", str(path)))
 
     @pytest.mark.parametrize("case", ["empty", "no-ax6"])
-    def test_file_missing_an_axiom_exits_3(self, runner, tmp_path, corpus_json, case):
+    def test_file_missing_an_axiom_exits_3(self, tmp_path, corpus_json, case):
         obj, missing = ({}, "ax1") if case == "empty" else (without_ax6(corpus_json), "ax6")
         path = tmp_path / "corpus.json"
         path.write_text(json.dumps(obj))
-        result = invoke(runner, "replay", "--script", str(path))
+        result = run_cli("replay", "--script", str(path))
         assert_input_error(result)
         assert result.stderr == f"error: missing axiom {missing!r}\n"
 
-    def test_duplicate_script_id_exits_3(self, runner, tmp_path, corpus_json):
+    def test_duplicate_script_id_exits_3(self, tmp_path, corpus_json):
         corpus_json["scripts"].append(next(s for s in corpus_json["scripts"] if s["id"] == "lem10"))
         path = tmp_path / "corpus.json"
         path.write_text(json.dumps(corpus_json))
-        result = invoke(runner, "replay", "--script", str(path))
+        result = run_cli("replay", "--script", str(path))
         assert_input_error(result)
         assert result.stderr == "error: duplicate script id 'lem10'\n"
 
 
 class TestEnumerate:
-    def test_json_report(self, runner):
-        result = invoke(
-            runner, "enumerate", "--axioms", "implicative-aBE", "--max-size", "4", "--emit", "json"
-        )
+    def test_json_report(self):
+        result = run_cli("enumerate", "--axioms", "implicative-aBE", "--max-size", "4", "--emit", "json")
         assert result.exit_code == 0
-        obj = json.loads(result.output)
+        obj = json.loads(result.stdout)
         assert obj["axioms"] == "implicative-aBE"
         assert [s["count"] for s in obj["sizes"]] == [1, 1, 1, 2]
         assert all(s["millis"] is None for s in obj["sizes"])
 
-    def test_text_table(self, runner):
-        result = invoke(runner, "enumerate", "--axioms", "aBE", "--max-size", "3")
+    def test_text_table(self):
+        result = run_cli("enumerate", "--axioms", "aBE", "--max-size", "3")
         assert result.exit_code == 0
-        assert "axiom system: aBE" in result.output
+        assert "axiom system: aBE" in result.stdout
 
-    def test_unknown_system(self, runner):
-        result = invoke(runner, "enumerate", "--axioms", "nosuch", "--max-size", "2")
+    def test_unknown_system(self):
+        result = run_cli("enumerate", "--axioms", "nosuch", "--max-size", "2")
         assert result.exit_code == 3
 
-    def test_budget_exceeded_reported_with_exit_0(self, runner):
-        result = invoke(
-            runner,
+    def test_budget_exceeded_reported_with_exit_0(self):
+        result = run_cli(
             "enumerate", "--axioms", "aBE", "--max-size", "4",
             "--budget-nodes", "10", "--emit", "json",
         )
         assert result.exit_code == 0
-        obj = json.loads(result.output)
+        obj = json.loads(result.stdout)
         assert obj["sizes"][-1]["exceeded"] is True
 
     @pytest.mark.parametrize("budget", [1, 9, 10, 100, 600])
-    def test_budget_bounds_the_whole_run(self, runner, budget):
+    def test_budget_bounds_the_whole_run(self, budget):
         # aBE needs 0, 0, 9, 208 and 4,982 nodes at sizes 1..5
-        result = invoke(
-            runner,
+        result = run_cli(
             "enumerate", "--axioms", "aBE", "--max-size", "5",
             "--budget-nodes", str(budget), "--emit", "json",
         )
         assert result.exit_code == 0
-        sizes = json.loads(result.output)["sizes"]
+        sizes = json.loads(result.stdout)["sizes"]
         assert sum(s["nodes"] for s in sizes) <= budget
         assert sizes[-1]["exceeded"] is True
 
-    def test_negative_budget_exit_3(self, runner):
-        result = invoke(
-            runner, "enumerate", "--axioms", "aBE", "--max-size", "3", "--budget-nodes", "-1"
-        )
+    def test_negative_budget_exit_3(self):
+        result = run_cli("enumerate", "--axioms", "aBE", "--max-size", "3", "--budget-nodes", "-1")
         assert result.exit_code == 3
-        assert "--budget-nodes" in result.output
+        assert "--budget-nodes" in result.stderr
 
 
 # where a field of M2 can be replaced, and what by
@@ -181,54 +169,52 @@ ANY_JSON = st.recursive(
 
 
 class TestCheck:
-    def test_good_model_with_property(self, runner, tmp_path):
+    def test_good_model_with_property(self, tmp_path):
         path = write_model(tmp_path, M2)
-        result = invoke(
-            runner, "check", "--model", path, "--axioms", "implicative-aBE", "--property", "trans"
-        )
+        result = run_cli("check", "--model", path, "--axioms", "implicative-aBE", "--property", "trans")
         assert result.exit_code == 0
-        assert "model: yes" in result.output
-        assert "trans: holds" in result.output
+        assert "model: yes" in result.stdout
+        assert "trans: holds" in result.stdout
 
-    def test_axiom_violation_exit_4(self, runner, tmp_path):
+    def test_axiom_violation_exit_4(self, tmp_path):
         path = write_model(tmp_path, BAD_AX3)
-        result = invoke(runner, "check", "--model", path, "--axioms", "implicative-aBE")
+        result = run_cli("check", "--model", path, "--axioms", "implicative-aBE")
         assert result.exit_code == 4
-        assert "ax3 violated" in result.output
-        assert "x=0" in result.output
+        assert "ax3 violated" in result.stdout
+        assert "x=0" in result.stdout
 
     @pytest.mark.parametrize("model", [M2, BAD_AX2], ids=["model", "not-a-model"])
-    def test_unknown_property_exit_3(self, runner, tmp_path, model):
+    def test_unknown_property_exit_3(self, tmp_path, model):
         # the property is looked up before the model is checked
         path = write_model(tmp_path, model)
-        result = invoke(runner, "check", "--model", path, "--axioms", "aBE", "--property", "nosuch")
+        result = run_cli("check", "--model", path, "--axioms", "aBE", "--property", "nosuch")
         assert_input_error(result)
         assert result.stderr == "error: unknown statement id 'nosuch'\n"
 
-    def test_truncated_json_exit_3(self, runner, tmp_path):
+    def test_truncated_json_exit_3(self, tmp_path):
         path = tmp_path / "trunc.json"
         path.write_text('{"size": 2, "unit"')
-        result = invoke(runner, "check", "--model", str(path), "--axioms", "aBE")
+        result = run_cli("check", "--model", str(path), "--axioms", "aBE")
         assert result.exit_code == 3
 
     @pytest.mark.parametrize("kind", UNREADABLE)
-    def test_unreadable_file_exits_3(self, runner, tmp_path, kind):
+    def test_unreadable_file_exits_3(self, tmp_path, kind):
         path = tmp_path / "model.json"
         path.write_bytes(UNREADABLE[kind])
-        assert_input_error(invoke(runner, "check", "--model", str(path), "--axioms", "aBE"))
+        assert_input_error(run_cli("check", "--model", str(path), "--axioms", "aBE"))
 
-    def test_non_integer_entry_exits_3(self, runner, tmp_path):
+    def test_non_integer_entry_exits_3(self, tmp_path):
         path = write_model(tmp_path, {"size": 2, "unit": 1, "table": [[1.7, 1], [0, 1]]})
-        assert_input_error(invoke(runner, "check", "--model", path, "--axioms", "aBE"))
+        assert_input_error(run_cli("check", "--model", path, "--axioms", "aBE"))
 
     @pytest.mark.parametrize(
         "key, value, message",
         [("size", True, "size must be an integer, not bool"), ("unit", "1", "unit must be an integer, not str")],
         ids=["size", "unit"],
     )
-    def test_non_integer_size_or_unit_names_the_field_once(self, runner, tmp_path, key, value, message):
+    def test_non_integer_size_or_unit_names_the_field_once(self, tmp_path, key, value, message):
         path = write_model(tmp_path, {**M2, key: value})
-        result = invoke(runner, "check", "--model", path, "--axioms", "aBE")
+        result = run_cli("check", "--model", path, "--axioms", "aBE")
         assert_input_error(result)
         assert result.stderr == f"error: bad model file: {message}\n"
 
@@ -241,14 +227,14 @@ class TestCheck:
         for key in path[:-1]:
             parent = parent[key]
         parent[path[-1]] = value
-        runner = CliRunner()
-        with runner.isolated_filesystem():
-            pathlib.Path("model.json").write_text(json.dumps(obj))
-            result = invoke(runner, "check", "--model", "model.json", "--axioms", "aBE")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp, "model.json")
+            path.write_text(json.dumps(obj))
+            result = run_cli("check", "--model", str(path), "--axioms", "aBE")
         assert result.exit_code in (0, 3, 4)
-        assert "Traceback" not in result.output
+        assert "Traceback" not in result.stderr
         if result.exit_code == 3:
-            assert result.output.startswith("error: ")
+            assert result.stderr.startswith("error: ")
 
 
 # JSON documents of any shape, whose object keys are often the ones the
@@ -272,10 +258,10 @@ WHOLE_FILE_COMMANDS = {
 
 def run_on_file(command: str, data: bytes):
     """`command` on a file holding `data`, as the exit code and stderr."""
-    runner = CliRunner()
-    with runner.isolated_filesystem():
-        pathlib.Path("input.json").write_bytes(data)
-        result = invoke(runner, *WHOLE_FILE_COMMANDS[command], "input.json")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp, "input.json")
+        path.write_bytes(data)
+        result = run_cli(*WHOLE_FILE_COMMANDS[command], str(path))
     return result.exit_code, result.stderr
 
 
@@ -304,129 +290,123 @@ class TestWholeFileFuzz:
 
 
 class TestSearch:
-    def test_implicative_trans_none(self, runner):
-        result = invoke(
-            runner, "search", "--axioms", "implicative-aBE", "--violates", "trans", "--max-size", "5"
-        )
+    def test_implicative_trans_none(self):
+        result = run_cli("search", "--axioms", "implicative-aBE", "--violates", "trans", "--max-size", "5")
         assert result.exit_code == 0
-        assert "none up to 5" in result.output
+        assert "none up to 5" in result.stdout
 
-    def test_commutativity_none(self, runner):
-        result = invoke(
-            runner, "search", "--axioms", "implicative-aBE", "--violates", "commutativity",
+    def test_commutativity_none(self):
+        result = run_cli(
+            "search", "--axioms", "implicative-aBE", "--violates", "commutativity",
             "--max-size", "5",
         )
         assert result.exit_code == 0
 
-    def test_abe_counterexample_reverifies(self, runner, tmp_path, corpus):
-        result = invoke(
-            runner, "search", "--axioms", "aBE", "--violates", "trans", "--max-size", "5",
+    def test_abe_counterexample_reverifies(self, tmp_path, corpus):
+        result = run_cli(
+            "search", "--axioms", "aBE", "--violates", "trans", "--max-size", "5",
             "--emit", "json",
         )
         assert result.exit_code == 4
-        obj = json.loads(result.output)
+        obj = json.loads(result.stdout)
         assert obj["status"] == "counterexample"
         # the reported model must itself pass check and violate the property
         path = write_model(tmp_path, obj["model"])
-        check = invoke(
-            runner, "check", "--model", path, "--axioms", "aBE", "--property", "trans"
-        )
+        check = run_cli("check", "--model", path, "--axioms", "aBE", "--property", "trans")
         assert check.exit_code == 4
 
-    def test_bad_property(self, runner):
-        result = invoke(
-            runner, "search", "--axioms", "aBE", "--violates", "nosuch", "--max-size", "2"
-        )
+    def test_bad_property(self):
+        result = run_cli("search", "--axioms", "aBE", "--violates", "nosuch", "--max-size", "2")
         assert result.exit_code == 3
 
     BUDGETED = ("search", "--axioms", "aBE", "--violates", "commutativity", "--max-size", "4",
                 "--budget-nodes", "5")
 
-    def test_budget_exceeded_reported_with_exit_0(self, runner):
+    def test_budget_exceeded_reported_with_exit_0(self):
         # sizes 1 and 2 need no nodes and hold no counterexample; size 3 needs 9
-        result = invoke(runner, *self.BUDGETED)
+        result = run_cli(*self.BUDGETED)
         assert result.exit_code == 0
-        assert result.output == "node budget exceeded at size 3\n"
-        result = invoke(runner, *self.BUDGETED, "--emit", "json")
+        assert result.stdout == "node budget exceeded at size 3\n"
+        result = run_cli(*self.BUDGETED, "--emit", "json")
         assert result.exit_code == 0
-        obj = json.loads(result.output)
+        obj = json.loads(result.stdout)
         assert (obj["status"], obj["size"], obj["max_size"]) == ("exceeded", 3, 4)
 
-    def test_negative_budget_exit_3(self, runner):
-        result = invoke(
-            runner, "search", "--axioms", "aBE", "--violates", "trans", "--max-size", "3",
+    def test_negative_budget_exit_3(self):
+        result = run_cli(
+            "search", "--axioms", "aBE", "--violates", "trans", "--max-size", "3",
             "--budget-nodes", "-1",
         )
         assert result.exit_code == 3
-        assert "--budget-nodes" in result.output
+        assert "--budget-nodes" in result.stderr
 
 
 class TestOracle:
-    def test_forced_size_two(self, runner):
-        result = invoke(runner, "oracle", "--axioms", "implicative-aBE", "--size", "2")
+    def test_forced_size_two(self):
+        result = run_cli("oracle", "--axioms", "implicative-aBE", "--size", "2")
         assert result.exit_code == 0
-        assert "labeled 1, classes 1" in result.output
+        assert "labeled 1, classes 1" in result.stdout
 
-    def test_size_three_matches_enumerator(self, runner):
-        result = invoke(runner, "oracle", "--axioms", "aBE", "--size", "3", "--emit", "json")
-        obj = json.loads(result.output)
+    def test_size_three_matches_enumerator(self):
+        result = run_cli("oracle", "--axioms", "aBE", "--size", "3", "--emit", "json")
+        obj = json.loads(result.stdout)
         assert (obj["labeled"], obj["classes"]) == (5, 3)
 
-    def test_over_bound_exit_3(self, runner):
-        result = invoke(runner, "oracle", "--axioms", "aBE", "--size", "4")
+    def test_over_bound_exit_3(self):
+        result = run_cli("oracle", "--axioms", "aBE", "--size", "4")
         assert result.exit_code == 3
 
     @pytest.mark.parametrize("size", ["-1", "0"])
-    def test_size_below_one_exit_3(self, runner, size):
-        result = invoke(runner, "oracle", "--axioms", "aBE", "--size", size)
+    def test_size_below_one_exit_3(self, size):
+        result = run_cli("oracle", "--axioms", "aBE", "--size", size)
         assert_input_error(result)
         assert result.stderr == "error: size must be >= 1\n"
 
 
 class TestCorpusCommands:
-    def test_export_and_reload(self, runner, tmp_path):
+    def test_export_and_reload(self, tmp_path):
         out = tmp_path / "corpus.json"
-        result = invoke(runner, "corpus", "export", "--out", str(out))
+        result = run_cli("corpus", "export", "--out", str(out))
         assert result.exit_code == 0
         assert out.read_bytes() == DATA_CORPUS.read_bytes()
-        replay = invoke(runner, "replay", "--script", str(out))
+        replay = run_cli("replay", "--script", str(out))
         assert replay.exit_code == 0
 
-    def test_export_onto_the_builtin_file(self, runner, tmp_path, monkeypatch):
+    def test_export_onto_the_builtin_file(self, tmp_path, monkeypatch):
         # --out naming the file export reads leaves it whole
         builtin = tmp_path / "corpus.json"
         builtin.write_bytes(DATA_CORPUS.read_bytes())
         monkeypatch.setattr("abeforge.cli.BUILTIN_PATH", builtin)
-        result = invoke(runner, "corpus", "export", "--out", str(builtin))
+        result = run_cli("corpus", "export", "--out", str(builtin))
         assert result.exit_code == 0
         assert builtin.read_bytes() == DATA_CORPUS.read_bytes()
 
     @pytest.mark.parametrize("target", ["missing-dir", "dir"])
-    def test_export_to_unwritable_path_exits_3(self, runner, tmp_path, target):
+    def test_export_to_unwritable_path_exits_3(self, tmp_path, target):
         out = tmp_path / "nosuch" / "corpus.json" if target == "missing-dir" else tmp_path
-        result = invoke(runner, "corpus", "export", "--out", str(out))
+        result = run_cli("corpus", "export", "--out", str(out))
         assert_input_error(result)
         assert result.stderr.startswith(f"error: cannot write {out}: ")
 
-    def test_show_statement(self, runner):
-        result = invoke(runner, "corpus", "show", "ax5")
+    def test_show_statement(self):
+        result = run_cli("corpus", "show", "ax5")
         assert result.exit_code == 0
-        assert "quasi-identity" in result.output
+        assert "quasi-identity" in result.stdout
 
-    def test_show_script(self, runner):
-        result = invoke(runner, "corpus", "show", "lem10")
+    def test_show_script(self):
+        result = run_cli("corpus", "show", "lem10")
         assert result.exit_code == 0
-        assert "rewrite ax6" in result.output
+        assert "rewrite ax6" in result.stdout
 
-    def test_show_script_as_the_file_has_it(self, runner):
+    def test_show_script_as_the_file_has_it(self):
         # corpus show prints the statement, then the script as replay --show does
-        shown = invoke(runner, "corpus", "show", "lem13").output
-        replayed = invoke(runner, "replay", "--script", str(DATA_CORPUS), "--show", "lem13").output
+        shown = run_cli("corpus", "show", "lem13").stdout
+        replayed = run_cli("replay", "--script", str(DATA_CORPUS), "--show", "lem13").stdout
         assert "rewrite lem11 [t := y, x := x, y := (x -> y) -> y, z := y] at root L2R" in replayed
         assert shown.endswith(replayed)
 
-    def test_show_unknown(self, runner):
-        result = invoke(runner, "corpus", "show", "lem99")
+    def test_show_unknown(self):
+        result = run_cli("corpus", "show", "lem99")
         assert result.exit_code == 3
 
 
@@ -439,7 +419,66 @@ class TestDeterminism:
     ]
 
     @pytest.mark.parametrize("args", COMMANDS, ids=lambda a: a[0])
-    def test_byte_identical_json(self, runner, args):
-        a = invoke(runner, *args)
-        b = invoke(runner, *args)
-        assert a.output == b.output
+    def test_byte_identical_json(self, args):
+        a = run_cli(*args)
+        b = run_cli(*args)
+        assert a.stdout == b.stdout
+
+
+MALFORMED = {
+    "no-command": (),
+    "unknown-command": ("frob",),
+    "corpus-without-subcommand": ("corpus",),
+    "missing-axioms": ("enumerate", "--max-size", "3"),
+    "max-size-not-an-integer": ("enumerate", "--axioms", "aBE", "--max-size", "x"),
+    "unknown-emit": ("replay", "--emit", "xml"),
+    "negative-budget": ("search", "--axioms", "aBE", "--violates", "trans", "--max-size", "3", "--budget-nodes", "-1"),
+    "unknown-option": ("replay", "--frob"),
+    "option-prefix": ("enumerate", "--axioms", "aBE", "--max", "3"),
+}
+
+# what --help must list for each command: every option, and the help text it has
+HELP = {
+    (): ("replay", "enumerate", "check", "search", "oracle", "corpus"),
+    ("replay",): ("--script", "verify a corpus file instead of the built-in one",
+                  "--show", "pretty-print one script or statement and exit", "--emit"),
+    ("enumerate",): ("--axioms", "--max-size", "--property", "also model-check these statement ids", "--emit",
+                     "--budget-nodes", BUDGET_HELP, "--timings", "include wall-clock timings (not byte-stable)"),
+    ("check",): ("--model", "--axioms", "--property", "--emit"),
+    ("search",): ("--axioms", "--violates", "--max-size", "--emit", "--budget-nodes", BUDGET_HELP),
+    ("oracle",): ("--axioms", "--size", "--emit"),
+    ("corpus",): ("export", "show"),
+    ("corpus", "export"): ("--out",),
+    ("corpus", "show"): ("SID",),
+}
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_command_line_is_one_error_line(self, case):
+        result = run_cli(*MALFORMED[case])
+        assert_input_error(result)
+        assert result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("command", HELP, ids=lambda c: " ".join(c) or "top")
+    def test_help_lists_every_option(self, command):
+        result = run_cli(*command, "--help")
+        assert (result.exit_code, result.stderr) == (0, "")
+        text = " ".join(result.stdout.split())
+        for item in HELP[command]:
+            assert item in text
+
+    def test_closed_pipe_exits_1_without_traceback(self, tmp_path, corpus_json):
+        # a script long enough that its listing fills the pipe: the command is
+        # still writing when the reader closes its end after one line
+        script = next(s for s in corpus_json["scripts"] if s["id"] == "lem10")
+        script["steps"] *= 1000
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(corpus_json))
+        argv = [sys.executable, "-m", "abeforge.cli", "replay", "--script", str(path), "--show", "lem10"]
+        with subprocess.Popen(argv, env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline().startswith(b"script lem10 ")
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert (code, stderr) == (1, b"")

@@ -9,9 +9,7 @@ import json
 import re
 from pathlib import Path
 
-from click.testing import CliRunner
-
-from abeforge.cli import main
+from conftest import run_cli
 
 REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
@@ -30,9 +28,9 @@ def enumerate_json(axioms, max_size, properties):
     args = ["enumerate", "--axioms", axioms, "--max-size", str(max_size), "--emit", "json"]
     for prop in properties:
         args += ["--property", prop]
-    result = CliRunner().invoke(main, args, catch_exceptions=False)
+    result = run_cli(*args)
     assert result.exit_code == 0
-    return _NODES.sub('"nodes": null', result.output)
+    return _NODES.sub('"nodes": null', result.stdout)
 
 
 def reference(name):

@@ -1,29 +1,42 @@
-"""`replay` starts without the model layers or generated record code."""
+"""`replay` starts without the model layers, generated record code or any
+module from outside the standard library."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from conftest import child_env
 
+# main() called both ways its callers call it: positionally, and with
+# args= as the benchmark's tracer does
 PROBE = """
 import sys
+before = set(sys.modules)
 import abeforge.cli
-try:
-    abeforge.cli.main(["replay", "--emit", "json"], prog_name="abeforge")
-except SystemExit as e:
-    assert e.code == 0, e.code
+
+def run(*args, **kwargs):
+    try:
+        abeforge.cli.main(*args, **kwargs)
+    except SystemExit as e:
+        assert e.code == 0, e.code
+    else:
+        raise AssertionError("main returned without SystemExit")
+
+run(["replay", "--emit", "json"], prog_name="abeforge")
+run(args=["replay", "--emit", "json"], prog_name="abeforge")
 unwanted = ("abeforge.search", "abeforge.models", "abeforge._core", "dataclasses")
 print(" ".join(m for m in unwanted if m in sys.modules))
+# top-level packages that abeforge loaded from outside the standard library
+loaded = {m.partition(".")[0] for m in set(sys.modules) - before}
+print(" ".join(sorted(loaded - set(sys.stdlib_module_names) - {"abeforge"})))
 """
 
 
 def test_replay_imports_no_model_layer_and_no_dataclasses():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
-        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", PROBE], env=child_env(), capture_output=True, text=True, check=True
     ).stdout
-    *report, loaded = out.splitlines()
-    assert '"verified": 13' in report[0]
+    *reports, loaded, third_party = out.splitlines()
+    assert len(reports) == 2
+    assert all('"verified": 13' in report for report in reports)
     assert loaded == ""
+    assert third_party == ""
