@@ -8,11 +8,13 @@ search_tables() returns, for every model over a fixed unit, exactly one
 table isomorphic to it, with the number of nodes it tried.  Propagation
 rechecks only the axiom instances of the cells assigned since the last
 fixpoint; _speed_py runs the same propagator without symmetry breaking.
+The prefix test reads the unit-fixing relabelings from
+models.relabeling_table, the one table that the canonical form filters too.
 """
 
 from __future__ import annotations
 
-import itertools
+from .models import relabeling_table
 
 
 def _prefill(n: int) -> list[int]:
@@ -104,28 +106,13 @@ def _propagate(
     return True
 
 
-def _relabelings(n: int, order: list[int]) -> list[tuple[bytes, bytes, int]]:
-    """(label map, cell map, 0) for every non-identity relabeling pi that
-    fixes the unit: label map[x] = pi(x), and cell map[p] is the cell
-    (pi^-1 i, pi^-1 j) whose value pi sends to cell (i, j) = order[p]."""
-    u = n - 1
-    out = []
-    # permutations come in lexicographic order, the identity first
-    for images in itertools.islice(itertools.permutations(range(u)), 1, None):
-        inverse = [u] * n
-        for old, new in enumerate(images):
-            inverse[new] = old
-        cells = bytes(inverse[c // n] * n + inverse[c % n] for c in order)
-        out.append((bytes(images + (u,)), cells, 0))
-    return out
-
-
 def _least_so_far(
     t: list[int], order: list[int], tied: list[tuple[bytes, bytes, int]]
 ) -> list[tuple[bytes, bytes, int]] | None:
     """The lex-leader prefix test in the cell order `order`.
 
-    Compares t with each relabeling pi in `tied` from the position it
+    Compares t with each relabeling pi in `tied`, a (label map, cell map,
+    position) entry over models.relabeling_table, from the position it
     reached, cell by cell, up to the first cell where either side is
     unassigned.  Returns None when some pi gives a smaller value first, so
     that every completion of t has a smaller relabeling.  Otherwise returns
@@ -137,8 +124,9 @@ def _least_so_far(
     for entry in tied:
         label, cells, p = entry
         while p < m:
-            x = t[order[p]]
-            y = t[cells[p]]
+            c = order[p]
+            x = t[c]
+            y = t[cells[c]]
             if x < 0 or y < 0:
                 # most relabelings wait where they were: share their entry
                 below.append(entry if p == entry[2] else (label, cells, p))
@@ -187,7 +175,8 @@ def search_tables(
     trail: list[int] = []
     if not _propagate(t, n, implicative, trail, [c for c, v in enumerate(t) if v >= 0]):
         return results, nodes, exceeded
-    tied = _least_so_far(t, free, _relabelings(n, free))
+    # every relabeling but the identity, each from the first cell
+    tied = _least_so_far(t, free, [(label, cells, 0) for label, cells in relabeling_table(n)[1:]])
     if tied is None:
         return results, nodes, exceeded
 

@@ -23,6 +23,7 @@ __all__ = [
     "is_model",
     "relabel",
     "relabelings",
+    "relabeling_table",
     "from_flat",
     "canonical_form",
     "canonicalize",
@@ -73,84 +74,95 @@ def evaluate(model: FiniteAlgebra, t: Term, assignment: Mapping[str, int]) -> in
     return model.table[evaluate(model, t.left, assignment)][evaluate(model, t.right, assignment)]
 
 
-def _compile_term(t: Term, index: Mapping[str, int]):
-    """t as a closure (table, unit, values) -> int, with the value of the
-    name index[name] at values[index[name]].  A name without an index, such
-    as a proof-local constant, raises the KeyError evaluate raises."""
-    if isinstance(t, Unit):
-        return lambda tab, unit, a: unit
-    if isinstance(t, (Var, Const)):
-        i = index.get(t.name)
-        if i is None:
-            message = f"unbound name {t.name!r}"
-
-            def unbound(tab, unit, a):
-                raise KeyError(message)
-
-            return unbound
-        return lambda tab, unit, a: a[i]
-    assert isinstance(t, Arrow)
-    i, j = _bound_index(t.left, index), _bound_index(t.right, index)
-    # Arrows over bound names read the table directly: most calls end there.
-    if i is not None and j is not None:
-        return lambda tab, unit, a: tab[a[i]][a[j]]
-    left = _compile_term(t.left, index)
-    right = _compile_term(t.right, index)
-    if i is not None:
-        return lambda tab, unit, a: tab[a[i]][right(tab, unit, a)]
-    if j is not None:
-        return lambda tab, unit, a: tab[left(tab, unit, a)][a[j]]
-    return lambda tab, unit, a: tab[left(tab, unit, a)][right(tab, unit, a)]
+# CPython compiles at most 20 statically nested blocks into one function.
+_MAX_LOOPS = 20
 
 
-def _bound_index(t: Term, index: Mapping[str, int]) -> Optional[int]:
-    if isinstance(t, (Var, Const)):
-        return index.get(t.name)
+def _first_unbound(t: Term, index: Mapping[str, int]) -> Optional[str]:
+    """The first name of t, left operand before right as evaluate reads
+    them, that index does not bind."""
+    if isinstance(t, Arrow):
+        return _first_unbound(t.left, index) or _first_unbound(t.right, index)
+    if isinstance(t, (Var, Const)) and t.name not in index:
+        return t.name
     return None
 
 
-def _compile_literal(lit: Literal, index: Mapping[str, int]):
-    lhs = _compile_term(lit.lhs, index)
-    rhs = _compile_term(lit.rhs, index)
-    if lit.positive:
-        return lambda tab, unit, a: lhs(tab, unit, a) == rhs(tab, unit, a)
-    return lambda tab, unit, a: lhs(tab, unit, a) != rhs(tab, unit, a)
+def _check_source(literals: Sequence[Literal], names: Sequence[str]) -> str:
+    """Source of check(tab, unit, r): nested loops over the sorted variable
+    names, each taking the values in r, that return the first assignment
+    falsifying the clause as a tuple, or None.
+
+    The loop body is straight-line, with one local tab[x][y] per arrow, so no
+    term depth reaches CPython's nesting limits.  It keeps evaluate's order:
+    literals in clause order up to the first true one, left side before
+    right, left operand before right.  A literal reading an unbound name
+    raises evaluate's KeyError when it is reached; the table reads before
+    that name have no effect.  A clause with more than _MAX_LOOPS variables
+    takes its outer ones from one product loop."""
+    index = {name: i for i, name in enumerate(names)}
+    k = len(names)
+    outer = k - _MAX_LOOPS + 1 if k > _MAX_LOOPS else 0
+    body: list[str] = []
+    arrows = 0
+
+    def value(t: Term) -> str:
+        nonlocal arrows
+        if isinstance(t, Unit):
+            return "unit"
+        if isinstance(t, (Var, Const)):
+            return f"v{index[t.name]}"
+        x, y = value(t.left), value(t.right)
+        arrows += 1
+        body.append(f"a{arrows} = tab[{x}][{y}]")
+        return f"a{arrows}"
+
+    nxt = "continue" if k else "return None"
+    for lit in literals:
+        name = _first_unbound(lit.lhs, index) or _first_unbound(lit.rhs, index)
+        if name is not None:
+            body.append(f"raise KeyError({f'unbound name {name!r}'!r})")
+            break
+        x, y = value(lit.lhs), value(lit.rhs)
+        body.append(f"if {x} {'==' if lit.positive else '!='} {y}: {nxt}")
+    else:
+        body.append(f"return ({''.join(f'v{i}, ' for i in range(k))})")
+
+    loops = []
+    if outer:
+        loops.append(f"for {', '.join(f'v{i}' for i in range(outer))} in product(r, repeat={outer}):")
+    loops += [f"for v{i} in r:" for i in range(outer, k)]
+    indent = "    " * (len(loops) + 1)
+    src = ["def check(tab, unit, r):"]
+    src += ["    " * (d + 1) + loop for d, loop in enumerate(loops)]
+    src += [indent + line for line in body]
+    src.append("    return None")
+    return "\n".join(src) + "\n"
 
 
-# id(statement) -> (statement, names, closure).  Keyed by identity: hashing
-# a frozen statement walks its whole term tree on every lookup.  The entry
+# id(statement) -> (statement, names, check).  Keyed by identity: hashing a
+# frozen statement walks its whole term tree on every lookup.  The entry
 # holds its statement, so no other object can take that id while it lives.
 _compiled: dict[int, tuple] = {}
 _COMPILED_MAX = 1024
 
 
 def _compile(st: Statement):
-    """(sorted variable names, closure (table, unit, values) -> clause holds),
-    built once per statement object.
-
-    Literals are tried in clause order up to the first true one, each left
-    side before its right side, as evaluate would be called, so an unbound
-    constant raises under the same assignments."""
+    """(sorted variable names, check(tab, unit, r)), compiled once per
+    statement object: the function _check_source writes for its clause
+    form, which returns the first failing assignment or None."""
     entry = _compiled.get(id(st))
     if entry is not None and entry[0] is st:
         return entry[1], entry[2]
     names = sorted(st.free_variables())
-    index = {name: i for i, name in enumerate(names)}
-    literals = [_compile_literal(lit, index) for lit in clause_form(st).literals]
-    if len(literals) == 1:
-        holds = literals[0]
-    else:
-
-        def holds(tab, unit, a):
-            for lit in literals:
-                if lit(tab, unit, a):
-                    return True
-            return False
-
+    source = _check_source(clause_form(st).literals, names)
+    namespace = {"product": itertools.product}
+    exec(compile(source, f"<statement {st.id}>", "exec"), namespace)
+    check = namespace["check"]
     if len(_compiled) >= _COMPILED_MAX:
         _compiled.clear()
-    _compiled[id(st)] = (st, names, holds)
-    return names, holds
+    _compiled[id(st)] = (st, names, check)
+    return names, check
 
 
 def _witness(model: FiniteAlgebra, st: Statement, names, values) -> Witness:
@@ -167,15 +179,14 @@ def satisfies(model: FiniteAlgebra, st: Statement) -> tuple[bool, Optional[Witne
 
     Assignments are enumerated in row-major order over the sorted variable
     names, so the witness of a failure is deterministic.  Each statement's
-    clause form is compiled once into closures over a positional assignment;
+    clause form is compiled once into a function of nested loops (_compile);
     the witness of the first failing assignment is rebuilt with evaluate.
     """
-    names, holds = _compile(st)
-    tab, unit = model.table, model.unit
-    for values in itertools.product(range(model.size), repeat=len(names)):
-        if not holds(tab, unit, values):
-            return False, _witness(model, st, names, values)
-    return True, None
+    names, check = _compile(st)
+    values = check(model.table, model.unit, range(model.size))
+    if values is None:
+        return True, None
+    return False, _witness(model, st, names, values)
 
 
 def is_model(
@@ -199,17 +210,50 @@ def relabel(model: FiniteAlgebra, perm: Sequence[int]) -> FiniteAlgebra:
     return FiniteAlgebra(n, perm[model.unit], tuple(tuple(row) for row in table))
 
 
+# (size, relabeling table) of the latest size asked for
+_relabeling_table: tuple[int, tuple[tuple[bytes, bytes], ...]] = (0, ())
+
+
+def relabeling_table(n: int) -> tuple[tuple[bytes, bytes], ...]:
+    """(label map, cell map) for each of the (n-1)! relabelings pi of
+    range(n) that fix n-1, in lexicographic order of the label maps, so
+    the identity first.
+
+    label[x] = pi(x), and cells[c] is the cell (pi^-1 i, pi^-1 j) whose
+    value pi sends to the row-major cell c = (i, j): pi turns a flat table t
+    into label[t[cells[c]]] at every c.  The search core and the canonical
+    form share it.  It is built once per size, and only the latest size is
+    kept.  Cells are bytes, so n is at most 16."""
+    global _relabeling_table
+    size, table = _relabeling_table
+    if size != n:
+        identity = bytes(range(n))
+        # shift[r] translates x to the cell (r, x), for x < n
+        shift = [bytes(range(r * n, r * n + n)) + bytes(256 - n) for r in range(n)]
+        entries = []
+        for images in itertools.permutations(range(n - 1)):
+            label = bytes(images) + bytes([n - 1])
+            inverse = identity.translate(bytes.maketrans(label, identity))
+            entries.append((label, b"".join([inverse.translate(shift[r]) for r in inverse])))
+        table = tuple(entries)
+        _relabeling_table = n, table
+    return table
+
+
+def _unit_last(model: FiniteAlgebra) -> list[int]:
+    """The row-major table after the unit and n-1 swap labels."""
+    n, t = model.size, model.table
+    swap = list(range(n))
+    swap[model.unit], swap[n - 1] = n - 1, model.unit
+    return [swap[t[i][j]] for i in swap for j in swap]
+
+
 def relabelings(model: FiniteAlgebra) -> Iterator[bytes]:
     """The row-major table under each of the (n-1)! relabelings that send the
     unit to n-1, as bytes; a table fixed by some of them repeats."""
-    n, unit, t = model.size, model.unit, model.table
-    rest = [x for x in range(n) if x != unit]
-    label = [n - 1] * n  # old element -> new label
-    for order in itertools.permutations(rest):  # new label -> old element
-        order += (unit,)
-        for new, old in enumerate(order):
-            label[old] = new
-        yield bytes([label[t[i][j]] for i in order for j in order])
+    t = _unit_last(model)
+    for label, cells in relabeling_table(model.size):
+        yield bytes([label[t[c]] for c in cells])
 
 
 def from_flat(flat: Sequence[int], n: int) -> FiniteAlgebra:
@@ -217,16 +261,36 @@ def from_flat(flat: Sequence[int], n: int) -> FiniteAlgebra:
     return FiniteAlgebra(n, n - 1, tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n)))
 
 
+def _least_relabeling(model: FiniteAlgebra) -> bytes:
+    """The least row-major table over the relabelings that send the unit to
+    n-1.  Goes through the cells in row-major order and keeps, at each, only
+    the relabelings of the shared table that give the least value there,
+    until one is left; relabelings still tied at the end give equal tables."""
+    t = _unit_last(model)
+    tied = relabeling_table(model.size)
+    for c in range(len(t)):
+        if len(tied) == 1:
+            break
+        values = [label[t[cells[c]]] for label, cells in tied]
+        least = min(values)
+        if least != max(values):
+            tied = [entry for entry, v in zip(tied, values) if v == least]
+    label, cells = tied[0]
+    return bytes([label[t[c]] for c in cells])
+
+
 def canonical_form(model: FiniteAlgebra) -> bytes:
     """Relabeling-invariant key; equal iff the models are isomorphic.
 
     The lexicographically least row-major table over the relabelings that
-    send the unit to n-1, after the size."""
-    return bytes([model.size]) + min(relabelings(model))
+    send the unit to n-1, after the size.  It is found by filtering the one
+    shared relabeling table cell by cell, not by building every relabeled
+    table (_least_relabeling)."""
+    return bytes([model.size]) + _least_relabeling(model)
 
 
 def canonicalize(model: FiniteAlgebra) -> FiniteAlgebra:
-    return from_flat(min(relabelings(model)), model.size)
+    return from_flat(_least_relabeling(model), model.size)
 
 
 def are_isomorphic(m1: FiniteAlgebra, m2: FiniteAlgebra) -> bool:

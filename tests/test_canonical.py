@@ -23,6 +23,7 @@ from abeforge.models import (
     canonicalize,
     from_flat,
     is_model,
+    relabeling_table,
     relabelings,
 )
 from abeforge.search import enumerate_with_stats
@@ -81,6 +82,27 @@ def assert_matches_reference(model):
     orbit = set(tables)
     assert len(orbit) == math.factorial(n - 1) // automorphisms
     assert orbit == set(relabelings(canonicalize(model)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_relabeling_table_contract(n):
+    table = relabeling_table(n)
+    u = n - 1
+    assert len(table) == math.factorial(u)
+    assert table[0] == (bytes(range(n)), bytes(range(n * n)))
+    assert len({label for label, _ in table}) == len(table)
+    diagonal = {i * n + i for i in range(n)}
+    unit_row = set(range(u * n, n * n))
+    unit_column = set(range(u, n * n, n))
+    for label, cells in table:
+        assert sorted(label) == list(range(n)) and label[u] == u
+        assert sorted(cells) == list(range(n * n))
+        for part in (diagonal, unit_row, unit_column):
+            assert {cells[c] for c in part} == part
+        # the value pi sends to cell (i, j) is the one at (pi^-1 i, pi^-1 j)
+        for c in range(n * n):
+            assert label[cells[c] // n] * n + label[cells[c] % n] == c
+    assert relabeling_table(n) is table
 
 
 @st.composite

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from abeforge.models import (
@@ -157,6 +157,18 @@ def drawn_clauses(with_constants=False):
     )
 
 
+def deep_identity(depth=300):
+    """An identity whose sides nest `depth` arrows deep, leftward and rightward."""
+    lhs, rhs = Var("x"), Var("y")
+    for i in range(depth):
+        lhs = Arrow(lhs, Var("y") if i % 3 else UNIT)
+        rhs = Arrow(Var("x"), rhs)
+    return Identity("deep", lhs, rhs)
+
+
+DEEP = deep_identity()
+
+
 class TestCompiledSatisfies:
     @given(random_algebra(st.integers(1, 4)))
     def test_corpus_statements_match_reference(self, model):
@@ -174,6 +186,48 @@ class TestCompiledSatisfies:
         # a constant raises only once its literal is reached, so either both
         # raise the same KeyError or neither does
         assert outcome(satisfies, model, clause) == outcome(reference_satisfies, model, clause)
+
+    @settings(max_examples=25)
+    @given(random_algebra(st.integers(1, 3)))
+    def test_terms_nesting_past_the_parser_limit(self, model):
+        # as one expression, the compiled check would pass CPython's
+        # 200-level nesting limit
+        assert satisfies(model, DEEP) == reference_satisfies(model, DEEP)
+
+    def test_more_variables_than_nested_blocks(self):
+        # CPython compiles at most 20 nested blocks into one function
+        term = Var("x00")
+        for i in range(1, 23):
+            term = Arrow(term, Var(f"x{i:02d}"))
+        assert satisfies(TRIVIAL, Identity("wide", term, term)) == (True, None)
+        # M2 fails these at the first and second assignment
+        for wide in (Identity("wide", term, UNIT), Identity("wide", term, Var("x00"))):
+            for model in (TRIVIAL, M2):
+                assert satisfies(model, wide) == reference_satisfies(model, wide)
+
+    @given(random_algebra(st.integers(1, 4)))
+    def test_ground_statement(self, model):
+        for ground in (
+            Identity("g", Arrow(UNIT, UNIT), UNIT),
+            Clause("h", (Literal(Arrow(UNIT, UNIT), UNIT, False), Literal(UNIT, Arrow(UNIT, UNIT)))),
+        ):
+            assert satisfies(model, ground) == reference_satisfies(model, ground)
+        broken = FiniteAlgebra(2, 1, ((1, 1), (0, 0)))  # 1 -> 1 = 0
+        assert satisfies(broken, Identity("g", Arrow(UNIT, UNIT), UNIT)) == (
+            False,
+            Witness("g", {}, ((0, 1),)),
+        )
+
+    @given(random_algebra(st.integers(1, 4)))
+    def test_unbound_constant_behind_a_true_literal_never_raises(self, model):
+        clause = Clause(
+            "c",
+            (
+                Literal(Arrow(Var("x"), Var("y")), Arrow(Var("x"), Var("y"))),
+                Literal(Arrow(Const("a"), Var("x")), Var("y")),
+            ),
+        )
+        assert satisfies(model, clause) == reference_satisfies(model, clause) == (True, None)
 
     def test_unbound_constant_raises_evaluate_error(self):
         st_ = Identity("c", Arrow(Const("a"), Var("x")), Var("x"))

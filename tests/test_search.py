@@ -1,5 +1,6 @@
 import pytest
 
+from abeforge import search
 from abeforge.models import canonical_form, canonicalize, is_model, satisfies
 from abeforge.search import (
     BruteForceBoundError,
@@ -21,6 +22,13 @@ GOLDEN_CLASSES = {
     "implicative-aBE": {1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 3},
 }
 GOLDEN_LABELED = {"aBE": {1: 1, 2: 1, 3: 5}, "implicative-aBE": {1: 1, 2: 1, 3: 1}}
+
+# Nodes the core takes at each size: any change to LNH, the prefix test or
+# the relabelings it reads moves them.
+CORE_NODES = {
+    "implicative-aBE": {1: 0, 2: 0, 3: 6, 4: 32, 5: 153, 6: 446, 7: 1170, 8: 3163},
+    "aBE": {1: 0, 2: 0, 3: 9, 4: 208, 5: 4982},
+}
 
 # Pinned by running the search once: the smallest aBE algebra violating
 # transitivity has 4 elements.
@@ -86,6 +94,14 @@ class TestEnumerate:
 class TestCoreTwins:
     def test_core_name_is_reported(self):
         assert core_name() == "python"
+
+
+class TestCoreNodes:
+    @pytest.mark.parametrize("name", ["aBE", "implicative-aBE"])
+    def test_node_counts(self, name):
+        implicative = name == "implicative-aBE"
+        got = {n: search._core.search_tables(n, implicative)[1] for n in CORE_NODES[name]}
+        assert got == CORE_NODES[name]
 
 
 class TestBruteForce:
