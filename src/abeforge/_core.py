@@ -1,8 +1,7 @@
 """The search core: depth-first fill of a partial table with constraint
-propagation after every assignment, the least-number heuristic (LNH,
-Zhang & Zhang, "SEM: a system for enumerating models", IJCAI 1995) and a
-lex-leader prefix test (orderly generation: Read, "Every one a winner",
-1978; McKay, "Isomorph-free exhaustive generation", 1998).
+propagation after every assignment and a lex-leader prefix test (orderly
+generation: Read, "Every one a winner", 1978; McKay, "Isomorph-free
+exhaustive generation", 1998), its only symmetry breaking.
 
 search_tables() returns, for every model over a fixed unit, exactly one
 table isomorphic to it, with the number of nodes it tried.  Propagation
@@ -147,16 +146,12 @@ def search_tables(
 ) -> tuple[list[bytes], int, bool]:
     """Depth-first fill of the free cells in (max(i, j), row-major) order.
 
-    A decision on cell (i, j) tries, in ascending order, only the unit, the
-    labels that an earlier decision on the path or the cell itself names (as
-    an index or a value), and the least label named by none of them (LNH).
-    After every assignment that propagates, the partial table is compared
-    with each unit-fixing relabeling of itself in the same cell order, and
-    cut when one is smaller on the filled prefix (orderly generation).  So
-    the search reaches exactly one table of every model: the least of its
-    class in cell order.  LNH never cuts that table: were it to use a label
-    b where the least unnamed label a was open, swapping a and b would fix
-    the prefix and give a smaller table.
+    A decision on a cell tries every label in ascending order.  After every
+    assignment that propagates, the partial table is compared with each
+    unit-fixing relabeling of itself in the same cell order, and cut when one
+    is smaller on the filled prefix (orderly generation).  So the search
+    reaches exactly one table of every model: the least of its class in cell
+    order.
 
     Returns (one complete table per isomorphism class, as flat row-major
     bytes, nodes tried, budget exceeded).  A node is one attempted cell
@@ -169,8 +164,6 @@ def search_tables(
     results: list[bytes] = []
     nodes = 0
     exceeded = False
-    # how often the decisions on the current path name each label
-    named = [0] * n
 
     trail: list[int] = []
     if not _propagate(t, n, implicative, trail, [c for c, v in enumerate(t) if v >= 0]):
@@ -191,13 +184,7 @@ def search_tables(
         else:
             results.append(bytes(t))
             return
-        i, j = divmod(cell, n)
-        named[i] += 1
-        named[j] += 1
-        fresh = next((v for v in range(u) if not named[v]), u)
-        values = [v for v in range(u) if named[v] or v == fresh]
-        values.append(u)
-        for v in values:
+        for v in range(n):
             if node_budget and nodes >= node_budget:
                 exceeded = True
                 break
@@ -205,18 +192,14 @@ def search_tables(
             mark = len(trail)
             t[cell] = v
             trail.append(cell)
-            named[v] += 1
             if _propagate(t, n, implicative, trail, [cell]):
                 below = _least_so_far(t, free, tied)
                 if below is not None:
                     rec(k + 1, below)
-            named[v] -= 1
             while len(trail) > mark:
                 t[trail.pop()] = -1
             if exceeded:
                 break
-        named[i] -= 1
-        named[j] -= 1
 
     rec(0, tied)
     return results, nodes, exceeded

@@ -5,7 +5,7 @@ It returns every labeled table over the fixed unit, a set closed under the
 relabelings that fix the unit.  The package does not run it: it is the
 reference that the tests (the orbit-counting identity, the per-table filter,
 the propagator's sweep reference) and the benchmark's parity gate use, until
-ROADMAP item 1(a) moves it into tests/.
+ROADMAP item 1(b) moves it into tests/.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Isomorph-free model enumeration, the brute-force oracle, and property search.
 
 The hot inner loop, the search over partial tables with constraint
-propagation, the least-number heuristic and orderly generation, lives in
-_core and returns one labeled table per isomorphism class; this module
-canonicalizes and sorts them and checks properties over them.
+propagation and orderly generation, lives in _core and returns one labeled
+table per isomorphism class; this module canonicalizes and sorts them and
+checks properties over them.
 """
 
 from __future__ import annotations

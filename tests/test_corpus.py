@@ -2,8 +2,15 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from abeforge.corpus import CorpusError, corpus_from_json, load_corpus
-from abeforge.kernel import verify_corpus
+from abeforge.corpus import AXIOM_IDS, CorpusError, corpus_from_json, load_corpus
+from abeforge.kernel import (
+    ClauseInstantiate,
+    ClauseLiteralRewrite,
+    LiteralElim,
+    Rewrite,
+    Split,
+    verify_corpus,
+)
 from abeforge.statements import Clause, Identity, QuasiIdentity
 from conftest import read_corpus_json
 
@@ -53,6 +60,79 @@ def test_dependency_order(corpus):
     for script in corpus.scripts:
         assert set(script.depends_on) <= proved | {script.target}
         proved.add(script.target)
+
+
+def cited(steps):
+    """The statement ids that `steps` cite, nested steps included; a rewrite
+    by a hypothesis (an int) cites none."""
+    ids = set()
+    for step in steps:
+        if isinstance(step, (Rewrite, ClauseLiteralRewrite)):
+            if isinstance(step.justification, str):
+                ids.add(step.justification)
+        elif isinstance(step, ClauseInstantiate):
+            ids.add(step.clause)
+        elif isinstance(step, LiteralElim):
+            ids |= cited(step.chain)
+        elif isinstance(step, Split):
+            ids.add(step.clause)
+            for branch in step.branches:
+                ids |= cited(branch)
+    return ids
+
+
+def undeclared_citations(corpus):
+    """{script id: the ids it cites but does not declare in depends_on}."""
+    found = {}
+    for script in corpus.scripts:
+        extra = cited(script.steps) - set(script.depends_on)
+        if extra:
+            found[script.id] = extra
+    return found
+
+
+def test_each_script_cites_only_what_it_declares(corpus):
+    # the kernel checks only that each declared dependency is verified
+    assert all(cited(script.steps) for script in corpus.scripts)
+    assert undeclared_citations(corpus) == {}
+
+
+# cited by a top-level rewrite, inside a literal-elim chain, inside a split branch
+@pytest.mark.parametrize("script_id, dep", [("lem11", "lem10"), ("lem14", "lem13"), ("thm", "ax4")])
+def test_undeclared_citation_is_named(corpus_json, script_id, dep):
+    script = next(s for s in corpus_json["scripts"] if s["id"] == script_id)
+    script["depends_on"].remove(dep)
+    assert undeclared_citations(corpus_from_json(corpus_json)) == {script_id: {dep}}
+
+
+def axiom_closures(corpus):
+    """{script id: the axioms its declared dependencies lead down to}."""
+    rests_on = {sid: {sid} for sid in AXIOM_IDS}
+    for script in corpus.scripts:  # dependencies come first
+        rests_on[script.target] = set().union(*(rests_on[dep] for dep in script.depends_on))
+    return {script.id: rests_on[script.target] for script in corpus.scripts}
+
+
+def test_axioms_each_result_rests_on(corpus):
+    # the table in the README; no result needs ax1
+    def ax(*ks):
+        return {f"ax{k}" for k in ks}
+
+    assert axiom_closures(corpus) == {
+        "ax5-clause": ax(5),
+        "lem8a": ax(2, 3, 4, 5),
+        "lem8b": ax(3, 4, 5),
+        "lem10": ax(4, 6),
+        "lem11": ax(4, 6),
+        "lem12": ax(2, 3, 4, 6),
+        "lem13": ax(2, 3, 4, 6),
+        "lem14": ax(2, 3, 4, 5, 6),
+        "lem15": ax(4, 6),
+        "lem16": ax(2, 3, 4, 5, 6),
+        "lem17": ax(2, 3, 4, 5, 6),
+        "lem18": ax(2, 3, 4, 5, 6),
+        "thm": ax(2, 3, 4, 5, 6),
+    }
 
 
 def test_full_replay(corpus):

@@ -23,11 +23,12 @@ GOLDEN_CLASSES = {
 }
 GOLDEN_LABELED = {"aBE": {1: 1, 2: 1, 3: 5}, "implicative-aBE": {1: 1, 2: 1, 3: 1}}
 
-# Nodes the core takes at each size: any change to LNH, the prefix test or
-# the relabelings it reads moves them.
+# Nodes the core takes at each size: any change to the cell order, the
+# values a decision tries, the propagator, the prefix test or the
+# relabelings it reads moves them.
 CORE_NODES = {
-    "implicative-aBE": {1: 0, 2: 0, 3: 6, 4: 32, 5: 153, 6: 446, 7: 1170, 8: 3163},
-    "aBE": {1: 0, 2: 0, 3: 9, 4: 208, 5: 4982},
+    "implicative-aBE": {1: 0, 2: 0, 3: 6, 4: 32, 5: 155, 6: 456, 7: 1211, 8: 3280},
+    "aBE": {1: 0, 2: 0, 3: 9, 4: 208, 5: 4985},
 }
 
 # Pinned by running the search once: the smallest aBE algebra violating
