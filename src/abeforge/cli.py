@@ -10,6 +10,8 @@ commands that run them, so that `replay` and `corpus` start without them.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import os
 import sys
@@ -473,6 +475,11 @@ def _parser(prog: str | None) -> argparse.ArgumentParser:
 
 def main(args=None, prog_name=None):
     """Run one command line, `sys.argv[1:]` by default, and exit with its code."""
+    # The collections at interpreter exit only free memory that the OS takes
+    # back anyway; freezing every object first leaves them nothing to scan.
+    # As an exit handler, it leaves a caller that catches SystemExit alone.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     try:
         try:
             options = vars(_parser(prog_name).parse_args(args))

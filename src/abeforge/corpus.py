@@ -45,7 +45,7 @@ class CorpusError(ValueError):
     pass
 
 
-@record(frozen=True)
+@record
 class Corpus:
     statements: Mapping[str, Statement]
     axiom_systems: Mapping[str, AxiomSystem]

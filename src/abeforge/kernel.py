@@ -52,7 +52,7 @@ L2R = "L2R"
 R2L = "R2L"
 
 
-@record(frozen=True, slots=True)
+@record
 class Rewrite:
     """Apply one equation (a verified identity or a ground hypothesis) at a position.
 
@@ -65,13 +65,13 @@ class Rewrite:
     direction: str = L2R
 
 
-@record(frozen=True, slots=True)
+@record
 class ClauseInstantiate:
     clause: str
     substitution: Mapping[str, Term]
 
 
-@record(frozen=True, slots=True)
+@record
 class LiteralElim:
     """Delete a not-equal literal by proving its two sides equal inline."""
 
@@ -79,7 +79,7 @@ class LiteralElim:
     chain: tuple[Rewrite, ...]
 
 
-@record(frozen=True, slots=True)
+@record
 class ClauseLiteralRewrite:
     """Rewrite inside one literal; the position's first selector picks the side
     (L = literal lhs, R = literal rhs), the rest descends into that term."""
@@ -91,7 +91,7 @@ class ClauseLiteralRewrite:
     direction: str = L2R
 
 
-@record(frozen=True, slots=True)
+@record
 class Split:
     """Case split on an instantiated ground clause; one branch per literal."""
 
@@ -100,12 +100,12 @@ class Split:
     branches: tuple[tuple["BranchStep", ...], ...]
 
 
-@record(frozen=True, slots=True)
+@record
 class CloseConflict:
     hypothesis: int
 
 
-@record(frozen=True, slots=True)
+@record
 class CloseRefl:
     pass
 
@@ -114,7 +114,7 @@ BranchStep = Union[Rewrite, CloseConflict, CloseRefl]
 Step = Union[Rewrite, ClauseInstantiate, LiteralElim, ClauseLiteralRewrite, Split]
 
 
-@record(frozen=True, slots=True)
+@record
 class ProofScript:
     id: str
     target: str

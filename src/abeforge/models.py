@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 
-@record(frozen=True)
+@record
 class FiniteAlgebra:
     size: int
     unit: int
@@ -52,7 +52,7 @@ class FiniteAlgebra:
             raise ValueError("table entry out of range")
 
 
-@record(frozen=True)
+@record
 class Witness:
     statement_id: str
     assignment: dict[str, int]
@@ -91,7 +91,8 @@ def _first_unbound(t: Term, index: Mapping[str, int]) -> Optional[str]:
 def _check_source(literals: Sequence[Literal], names: Sequence[str]) -> str:
     """Source of check(tab, unit, r): nested loops over the sorted variable
     names, each taking the values in r, that return the first assignment
-    falsifying the clause as a tuple, or None.
+    falsifying the clause as a tuple, with the (lhs, rhs) values of its
+    literals under it, or None.
 
     The loop body is straight-line, with one local tab[x][y] per arrow, so no
     term depth reaches CPython's nesting limits.  It keeps evaluate's order:
@@ -118,6 +119,7 @@ def _check_source(literals: Sequence[Literal], names: Sequence[str]) -> str:
         return f"a{arrows}"
 
     nxt = "continue" if k else "return None"
+    sides = []
     for lit in literals:
         name = _first_unbound(lit.lhs, index) or _first_unbound(lit.rhs, index)
         if name is not None:
@@ -125,8 +127,10 @@ def _check_source(literals: Sequence[Literal], names: Sequence[str]) -> str:
             break
         x, y = value(lit.lhs), value(lit.rhs)
         body.append(f"if {x} {'==' if lit.positive else '!='} {y}: {nxt}")
+        sides.append(f"({x}, {y}), ")
     else:
-        body.append(f"return ({''.join(f'v{i}, ' for i in range(k))})")
+        # reached only when every literal was tested and found false
+        body.append(f"return ({''.join(f'v{i}, ' for i in range(k))}), ({''.join(sides)})")
 
     loops = []
     if outer:
@@ -150,7 +154,8 @@ _COMPILED_MAX = 1024
 def _compile(st: Statement):
     """(sorted variable names, check(tab, unit, r)), compiled once per
     statement object: the function _check_source writes for its clause
-    form, which returns the first failing assignment or None."""
+    form, which returns the first failing assignment and its literals'
+    (lhs, rhs) values, or None."""
     entry = _compiled.get(id(st))
     if entry is not None and entry[0] is st:
         return entry[1], entry[2]
@@ -165,28 +170,20 @@ def _compile(st: Statement):
     return names, check
 
 
-def _witness(model: FiniteAlgebra, st: Statement, names, values) -> Witness:
-    assignment = dict(zip(names, values))
-    evals = tuple(
-        (evaluate(model, lit.lhs, assignment), evaluate(model, lit.rhs, assignment))
-        for lit in clause_form(st).literals
-    )
-    return Witness(st.id, assignment, evals)
-
-
 def satisfies(model: FiniteAlgebra, st: Statement) -> tuple[bool, Optional[Witness]]:
     """Universal satisfaction of the statement's clause form.
 
     Assignments are enumerated in row-major order over the sorted variable
     names, so the witness of a failure is deterministic.  Each statement's
-    clause form is compiled once into a function of nested loops (_compile);
-    the witness of the first failing assignment is rebuilt with evaluate.
+    clause form is compiled once into a function of nested loops (_compile),
+    which returns the first failing assignment with its literals' values.
     """
     names, check = _compile(st)
-    values = check(model.table, model.unit, range(model.size))
-    if values is None:
+    found = check(model.table, model.unit, range(model.size))
+    if found is None:
         return True, None
-    return False, _witness(model, st, names, values)
+    values, sides = found
+    return False, Witness(st.id, dict(zip(names, values)), sides)
 
 
 def is_model(

@@ -13,7 +13,7 @@ import time
 from typing import Iterator, Optional
 
 from . import _core
-from ._record import field, record
+from ._record import record
 from .models import (
     FiniteAlgebra,
     Witness,
@@ -84,9 +84,11 @@ class PropertyResult:
 
 @record
 class EnumerationReport:
+    """One SizeResult per size and one PropertyResult per property, in order."""
+
     axioms: str
-    sizes: list[SizeResult] = field(default_factory=list)
-    properties: list[PropertyResult] = field(default_factory=list)
+    sizes: tuple[SizeResult, ...] = ()
+    properties: tuple[PropertyResult, ...] = ()
 
 
 def _implicative_flag(system: AxiomSystem) -> bool:
@@ -205,13 +207,12 @@ def run_enumeration_report(
 ) -> EnumerationReport:
     """Enumerate sizes 1..max_size, then check each property over all models
     in size order.  node_budget bounds the nodes of all sizes together."""
-    report = EnumerationReport(axioms=system.name)
+    sizes: list[SizeResult] = []
     all_models: list[FiniteAlgebra] = []
     for n, models, nodes, exceeded, millis in _sizes(system, max_size, node_budget):
-        report.sizes.append(
-            SizeResult(n, None if exceeded else len(models), nodes, millis, exceeded)
-        )
+        sizes.append(SizeResult(n, None if exceeded else len(models), nodes, millis, exceeded))
         all_models.extend(models)
+    results: list[PropertyResult] = []
     for prop in properties:
         result = PropertyResult(prop.id, "holds")
         for model in all_models:
@@ -219,5 +220,5 @@ def run_enumeration_report(
             if not ok:
                 result = PropertyResult(prop.id, "counterexample", model, witness)
                 break
-        report.properties.append(result)
-    return report
+        results.append(result)
+    return EnumerationReport(system.name, tuple(sizes), tuple(results))

@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 
-@record(frozen=True, slots=True)
+@record
 class Literal:
     lhs: Term
     rhs: Term
@@ -53,7 +53,7 @@ class Statement:
         return out
 
 
-@record(frozen=True, slots=True)
+@record
 class Identity(Statement):
     id: str
     lhs: Term
@@ -63,7 +63,7 @@ class Identity(Statement):
         return f"{format_term(self.lhs)} = {format_term(self.rhs)}"
 
 
-@record(frozen=True, slots=True)
+@record
 class Clause(Statement):
     id: str
     literals: tuple[Literal, ...]
@@ -76,7 +76,7 @@ class Clause(Statement):
         return " or ".join(str(l) for l in self.literals)
 
 
-@record(frozen=True, slots=True)
+@record
 class QuasiIdentity(Statement):
     id: str
     hypotheses: tuple[Literal, ...]
@@ -92,7 +92,7 @@ class QuasiIdentity(Statement):
         return f"{hyps} ==> {self.conclusion}"
 
 
-@record(frozen=True, slots=True)
+@record
 class AxiomSystem:
     name: str
     members: tuple[str, ...]

@@ -42,7 +42,7 @@ class Term:
     __slots__ = ()
 
 
-@record(frozen=True, slots=True)
+@record
 class Var(Term):
     name: str
 
@@ -54,7 +54,7 @@ class Var(Term):
         return f"Var({self.name})"
 
 
-@record(frozen=True, slots=True)
+@record
 class Const(Term):
     name: str
 
@@ -66,7 +66,7 @@ class Const(Term):
         return f"Const({self.name})"
 
 
-@record(frozen=True, slots=True)
+@record
 class Unit(Term):
     def __repr__(self):
         return "Unit"
@@ -75,7 +75,7 @@ class Unit(Term):
 UNIT = Unit()
 
 
-@record(frozen=True, slots=True)
+@record
 class Arrow(Term):
     left: Term
     right: Term

@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import pathlib
 import subprocess
@@ -467,6 +468,11 @@ class TestCommandLine:
         text = " ".join(result.stdout.split())
         for item in HELP[command]:
             assert item in text
+
+    def test_main_leaves_the_collector_of_its_caller_alone(self):
+        # the freeze that spares the exit-time collections waits for the exit
+        assert run_cli("replay", "--emit", "json").exit_code == 0
+        assert gc.get_freeze_count() == 0 and gc.isenabled()
 
     def test_closed_pipe_exits_1_without_traceback(self, tmp_path, corpus_json):
         # a script long enough that its listing fills the pipe: the command is

@@ -2,11 +2,18 @@
 that no other test relies on directly.  (A clause without literals is
 refused in test_statements.)"""
 
+import importlib
+import inspect
+import pkgutil
+
 import pytest
 
+import abeforge
+from abeforge._record import record
+from abeforge.corpus import load_corpus
 from abeforge.kernel import L2R, ProofScript, Rewrite
-from abeforge.models import FiniteAlgebra
-from abeforge.search import EnumerationReport, SizeResult
+from abeforge.models import FiniteAlgebra, Witness
+from abeforge.search import EnumerationReport, PropertyResult, SizeResult
 from abeforge.statements import Clause, Literal
 from abeforge.terms import UNIT, Arrow, Const, Var
 
@@ -29,8 +36,17 @@ def test_equal_records_hash_equal():
 
 @pytest.mark.parametrize(
     "obj, name",
-    [(Var("x"), "name"), (Arrow(UNIT, UNIT), "left"), (FiniteAlgebra(1, 0, ((0,),)), "unit")],
-    ids=["Var", "Arrow", "FiniteAlgebra"],
+    [
+        (Var("x"), "name"),
+        (Arrow(UNIT, UNIT), "left"),
+        (FiniteAlgebra(1, 0, ((0,),)), "unit"),
+        (load_corpus(), "scripts"),
+        (Witness("p", {"x": 0}, ((0, 1),)), "assignment"),
+        (SizeResult(1, 1, 0, 0.0), "count"),
+        (PropertyResult("p", "holds"), "status"),
+        (EnumerationReport("aBE"), "sizes"),
+    ],
+    ids=["Var", "Arrow", "FiniteAlgebra", "Corpus", "Witness", "SizeResult", "PropertyResult", "EnumerationReport"],
 )
 def test_frozen_fields_refuse_assignment(obj, name):
     with pytest.raises(AttributeError):
@@ -52,20 +68,7 @@ def test_defaults():
     assert (script.constants, script.hypotheses, script.depends_on, script.comment) == ((), (), (), "")
     assert ProofScript(id="s", target="lem10", steps=()) == script
     assert Literal(UNIT, UNIT).positive is True
-
-
-def test_mutable_records_get_a_fresh_list_each():
-    a, b = EnumerationReport("aBE"), EnumerationReport("aBE")
-    a.sizes.append(SizeResult(1, 1, 0, 0.0))
-    assert b.sizes == [] and b.properties == []
-    assert a != b
-
-
-def test_mutable_records_are_unhashable():
-    with pytest.raises(TypeError):
-        hash(EnumerationReport("aBE"))
-    with pytest.raises(TypeError):
-        hash(SizeResult(1, 1, 0, 0.0))
+    assert (EnumerationReport("aBE").sizes, EnumerationReport("aBE").properties) == ((), ())
 
 
 def test_repr_names_the_fields_unless_the_class_has_its_own():
@@ -78,3 +81,24 @@ def test_fields_are_the_annotations_of_the_class_body():
     assert Clause.__slots__ == ("id", "literals")
     with pytest.raises(TypeError):
         Clause("c", (Literal(UNIT, UNIT),), "extra")
+
+
+def _package_records():
+    """Every class that `record` made in a module of the package: the ones
+    whose assignment is the one `record` refuses."""
+    refuse = record(type("Probe", (), {})).__setattr__
+    found = {}
+    for info in pkgutil.iter_modules(abeforge.__path__, "abeforge."):
+        module = importlib.import_module(info.name)
+        for cls in vars(module).values():
+            if inspect.isclass(cls) and cls.__module__ == module.__name__ and cls.__setattr__ is refuse:
+                found[cls.__qualname__] = cls
+    return found
+
+
+def test_every_record_is_slotted_with_its_fields():
+    records = _package_records()
+    assert len(records) == 23, sorted(records)
+    for cls in records.values():
+        assert cls.__slots__ == tuple(cls.__dict__.get("__annotations__", ())), cls
+        assert not hasattr(cls.__new__(cls), "__dict__"), cls

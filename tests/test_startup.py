@@ -1,5 +1,6 @@
 """`replay` starts without the model layers, generated record code or any
-module from outside the standard library."""
+module from outside the standard library, and the CLI exits with a frozen
+heap."""
 
 import subprocess
 import sys
@@ -40,3 +41,19 @@ def test_replay_imports_no_model_layer_and_no_dataclasses():
     assert all('"verified": 13' in report for report in reports)
     assert loaded == ""
     assert third_party == ""
+
+
+# an exit handler registered before main runs after the ones main registers
+EXIT_PROBE = """
+import atexit, gc
+atexit.register(lambda: print("frozen:", gc.get_freeze_count() > 0))
+import abeforge.cli
+abeforge.cli.main(["corpus", "show", "ax1"])
+"""
+
+
+def test_exit_freezes_the_heap_before_the_last_collections():
+    out = subprocess.run(
+        [sys.executable, "-c", EXIT_PROBE], env=child_env(), capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines()[-1] == "frozen: True"
