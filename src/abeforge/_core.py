@@ -168,10 +168,6 @@ def search_tables(
     trail: list[int] = []
     if not _propagate(t, n, implicative, trail, [c for c, v in enumerate(t) if v >= 0]):
         return results, nodes, exceeded
-    # every relabeling but the identity, each from the first cell
-    tied = _least_so_far(t, free, [(label, cells, 0) for label, cells in relabeling_table(n)[1:]])
-    if tied is None:
-        return results, nodes, exceeded
 
     def rec(k: int, tied: list[tuple[bytes, bytes, int]]):
         # free[:k] are all assigned, and stay so below this frame; every
@@ -201,5 +197,7 @@ def search_tables(
             if exceeded:
                 break
 
-    rec(0, tied)
+    # every relabeling but the identity, each from the first cell: the
+    # propagated prefill is fixed by all of them, so none is smaller yet
+    rec(0, [(label, cells, 0) for label, cells in relabeling_table(n)[1:]])
     return results, nodes, exceeded

@@ -78,6 +78,16 @@ def _or_die(lookup, *args):
         sys.exit(_input_error(e))
 
 
+def _check_max_size(max_size: int):
+    """Exit 3 unless `--max-size` is a size the search can run."""
+    from .models import MAX_SIZE
+
+    if max_size < 1:
+        sys.exit(_input_error("--max-size must be >= 1"))
+    if max_size > MAX_SIZE:
+        sys.exit(_input_error(f"--max-size must be <= {MAX_SIZE}"))
+
+
 # ---------------------------------------------------------------------------
 # replay
 # ---------------------------------------------------------------------------
@@ -214,8 +224,7 @@ def enumerate_cmd(axioms_name, max_size, property_ids, emit, budget_nodes, timin
 
     corpus = _or_die(load_corpus, None)
     system = _or_die(corpus.axiom_system, axioms_name)
-    if max_size < 1:
-        return _input_error("--max-size must be >= 1")
+    _check_max_size(max_size)
     props = [_or_die(corpus.statement, pid) for pid in property_ids]
     report = run_enumeration_report(system, max_size, corpus.statements, props, budget_nodes)
     if emit == "json":
@@ -282,8 +291,7 @@ def search(axioms_name, property_id, max_size, emit, budget_nodes):
     corpus = _or_die(load_corpus, None)
     system = _or_die(corpus.axiom_system, axioms_name)
     prop = _or_die(corpus.statement, property_id)
-    if max_size < 1:
-        return _input_error("--max-size must be >= 1")
+    _check_max_size(max_size)
     try:
         result = find_counterexample(system, prop, max_size, budget_nodes)
     except NodeBudgetExceeded as e:

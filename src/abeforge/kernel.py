@@ -7,7 +7,7 @@ proof through explicit instantiation or a single case split.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from ._record import record
 from .statements import (
@@ -21,6 +21,8 @@ from .statements import (
     literal_eq,
 )
 from .terms import (
+    UNIT,
+    Arrow,
     Const,
     PositionError,
     Term,
@@ -220,28 +222,40 @@ def verify_rewrite(
 
 def _run_chain(
     start: Term,
+    goal: Term,
     chain: Sequence[Rewrite],
     env: Environment,
     hyps: Sequence[Literal],
     script_id: str,
     label: str,
-) -> Term:
+    step_no: object,
+    mismatch: Callable[[Term], str],
+):
+    """Rewrite start along the chain, whose i-th step is reported as
+    `label.i`; unless it ends at goal, fail at step_no with mismatch(end)."""
     cur = start
     for i, st in enumerate(chain):
         if not isinstance(st, Rewrite):
             raise ProofError(script_id, f"{label}.{i}", f"expected a rewrite, got {type(st).__name__}")
         cur = verify_rewrite(cur, st, env, hyps, script_id, f"{label}.{i}")
-    return cur
+    if cur != goal:
+        raise ProofError(script_id, step_no, mismatch(cur))
 
 
 def _replay_identity(script: ProofScript, target: Identity, env: Environment):
-    final = _run_chain(target.lhs, script.steps, env, (), script.id, "step")
-    if final != target.rhs:
-        raise ProofError(
-            script.id,
-            None,
-            f"chain ended at {format_term(final)!r}, target rhs is {format_term(target.rhs)!r}",
-        )
+    _run_chain(
+        target.lhs, target.rhs, script.steps, env, (), script.id, "step", None,
+        lambda end: f"chain ended at {format_term(end)!r}, target rhs is {format_term(target.rhs)!r}",
+    )
+
+
+def _clause_instance(
+    script_id: str, step: Union[ClauseInstantiate, Split], env: Environment
+) -> tuple[Literal, ...]:
+    """The verified clause that step 0 names, instantiated, in clause form."""
+    if not env.is_verified(step.clause):
+        raise ProofError(script_id, 0, f"clause {step.clause!r} is not verified")
+    return clause_form(instantiate(env.verified(step.clause), step.substitution)).literals
 
 
 def _replay_clause(script: ProofScript, target: Statement, env: Environment):
@@ -249,10 +263,7 @@ def _replay_clause(script: ProofScript, target: Statement, env: Environment):
     first = steps[0]
     if not isinstance(first, ClauseInstantiate):
         raise ProofError(script.id, 0, "clause derivations must start with clause-instantiate")
-    if not env.is_verified(first.clause):
-        raise ProofError(script.id, 0, f"clause {first.clause!r} is not verified")
-    base = env.verified(first.clause)
-    literals = list(clause_form(instantiate(base, first.substitution)).literals)
+    literals = list(_clause_instance(script.id, first, env))
 
     for no, step in enumerate(steps[1:], start=1):
         if isinstance(step, LiteralElim):
@@ -261,14 +272,11 @@ def _replay_clause(script: ProofScript, target: Statement, env: Environment):
             lit = literals[step.index]
             if lit.positive:
                 raise ProofError(script.id, no, "only not-equal literals can be eliminated")
-            final = _run_chain(lit.lhs, step.chain, env, (), script.id, f"step {no} elim")
-            if final != lit.rhs:
-                raise ProofError(
-                    script.id,
-                    no,
-                    f"elimination chain ended at {format_term(final)!r}, "
-                    f"literal rhs is {format_term(lit.rhs)!r}",
-                )
+            _run_chain(
+                lit.lhs, lit.rhs, step.chain, env, (), script.id, f"step {no} elim", no,
+                lambda end: f"elimination chain ended at {format_term(end)!r}, "
+                f"literal rhs is {format_term(lit.rhs)!r}",
+            )
             del literals[step.index]
         elif isinstance(step, ClauseLiteralRewrite):
             if not 0 <= step.index < len(literals):
@@ -308,10 +316,7 @@ def _replay_refutation(script: ProofScript, target: Statement, env: Environment)
     if len(script.steps) != 1 or not isinstance(script.steps[0], Split):
         raise ProofError(script.id, None, "a refutation is a single case split")
     split = script.steps[0]
-    if not env.is_verified(split.clause):
-        raise ProofError(script.id, 0, f"clause {split.clause!r} is not verified")
-    base = env.verified(split.clause)
-    literals = clause_form(instantiate(base, split.substitution)).literals
+    literals = _clause_instance(script.id, split, env)
     for lit in literals:
         if not (_is_ground(lit.lhs) and _is_ground(lit.rhs)):
             raise ProofError(script.id, 0, "split clause instance must be ground")
@@ -346,13 +351,10 @@ def _close_branch(
     if isinstance(close, CloseRefl):
         if assumed.positive:
             raise ProofError(script.id, label, "close-refl needs an assumed disequation")
-        final = _run_chain(assumed.lhs, chain, env, pool, script.id, label)
-        if final != assumed.rhs:
-            raise ProofError(
-                script.id,
-                label,
-                f"chain ended at {format_term(final)!r}, assumed rhs is {format_term(assumed.rhs)!r}",
-            )
+        _run_chain(
+            assumed.lhs, assumed.rhs, chain, env, pool, script.id, label, label,
+            lambda end: f"chain ended at {format_term(end)!r}, assumed rhs is {format_term(assumed.rhs)!r}",
+        )
         return
     if isinstance(close, CloseConflict):
         j = close.hypothesis
@@ -371,14 +373,11 @@ def _close_branch(
             return
         if hyp.positive:
             raise ProofError(script.id, label, f"hypothesis {j} is an equation, no conflict possible")
-        final = _run_chain(hyp.lhs, chain, env, pool, script.id, label)
-        if final != hyp.rhs:
-            raise ProofError(
-                script.id,
-                label,
-                f"chain established {format_term(hyp.lhs)} = {format_term(final)}, "
-                f"hypothesis {j} denies {format_term(hyp.lhs)} = {format_term(hyp.rhs)}",
-            )
+        _run_chain(
+            hyp.lhs, hyp.rhs, chain, env, pool, script.id, label, label,
+            lambda end: f"chain established {format_term(hyp.lhs)} = {format_term(end)}, "
+            f"hypothesis {j} denies {format_term(hyp.lhs)} = {format_term(hyp.rhs)}",
+        )
         return
     raise ProofError(script.id, label, f"branch must end in a close step, got {type(close).__name__}")
 
@@ -387,48 +386,12 @@ def _check_refutation_matches_target(script: ProofScript, target: Statement, hyp
     """The assumed literals must be exactly: target hypotheses plus negated conclusion,
     with the target's variables replaced one-to-one by the declared constants."""
     want = [lit.negate() for lit in clause_form(target).literals]
-    got = list(hyps)
-    if len(want) != len(got):
+    if len(want) != len(hyps):
         raise ProofError(
-            script.id, None, f"{len(got)} hypotheses for a target with {len(want)} clause literals"
+            script.id, None, f"{len(hyps)} hypotheses for a target with {len(want)} clause literals"
         )
-    # One-way check: match each target literal pattern against one hypothesis,
-    # accumulating a consistent variable -> constant-term renaming.
-    binding: dict[str, Term] = {}
-
-    def try_assign(idx: int) -> bool:
-        if idx == len(want):
-            return True
-        pat = want[idx]
-        for k, hyp in enumerate(got):
-            if hyp is None or hyp.positive != pat.positive:
-                continue
-            trial = dict(binding)
-            ok = _match_into(pat.lhs, hyp.lhs, trial) and _match_into(pat.rhs, hyp.rhs, trial)
-            if not ok:
-                continue
-            got[k] = None
-            saved = dict(binding)
-            binding.clear()
-            binding.update(trial)
-            if try_assign(idx + 1):
-                return True
-            binding.clear()
-            binding.update(saved)
-            got[k] = hyp
-        return False
-
-    def _match_into(pat: Term, sub: Term, acc: dict[str, Term]) -> bool:
-        m = match_pattern(pat, sub)
-        if m is None:
-            return False
-        for v, img in m.items():
-            if v in acc and acc[v] != img:
-                return False
-        acc.update(m)
-        return True
-
-    if not try_assign(0):
+    binding = _first_instance(want, hyps)
+    if binding is None:
         raise ProofError(
             script.id,
             None,
@@ -441,6 +404,33 @@ def _check_refutation_matches_target(script: ProofScript, target: Statement, hyp
         raise ProofError(script.id, None, "target variables must map to declared constants")
     if len({t.name for t in images}) != len(images):
         raise ProofError(script.id, None, "target variables must map to pairwise distinct constants")
+
+
+def _packed(literals: Sequence[Literal]) -> Term:
+    """The sides of the literals as one term, so that one match binds them all."""
+    packed: Term = UNIT
+    for lit in literals:
+        packed = Arrow(packed, Arrow(lit.lhs, lit.rhs))
+    return packed
+
+
+def _first_instance(
+    want: Sequence[Literal], got: Sequence[Literal], chosen: tuple[int, ...] = ()
+) -> Optional[dict[str, Term]]:
+    """The binding of the first ordering of got, by position, that starts
+    with chosen and whose i-th literal instantiates want[i] for every i
+    under one one-way binding, or None.  An ordering is dropped at its first
+    literal of the wrong polarity or that does not match."""
+    i = len(chosen)
+    binding = match_pattern(_packed(want[:i]), _packed([got[k] for k in chosen]))
+    if binding is None or i == len(want):
+        return binding
+    for k, hyp in enumerate(got):
+        if k not in chosen and hyp.positive == want[i].positive:
+            found = _first_instance(want, got, chosen + (k,))
+            if found is not None:
+                return found
+    return None
 
 
 def replay_proof(script: ProofScript, env: Environment) -> Statement:

@@ -6,6 +6,7 @@ table may violate everything.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from typing import Iterator, Mapping, Optional, Sequence
@@ -207,10 +208,11 @@ def relabel(model: FiniteAlgebra, perm: Sequence[int]) -> FiniteAlgebra:
     return FiniteAlgebra(n, perm[model.unit], tuple(tuple(row) for row in table))
 
 
-# (size, relabeling table) of the latest size asked for
-_relabeling_table: tuple[int, tuple[tuple[bytes, bytes], ...]] = (0, ())
+# Cell maps are bytes, so no larger size can be searched or canonicalized.
+MAX_SIZE = 16
 
 
+@functools.lru_cache(maxsize=1)
 def relabeling_table(n: int) -> tuple[tuple[bytes, bytes], ...]:
     """(label map, cell map) for each of the (n-1)! relabelings pi of
     range(n) that fix n-1, in lexicographic order of the label maps, so
@@ -220,21 +222,16 @@ def relabeling_table(n: int) -> tuple[tuple[bytes, bytes], ...]:
     value pi sends to the row-major cell c = (i, j): pi turns a flat table t
     into label[t[cells[c]]] at every c.  The search core and the canonical
     form share it.  It is built once per size, and only the latest size is
-    kept.  Cells are bytes, so n is at most 16."""
-    global _relabeling_table
-    size, table = _relabeling_table
-    if size != n:
-        identity = bytes(range(n))
-        # shift[r] translates x to the cell (r, x), for x < n
-        shift = [bytes(range(r * n, r * n + n)) + bytes(256 - n) for r in range(n)]
-        entries = []
-        for images in itertools.permutations(range(n - 1)):
-            label = bytes(images) + bytes([n - 1])
-            inverse = identity.translate(bytes.maketrans(label, identity))
-            entries.append((label, b"".join([inverse.translate(shift[r]) for r in inverse])))
-        table = tuple(entries)
-        _relabeling_table = n, table
-    return table
+    kept.  Cells are bytes, so n is at most MAX_SIZE."""
+    identity = bytes(range(n))
+    # shift[r] translates x to the cell (r, x), for x < n
+    shift = [bytes(range(r * n, r * n + n)) + bytes(256 - n) for r in range(n)]
+    entries = []
+    for images in itertools.permutations(range(n - 1)):
+        label = bytes(images) + bytes([n - 1])
+        inverse = identity.translate(bytes.maketrans(label, identity))
+        entries.append((label, b"".join([inverse.translate(shift[r]) for r in inverse])))
+    return tuple(entries)
 
 
 def _unit_last(model: FiniteAlgebra) -> list[int]:

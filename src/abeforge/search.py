@@ -15,6 +15,7 @@ from typing import Iterator, Optional
 from . import _core
 from ._record import record
 from .models import (
+    MAX_SIZE,
     FiniteAlgebra,
     Witness,
     canonical_form,
@@ -116,6 +117,8 @@ def enumerate_with_stats(
     """
     if n < 1:
         raise ValueError("size must be >= 1")
+    if n > MAX_SIZE:
+        raise ValueError(f"size must be <= {MAX_SIZE}")
     if node_budget < 0:
         raise ValueError("node budget must be >= 0")
     tables, nodes, exceeded = _core.search_tables(n, _implicative_flag(system), node_budget)

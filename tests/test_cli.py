@@ -159,6 +159,17 @@ class TestEnumerate:
         assert result.exit_code == 3
         assert "--budget-nodes" in result.stderr
 
+    def test_largest_size_with_budget_one_lists_every_size(self):
+        result = run_cli(
+            "enumerate", "--axioms", "aBE", "--max-size", "16",
+            "--budget-nodes", "1", "--emit", "json",
+        )
+        assert result.exit_code == 0
+        sizes = json.loads(result.stdout)["sizes"]
+        assert [s["n"] for s in sizes] == list(range(1, 17))
+        assert sum(s["nodes"] for s in sizes) <= 1
+        assert all(s["exceeded"] for s in sizes[2:])
+
 
 # where a field of M2 can be replaced, and what by
 M2_PATHS = [("size",), ("unit",), ("table",), ("table", 0), ("table", 1), ("table", 0, 0), ("table", 1, 1)]
@@ -460,6 +471,13 @@ class TestCommandLine:
         result = run_cli(*MALFORMED[case])
         assert_input_error(result)
         assert result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [("enumerate",), ("search", "--violates", "trans")], ids=lambda c: c[0])
+    @pytest.mark.parametrize("max_size, bound", [("0", ">= 1"), ("17", "<= 16"), (str(10**20), "<= 16")])
+    def test_max_size_outside_the_searchable_range(self, command, max_size, bound):
+        result = run_cli(*command, "--axioms", "aBE", "--max-size", max_size, "--budget-nodes", "1")
+        assert (result.exit_code, result.stdout) == (3, "")
+        assert result.stderr == f"error: --max-size must be {bound}\n"
 
     @pytest.mark.parametrize("command", HELP, ids=lambda c: " ".join(c) or "top")
     def test_help_lists_every_option(self, command):

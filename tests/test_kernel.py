@@ -1,7 +1,10 @@
+import hashlib
+import itertools
 import random
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from abeforge.kernel import (
@@ -17,12 +20,25 @@ from abeforge.kernel import (
     ProofScript,
     Rewrite,
     Split,
+    _check_refutation_matches_target,
     replay_proof,
     verify_corpus,
     verify_rewrite,
 )
-from abeforge.statements import Clause, Identity, Literal
-from abeforge.terms import UNIT, format_term, parse_term, positions, replace_at, subterm_at
+from abeforge.statements import Clause, Identity, Literal, clause_form
+from abeforge.terms import (
+    UNIT,
+    Arrow,
+    Const,
+    Var,
+    format_term,
+    parse_term,
+    positions,
+    replace_at,
+    substitute,
+    subterm_at,
+    variables,
+)
 
 from conftest import terms
 from mutate_util import mutated_script, mutation_sites
@@ -260,6 +276,7 @@ class TestPerturbation:
     def test_seeded_mutations_all_rejected(self, corpus, corpus_json):
         rejected = 0
         total = 0
+        messages = []
         rng = random.Random(20240817)
         for script in corpus_json["scripts"]:
             sites = mutation_sites(script)
@@ -277,7 +294,130 @@ class TestPerturbation:
                 except ProofError as e:
                     ok = False
                     assert e.script == script["id"]
+                    messages.append(str(e))
                 if not ok:
                     rejected += 1
         assert total == 142
         assert rejected == total
+        # every diagnostic, byte for byte
+        digest = hashlib.sha256("\n".join(messages).encode()).hexdigest()
+        assert digest == "c945c08fdeb4d746556eb90d8246cbe087dcd72a4e17279a1400a4f1d722c97d"
+
+
+def _bind(pattern, subject, binding) -> bool:
+    """One-way matching into `binding`, consistent with what it holds."""
+    if isinstance(pattern, Var):
+        return binding.setdefault(pattern.name, subject) == subject
+    if isinstance(pattern, Arrow):
+        return (
+            isinstance(subject, Arrow)
+            and _bind(pattern.left, subject.left, binding)
+            and _bind(pattern.right, subject.right, binding)
+        )
+    return pattern == subject
+
+
+def reference_refutation_check(constants, target, hyps):
+    """The message the refutation check should raise, or None: the first
+    ordering of hyps, by position, that instantiates the negated target
+    literal by literal under one binding, then the two constant checks."""
+    want = [lit.negate() for lit in clause_form(target).literals]
+    if len(want) != len(hyps):
+        return f"{len(hyps)} hypotheses for a target with {len(want)} clause literals"
+    for order in itertools.permutations(range(len(hyps))):
+        binding = {}
+        if all(
+            w.positive == hyps[k].positive and _bind(w.lhs, hyps[k].lhs, binding) and _bind(w.rhs, hyps[k].rhs, binding)
+            for w, k in zip(want, order)
+        ):
+            break
+    else:
+        return "hypotheses do not instantiate the negation of the target's clause form"
+    images = list(binding.values())
+    if any(not isinstance(t, Const) or t.name not in constants for t in images):
+        return "target variables must map to declared constants"
+    if len({t.name for t in images}) != len(images):
+        return "target variables must map to pairwise distinct constants"
+    return None
+
+
+CONSTANTS = ("a", "b", "c", "d")
+
+
+def random_term(rng, leaves, depth=2):
+    if depth == 0 or rng.random() < 0.4:
+        return rng.choice(leaves)
+    return Arrow(random_term(rng, leaves, depth - 1), random_term(rng, leaves, depth - 1))
+
+
+def random_refutation(rng):
+    """(declared constants, target, hypotheses): the negated target
+    instantiated, shuffled, and sometimes with a side swapped, a polarity
+    flipped or a hypothesis dropped."""
+    leaves = [Var(v) for v in ("x", "y", "z")] + [UNIT]
+    lits = tuple(
+        Literal(random_term(rng, leaves), random_term(rng, leaves), rng.random() < 0.5)
+        for _ in range(rng.randint(1, 4))
+    )
+    target = Clause("target", lits)
+    images = {}
+    for v in sorted(set().union(*(variables(l.lhs) | variables(l.rhs) for l in lits))):
+        if rng.random() < 0.1:
+            images[v] = random_term(rng, [Const(c) for c in CONSTANTS] + [UNIT], 1)
+        else:
+            images[v] = Const(rng.choice(CONSTANTS))
+    hyps = [Literal(substitute(l.lhs, images), substitute(l.rhs, images), not l.positive) for l in lits]
+    rng.shuffle(hyps)
+    for i, h in enumerate(hyps):
+        edit = rng.random()
+        if edit < 0.1:
+            hyps[i] = Literal(h.rhs, h.lhs, h.positive)
+        elif edit < 0.15:
+            hyps[i] = h.negate()
+    if rng.random() < 0.05:
+        del hyps[rng.randrange(len(hyps))]
+    constants = CONSTANTS if rng.random() < 0.8 else tuple(sorted(rng.sample(CONSTANTS, 3)))
+    return constants, target, tuple(hyps)
+
+
+class TestRefutationCheck:
+    def test_agrees_with_reference(self):
+        rng = random.Random(19)
+        outcomes = set()
+        for _ in range(3000):
+            constants, target, hyps = random_refutation(rng)
+            script = ProofScript("p", target.id, (), constants=constants, hypotheses=hyps)
+            try:
+                _check_refutation_matches_target(script, target, hyps)
+                got = None
+            except ProofError as e:
+                got = e.message
+            assert got == reference_refutation_check(constants, target, hyps), (target, hyps)
+            outcomes.add(got and re.sub(r"\d+", "N", got))
+        # accepted, count mismatch, no instance, non-constant and repeated image
+        assert len(outcomes) == 5
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_thm_with_hypotheses_permuted(self, corpus, corpus_json, order):
+        from abeforge.corpus import _script_from_json
+
+        obj = next(s for s in corpus_json["scripts"] if s["id"] == "thm")
+        new_index = {old: new for new, old in enumerate(order)}
+        obj["hypotheses"] = [obj["hypotheses"][old] for old in order]
+
+        def remap(step):
+            # index 3 is the assumed equation of a branch, not a hypothesis
+            if step["rule"] == "rewrite" and isinstance(step["by"], int) and step["by"] < 3:
+                step["by"] = new_index[step["by"]]
+            if step["rule"] == "close-conflict":
+                step["hypothesis"] = new_index[step["hypothesis"]]
+            for branch in step.get("branches", ()):
+                for sub in branch:
+                    remap(sub)
+
+        for step in obj["steps"]:
+            remap(step)
+        env = corpus.environment()
+        for script in corpus.scripts[:-1]:
+            replay_proof(script, env)
+        assert replay_proof(_script_from_json(obj), env).id == "trans"

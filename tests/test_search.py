@@ -1,7 +1,7 @@
 import pytest
 
 from abeforge import search
-from abeforge.models import canonical_form, canonicalize, is_model, satisfies
+from abeforge.models import MAX_SIZE, canonical_form, canonicalize, is_model, satisfies
 from abeforge.search import (
     BruteForceBoundError,
     NodeBudgetExceeded,
@@ -90,6 +90,11 @@ class TestEnumerate:
     def test_negative_budget_rejected(self, corpus):
         with pytest.raises(ValueError, match="budget"):
             enumerate_with_stats(corpus.axiom_system("aBE"), 3, node_budget=-1)
+
+    @pytest.mark.parametrize("n, message", [(0, "size must be >= 1"), (MAX_SIZE + 1, "size must be <= 16")])
+    def test_size_outside_the_searchable_range_rejected(self, corpus, n, message):
+        with pytest.raises(ValueError, match=message):
+            enumerate_with_stats(corpus.axiom_system("aBE"), n)
 
 
 class TestCoreTwins:
