@@ -87,7 +87,9 @@ def _propagate(
                 record(c1)
                 push(c1)
         # (a,b) as a selected cell: a -> (y -> z) = y -> (a -> z) for every
-        # y -> z = b, i.e. (y,q) = v where q = a -> z
+        # y -> z = b, i.e. (y,q) = v where q = a -> z.  Needed: an instance
+        # whose two selected cells were both open when its index cells were
+        # checked is enforced only here.
         for z in range(n):
             q = t[an + z]
             if q < 0 or b not in t[z::n]:

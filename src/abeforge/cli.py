@@ -47,8 +47,13 @@ BUDGET_HELP = (
 )
 
 
-def _emit_json(obj: dict):
-    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+def _emit(emit: str, obj: dict, lines: list[str]):
+    """Write a command's one result: `obj` as one JSON line if `emit` is
+    `json`, otherwise the text lines."""
+    if emit == "json":
+        sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+    else:
+        print(*lines, sep="\n")
 
 
 def _witness_json(w: Witness) -> dict:
@@ -93,27 +98,30 @@ def _check_max_size(max_size: int):
 # ---------------------------------------------------------------------------
 
 
+def _substitution(step) -> str:
+    return ", ".join(f"{v} := {format_term(t)}" for v, t in step.substitution.items())
+
+
 def _show_step(step, indent: int) -> list[str]:
     pad = "  " * indent
     if isinstance(step, Rewrite):
         by = f"hyp {step.justification}" if isinstance(step.justification, int) else step.justification
-        subst = ", ".join(f"{v} := {format_term(t)}" for v, t in step.substitution.items())
         at = step.position or "root"
-        return [f"{pad}rewrite {by} [{subst}] at {at} {step.direction}"]
+        return [f"{pad}rewrite {by} [{_substitution(step)}] at {at} {step.direction}"]
     if isinstance(step, ClauseInstantiate):
-        subst = ", ".join(f"{v} := {format_term(t)}" for v, t in step.substitution.items())
-        return [f"{pad}instantiate clause {step.clause} [{subst}]"]
+        return [f"{pad}instantiate clause {step.clause} [{_substitution(step)}]"]
     if isinstance(step, LiteralElim):
         lines = [f"{pad}eliminate literal {step.index} by:"]
         for s in step.chain:
             lines.extend(_show_step(s, indent + 1))
         return lines
     if isinstance(step, ClauseLiteralRewrite):
-        subst = ", ".join(f"{v} := {format_term(t)}" for v, t in step.substitution.items())
-        return [f"{pad}rewrite literal {step.index} with {step.justification} [{subst}] at {step.position} {step.direction}"]
+        return [
+            f"{pad}rewrite literal {step.index} with {step.justification} [{_substitution(step)}] "
+            f"at {step.position} {step.direction}"
+        ]
     if isinstance(step, Split):
-        subst = ", ".join(f"{v} := {format_term(t)}" for v, t in step.substitution.items())
-        lines = [f"{pad}split on {step.clause} [{subst}]"]
+        lines = [f"{pad}split on {step.clause} [{_substitution(step)}]"]
         for i, branch in enumerate(step.branches):
             lines.append(f"{pad}  branch {i}:")
             for s in branch:
@@ -126,19 +134,20 @@ def _show_step(step, indent: int) -> list[str]:
     return [f"{pad}{step!r}"]
 
 
-def _show_script(corpus: Corpus, script: ProofScript):
+def _show_script(corpus: Corpus, script: ProofScript) -> list[str]:
     target = corpus.statement(script.target)
-    print(f"script {script.id}  (target {script.target}: {target})")
+    lines = [f"script {script.id}  (target {script.target}: {target})"]
     if script.comment:
-        print(f"  # {script.comment}")
+        lines.append(f"  # {script.comment}")
     if script.constants:
-        print(f"  constants: {', '.join(script.constants)}")
+        lines.append(f"  constants: {', '.join(script.constants)}")
     for i, h in enumerate(script.hypotheses):
-        print(f"  hypothesis {i}: {h}")
+        lines.append(f"  hypothesis {i}: {h}")
     if script.depends_on:
-        print(f"  depends on: {', '.join(script.depends_on)}")
-    for line in [l for s in script.steps for l in _show_step(s, 1)]:
-        print(line)
+        lines.append(f"  depends on: {', '.join(script.depends_on)}")
+    for s in script.steps:
+        lines.extend(_show_step(s, 1))
+    return lines
 
 
 def replay(script_path, show_id, emit):
@@ -146,25 +155,23 @@ def replay(script_path, show_id, emit):
     corpus = _or_die(load_corpus, script_path)
     if show_id:
         try:
-            _show_script(corpus, corpus.script(show_id))
+            lines = _show_script(corpus, corpus.script(show_id))
         except CorpusError:
             st = _or_die(corpus.statement, show_id)
-            print(f"{st.id}: {st}")
+            lines = [f"{st.id}: {st}"]
+        print(*lines, sep="\n")
         return EXIT_OK
     report = verify_corpus(corpus)
     verified = sum(1 for _, status in report if status == "verified")
-    if emit == "json":
-        _emit_json(
-            {
-                "scripts": [{"id": sid, "status": status} for sid, status in report],
-                "verified": verified,
-                "total": len(report),
-            }
-        )
-    else:
-        for sid, status in report:
-            print(f"{sid}: {status}")
-        print(f"{verified}/{len(report)} verified")
+    _emit(
+        emit,
+        {
+            "scripts": [{"id": sid, "status": status} for sid, status in report],
+            "verified": verified,
+            "total": len(report),
+        },
+        [*(f"{sid}: {status}" for sid, status in report), f"{verified}/{len(report)} verified"],
+    )
     return EXIT_OK if verified == len(report) else EXIT_PROOF_FAILURE
 
 
@@ -200,22 +207,22 @@ def _report_json(report: EnumerationReport, timings: bool) -> dict:
     }
 
 
-def _report_text(report: EnumerationReport, timings: bool):
+def _report_text(report: EnumerationReport, timings: bool) -> list[str]:
     from .models import model_to_json
 
-    print(f"axiom system: {report.axioms}")
-    print(f"{'n':>3} {'count':>8} {'nodes':>12}" + (f" {'millis':>10}" if timings else ""))
+    lines = [
+        f"axiom system: {report.axioms}",
+        f"{'n':>3} {'count':>8} {'nodes':>12}" + (f" {'millis':>10}" if timings else ""),
+    ]
     for s in report.sizes:
         count = "exceeded" if s.exceeded else str(s.count)
-        line = f"{s.size:>3} {count:>8} {s.nodes:>12}"
-        if timings:
-            line += f" {s.millis:>10.1f}"
-        print(line)
+        lines.append(f"{s.size:>3} {count:>8} {s.nodes:>12}" + (f" {s.millis:>10.1f}" if timings else ""))
     for p in report.properties:
         if p.status == "holds":
-            print(f"property {p.property_id}: holds in all enumerated models")
+            lines.append(f"property {p.property_id}: holds in all enumerated models")
         else:
-            print(f"property {p.property_id}: counterexample {model_to_json(p.model)}; {_witness_text(p.witness)}")
+            lines.append(f"property {p.property_id}: counterexample {model_to_json(p.model)}; {_witness_text(p.witness)}")
+    return lines
 
 
 def enumerate_cmd(axioms_name, max_size, property_ids, emit, budget_nodes, timings):
@@ -227,10 +234,7 @@ def enumerate_cmd(axioms_name, max_size, property_ids, emit, budget_nodes, timin
     _check_max_size(max_size)
     props = [_or_die(corpus.statement, pid) for pid in property_ids]
     report = run_enumeration_report(system, max_size, corpus.statements, props, budget_nodes)
-    if emit == "json":
-        _emit_json(_report_json(report, timings))
-    else:
-        _report_text(report, timings)
+    _emit(emit, _report_json(report, timings), _report_text(report, timings))
     return EXIT_OK
 
 
@@ -251,31 +255,24 @@ def check(model_path, axioms_name, property_id, emit):
         return _input_error(e)
     prop = None if property_id is None else _or_die(corpus.statement, property_id)
     ok, witness = is_model(model, system, corpus.statements)
-    out = {"model": "yes" if ok else "no", "axioms": axioms_name}
-    violated = not ok
     if not ok:
-        out["failed_axiom"] = witness.statement_id
-        out["witness"] = _witness_json(witness)
-    prop_ok = True
-    if ok and prop is not None:
-        prop_ok, pw = satisfies(model, prop)
-        out["property"] = {"id": property_id, "status": "holds" if prop_ok else "counterexample"}
-        if not prop_ok:
-            out["property"]["witness"] = _witness_json(pw)
-            violated = True
-    if emit == "json":
-        _emit_json(out)
-    else:
-        if ok:
-            print(f"model: yes ({axioms_name})")
+        out = {"model": "no", "axioms": axioms_name, "failed_axiom": witness.statement_id,
+               "witness": _witness_json(witness)}
+        _emit(emit, out, [f"model: no; {witness.statement_id} violated, {_witness_text(witness)}"])
+        return EXIT_COUNTEREXAMPLE
+    out = {"model": "yes", "axioms": axioms_name}
+    lines = [f"model: yes ({axioms_name})"]
+    holds = True
+    if prop is not None:
+        holds, pw = satisfies(model, prop)
+        if holds:
+            out["property"] = {"id": property_id, "status": "holds"}
+            lines.append(f"{property_id}: holds")
         else:
-            print(f"model: no; {witness.statement_id} violated, {_witness_text(witness)}")
-        if ok and prop is not None:
-            if prop_ok:
-                print(f"{property_id}: holds")
-            else:
-                print(f"{property_id}: violated, {_witness_text(pw)}")
-    return EXIT_COUNTEREXAMPLE if violated else EXIT_OK
+            out["property"] = {"id": property_id, "status": "counterexample", "witness": _witness_json(pw)}
+            lines.append(f"{property_id}: violated, {_witness_text(pw)}")
+    _emit(emit, out, lines)
+    return EXIT_OK if holds else EXIT_COUNTEREXAMPLE
 
 
 # ---------------------------------------------------------------------------
@@ -292,38 +289,18 @@ def search(axioms_name, property_id, max_size, emit, budget_nodes):
     system = _or_die(corpus.axiom_system, axioms_name)
     prop = _or_die(corpus.statement, property_id)
     _check_max_size(max_size)
+    out = {"axioms": axioms_name, "violates": property_id, "max_size": max_size}
     try:
         result = find_counterexample(system, prop, max_size, budget_nodes)
     except NodeBudgetExceeded as e:
-        if emit == "json":
-            _emit_json(
-                {"axioms": axioms_name, "violates": property_id, "max_size": max_size,
-                 "status": "exceeded", "size": e.size}
-            )
-        else:
-            print(f"node budget exceeded at size {e.size}")
+        _emit(emit, {**out, "status": "exceeded", "size": e.size}, [f"node budget exceeded at size {e.size}"])
         return EXIT_OK
     if result is None:
-        if emit == "json":
-            _emit_json({"axioms": axioms_name, "violates": property_id, "max_size": max_size, "status": "none"})
-        else:
-            print(f"none up to {max_size}")
+        _emit(emit, {**out, "status": "none"}, [f"none up to {max_size}"])
         return EXIT_OK
     model, witness = result
-    if emit == "json":
-        _emit_json(
-            {
-                "axioms": axioms_name,
-                "violates": property_id,
-                "max_size": max_size,
-                "status": "counterexample",
-                "model": model_to_json(model),
-                "witness": _witness_json(witness),
-            }
-        )
-    else:
-        print(f"counterexample of size {model.size}: {model_to_json(model)}")
-        print(_witness_text(witness))
+    out.update(status="counterexample", model=model_to_json(model), witness=_witness_json(witness))
+    _emit(emit, out, [f"counterexample of size {model.size}: {out['model']}", _witness_text(witness)])
     return EXIT_COUNTEREXAMPLE
 
 
@@ -342,10 +319,11 @@ def oracle(axioms_name, size, emit):
         labeled, classes = brute_force_models(system, size, corpus.statements)
     except ValueError as e:  # BruteForceBoundError included
         return _input_error(e)
-    if emit == "json":
-        _emit_json({"axioms": axioms_name, "size": size, "labeled": labeled, "classes": classes})
-    else:
-        print(f"labeled {labeled}, classes {classes}")
+    _emit(
+        emit,
+        {"axioms": axioms_name, "size": size, "labeled": labeled, "classes": classes},
+        [f"labeled {labeled}, classes {classes}"],
+    )
     return EXIT_OK
 
 
@@ -371,21 +349,20 @@ def corpus_export(out_path):
 def corpus_show(sid):
     """Print a statement or script in human-readable form."""
     corpus = _or_die(load_corpus, None)
-    shown = False
+    lines = []
     try:
         st = corpus.statement(sid)
         kind = {Identity: "identity", Clause: "clause", QuasiIdentity: "quasi-identity"}[type(st)]
-        print(f"{st.id} ({kind}): {st}")
-        shown = True
+        lines.append(f"{st.id} ({kind}): {st}")
     except CorpusError:
         pass
     try:
-        _show_script(corpus, corpus.script(sid))
-        shown = True
+        lines.extend(_show_script(corpus, corpus.script(sid)))
     except CorpusError:
         pass
-    if not shown:
+    if not lines:
         return _input_error(f"unknown id {sid!r}")
+    print(*lines, sep="\n")
     return EXIT_OK
 
 

@@ -13,10 +13,12 @@ import pytest
 
 from abeforge.corpus import load_corpus
 from abeforge.kernel import ProofError, replay_proof, verify_corpus
-from abeforge.models import FiniteAlgebra, canonical_form, relabelings, satisfies
+from abeforge.models import FiniteAlgebra, canonical_form, from_flat, relabelings, satisfies
 from abeforge.search import brute_force_models, enumerate_models, enumerate_with_stats
 from conftest import run_cli
+from ground_search import ground_search
 from mutate_util import mutated_script, mutation_sites
+from test_corpus import axiom_closures
 
 # Labeled implicative-aBE tables of size 8 (unit at 7) that the complete
 # row-major search finds, recorded once (28,725,672 nodes); the classes the
@@ -173,6 +175,43 @@ def test_criterion_4_kernel_soundness_bridge(corpus, implicative_models):
         "kernel-soundness bridge",
         ok,
         f"{len(verified)} statements x {len(implicative_models)} models, {len(violations)} violations",
+    )
+
+
+def test_criterion_4b_each_result_in_the_models_of_its_axioms(corpus):
+    # Each script's target is checked in every model of only the axioms its
+    # dependencies lead down to, as the reference search from the grounded
+    # statements finds them: up to size 3 for one or two axioms, 4 for more.
+    # The check has teeth: without ax6, lem10 must fail.
+    cache = {}
+
+    def models(axioms, n):
+        if (axioms, n) not in cache:
+            tables = ground_search([corpus.statement(ax) for ax in sorted(axioms)], n)
+            cache[axioms, n] = [from_flat(t, n) for t in tables]
+        return cache[axioms, n]
+
+    closures = axiom_closures(corpus)
+    start = time.perf_counter()
+    checked, violations = 0, []
+    for script in corpus.scripts:
+        axioms, target = closures[script.id], corpus.statement(script.target)
+        for n in range(1, (3 if len(axioms) <= 2 else 4) + 1):
+            for model in models(frozenset(axioms), n):
+                checked += 1
+                if not satisfies(model, target)[0]:
+                    violations.append((script.id, n))
+    lem10 = corpus.statement("lem10")
+    without_ax6 = models(frozenset({"ax4"}), 3)
+    falsified = sum(1 for model in without_ax6 if not satisfies(model, lem10)[0])
+    elapsed = time.perf_counter() - start
+    ok = not violations and (falsified, len(without_ax6)) == (470, 573)
+    _verdict(
+        "4b",
+        "each result holds in the models of the axioms it rests on",
+        ok,
+        f"{checked} checks in {elapsed * 1000:.0f} ms, violations: {violations}; "
+        f"lem10 fails in {falsified} of the {len(without_ax6)} models of ax4 of size 3",
     )
 
 
