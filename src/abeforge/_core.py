@@ -8,7 +8,7 @@ table isomorphic to it, with the number of nodes it tried.  Propagation
 rechecks only the axiom instances of the cells assigned since the last
 fixpoint; _speed_py runs the same propagator without symmetry breaking.
 The prefix test reads the unit-fixing relabelings from
-models.relabeling_table, the one table that the canonical form filters too.
+models.relabeling_table, the one table that the canonical form relabels by.
 """
 
 from __future__ import annotations

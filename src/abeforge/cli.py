@@ -152,6 +152,8 @@ def _show_script(corpus: Corpus, script: ProofScript) -> list[str]:
 
 def replay(script_path, show_id, emit):
     """Replay proof scripts and report per-statement status."""
+    if show_id and emit == "json":
+        return _input_error("--show prints text only; it takes no --emit json")
     corpus = _or_die(load_corpus, script_path)
     if show_id:
         try:
@@ -233,7 +235,7 @@ def enumerate_cmd(axioms_name, max_size, property_ids, emit, budget_nodes, timin
     system = _or_die(corpus.axiom_system, axioms_name)
     _check_max_size(max_size)
     props = [_or_die(corpus.statement, pid) for pid in property_ids]
-    report = run_enumeration_report(system, max_size, corpus.statements, props, budget_nodes)
+    report = run_enumeration_report(system, max_size, props, budget_nodes)
     _emit(emit, _report_json(report, timings), _report_text(report, timings))
     return EXIT_OK
 

@@ -234,20 +234,21 @@ def relabeling_table(n: int) -> tuple[tuple[bytes, bytes], ...]:
     return tuple(entries)
 
 
-def _unit_last(model: FiniteAlgebra) -> list[int]:
+def _unit_last(model: FiniteAlgebra) -> bytes:
     """The row-major table after the unit and n-1 swap labels."""
     n, t = model.size, model.table
     swap = list(range(n))
     swap[model.unit], swap[n - 1] = n - 1, model.unit
-    return [swap[t[i][j]] for i in swap for j in swap]
+    return bytes([swap[t[i][j]] for i in swap for j in swap])
 
 
 def relabelings(model: FiniteAlgebra) -> Iterator[bytes]:
     """The row-major table under each of the (n-1)! relabelings that send the
-    unit to n-1, as bytes; a table fixed by some of them repeats."""
-    t = _unit_last(model)
+    unit to n-1, as bytes; a table fixed by some of them repeats.  Each is two
+    translations: cells to the values there, then values to their labels."""
+    t = _unit_last(model).ljust(256, b"\0")
     for label, cells in relabeling_table(model.size):
-        yield bytes([label[t[c]] for c in cells])
+        yield cells.translate(t).translate(label.ljust(256, b"\0"))
 
 
 def from_flat(flat: Sequence[int], n: int) -> FiniteAlgebra:
@@ -255,36 +256,14 @@ def from_flat(flat: Sequence[int], n: int) -> FiniteAlgebra:
     return FiniteAlgebra(n, n - 1, tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n)))
 
 
-def _least_relabeling(model: FiniteAlgebra) -> bytes:
-    """The least row-major table over the relabelings that send the unit to
-    n-1.  Goes through the cells in row-major order and keeps, at each, only
-    the relabelings of the shared table that give the least value there,
-    until one is left; relabelings still tied at the end give equal tables."""
-    t = _unit_last(model)
-    tied = relabeling_table(model.size)
-    for c in range(len(t)):
-        if len(tied) == 1:
-            break
-        values = [label[t[cells[c]]] for label, cells in tied]
-        least = min(values)
-        if least != max(values):
-            tied = [entry for entry, v in zip(tied, values) if v == least]
-    label, cells = tied[0]
-    return bytes([label[t[c]] for c in cells])
-
-
 def canonical_form(model: FiniteAlgebra) -> bytes:
-    """Relabeling-invariant key; equal iff the models are isomorphic.
-
-    The lexicographically least row-major table over the relabelings that
-    send the unit to n-1, after the size.  It is found by filtering the one
-    shared relabeling table cell by cell, not by building every relabeled
-    table (_least_relabeling)."""
-    return bytes([model.size]) + _least_relabeling(model)
+    """Relabeling-invariant key; equal iff the models are isomorphic: the
+    size, then the lexicographically least of the relabelings."""
+    return bytes([model.size]) + min(relabelings(model))
 
 
 def canonicalize(model: FiniteAlgebra) -> FiniteAlgebra:
-    return from_flat(_least_relabeling(model), model.size)
+    return from_flat(min(relabelings(model)), model.size)
 
 
 def are_isomorphic(m1: FiniteAlgebra, m2: FiniteAlgebra) -> bool:

@@ -204,7 +204,6 @@ def find_counterexample(
 def run_enumeration_report(
     system: AxiomSystem,
     max_size: int,
-    statements,
     properties: list[Statement] = (),
     node_budget: int = 0,
 ) -> EnumerationReport:

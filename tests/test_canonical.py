@@ -116,7 +116,7 @@ def arbitrary_tables(draw):
     return FiniteAlgebra(n, draw(st.integers(0, n - 1)), table)
 
 
-@pytest.mark.parametrize("name, max_size", [("aBE", 4), ("implicative-aBE", 6)])
+@pytest.mark.parametrize("name, max_size", [("aBE", 4), ("implicative-aBE", 8)])
 def test_agrees_with_scan_on_every_labeled_table(name, max_size):
     implicative = name == "implicative-aBE"
     for n in range(1, max_size + 1):

@@ -71,6 +71,16 @@ class TestReplay:
         assert "split on lem18" in result.stdout
         assert "branch 1" in result.stdout
 
+    @pytest.mark.parametrize("sid", ["ax5", "lem10"])
+    def test_show_takes_no_json(self, sid):
+        # --show prints text only, so asking it for JSON is an input error
+        result = run_cli("replay", "--show", sid, "--emit", "json")
+        assert_input_error(result)
+        assert result.stderr.count("\n") == 1
+
+    def test_show_with_emit_text_is_show(self):
+        assert run_cli("replay", "--show", "ax5", "--emit", "text") == run_cli("replay", "--show", "ax5")
+
     def test_broken_script_file(self, tmp_path, corpus_json):
         corpus_json["scripts"][3]["steps"][1]["subst"]["y"] = "x"
         path = tmp_path / "broken.json"

@@ -1,3 +1,8 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -12,7 +17,17 @@ from abeforge.kernel import (
     verify_corpus,
 )
 from abeforge.statements import Clause, Identity, QuasiIdentity
-from conftest import read_corpus_json
+from conftest import child_env, read_corpus_json
+
+# Scripts for the paper's corollaries, kept out of the built-in corpus
+COROLLARIES = Path(__file__).resolve().parent / "corollaries.json"
+
+
+def with_corollaries() -> dict:
+    """The parsed built-in corpus file with the corollaries' scripts appended."""
+    obj = read_corpus_json()
+    obj["scripts"] += json.loads(COROLLARIES.read_text(encoding="utf-8"))["scripts"]
+    return obj
 
 
 def test_registry_counts(corpus):
@@ -93,8 +108,19 @@ def undeclared_citations(corpus):
 
 def test_each_script_cites_only_what_it_declares(corpus):
     # the kernel checks only that each declared dependency is verified
-    assert all(cited(script.steps) for script in corpus.scripts)
-    assert undeclared_citations(corpus) == {}
+    for scripts in (corpus, corpus_from_json(with_corollaries())):
+        assert all(cited(script.steps) for script in scripts.scripts)
+        assert undeclared_citations(scripts) == {}
+
+
+def test_corollaries_replay(tmp_path):
+    # commutativity, (x -> y) -> y = (y -> x) -> x, from ax3, ax4, ax5 and lem17
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(with_corollaries()), encoding="utf-8")
+    argv = [sys.executable, "-m", "abeforge.cli", "replay", "--script", str(path)]
+    proc = subprocess.run(argv, env=child_env(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.endswith("commutativity: verified\n14/14 verified\n")
 
 
 # cited by a top-level rewrite, inside a literal-elim chain, inside a split branch

@@ -175,7 +175,6 @@ class TestReport:
         report = run_enumeration_report(
             system,
             4,
-            corpus.statements,
             [corpus.statement("trans"), corpus.statement("commutativity")],
         )
         assert [s.count for s in report.sizes] == [1, 1, 1, 2]
@@ -183,7 +182,7 @@ class TestReport:
 
     def test_report_budget_exceeded(self, corpus):
         system = corpus.axiom_system("aBE")
-        report = run_enumeration_report(system, 4, corpus.statements, node_budget=10)
+        report = run_enumeration_report(system, 4, node_budget=10)
         assert report.sizes[-1].exceeded
         assert report.sizes[-1].count is None
 
@@ -191,7 +190,7 @@ class TestReport:
         # sizes 1..3 need 0, 0 and 9 nodes, so size 4 gets the 1 node left
         # and size 5 none, and is not searched
         system = corpus.axiom_system("aBE")
-        report = run_enumeration_report(system, 5, corpus.statements, node_budget=10)
+        report = run_enumeration_report(system, 5, node_budget=10)
         got = [(s.count, s.nodes, s.exceeded) for s in report.sizes]
         assert got == [(1, 0, False), (1, 0, False), (3, 9, False), (None, 1, True), (None, 0, True)]
 
@@ -209,7 +208,7 @@ class TestReport:
 
         monkeypatch.setattr(search._core, "search_tables", recording_search)
         system = corpus.axiom_system("aBE")
-        report = run_enumeration_report(system, 5, corpus.statements, node_budget=9)
+        report = run_enumeration_report(system, 5, node_budget=9)
         assert sizes_searched == [1, 2, 3]
         got = [(s.count, s.nodes, s.exceeded) for s in report.sizes]
         assert got == [(1, 0, False), (1, 0, False), (3, 9, False), (None, 0, True), (None, 0, True)]
