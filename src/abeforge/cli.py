@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 ok, 2 proof failure, 3 input error, 4 counterexample found.
-A malformed command line is an input error: one `error: ` line on stderr.
+A command returns its exit code and its result, as a JSON object (None for
+text only) and as text lines, or raises on bad input.  `main` alone writes
+the result, and it alone turns bad input into one `error: ` line and exit 3.
 
 The model layers (models, search and its core) are imported inside the
 commands that run them, so that `replay` and `corpus` start without them.
@@ -47,7 +49,11 @@ BUDGET_HELP = (
 )
 
 
-def _emit(emit: str, obj: dict, lines: list[str]):
+class _InputError(Exception):
+    """Bad input that is not a CorpusError: `main` exits 3 with its message."""
+
+
+def _emit(emit: str, obj: dict | None, lines: list[str]):
     """Write a command's one result: `obj` as one JSON line if `emit` is
     `json`, otherwise the text lines."""
     if emit == "json":
@@ -69,28 +75,14 @@ def _witness_text(w: Witness) -> str:
     return f"witness {vals}"
 
 
-def _input_error(message) -> int:
-    """Print one `error: ` line on stderr; the input-error exit code."""
-    sys.stderr.write(f"error: {message}\n")
-    return EXIT_INPUT_ERROR
-
-
-def _or_die(lookup, *args):
-    """lookup(*args); on a CorpusError, print it and exit 3."""
-    try:
-        return lookup(*args)
-    except CorpusError as e:
-        sys.exit(_input_error(e))
-
-
 def _check_max_size(max_size: int):
-    """Exit 3 unless `--max-size` is a size the search can run."""
+    """Raise an input error unless `--max-size` is a size the search can run."""
     from .models import MAX_SIZE
 
     if max_size < 1:
-        sys.exit(_input_error("--max-size must be >= 1"))
+        raise _InputError("--max-size must be >= 1")
     if max_size > MAX_SIZE:
-        sys.exit(_input_error(f"--max-size must be <= {MAX_SIZE}"))
+        raise _InputError(f"--max-size must be <= {MAX_SIZE}")
 
 
 # ---------------------------------------------------------------------------
@@ -152,29 +144,21 @@ def _show_script(corpus: Corpus, script: ProofScript) -> list[str]:
 
 def replay(script_path, show_id, emit):
     """Replay proof scripts and report per-statement status."""
-    if show_id and emit == "json":
-        return _input_error("--show prints text only; it takes no --emit json")
-    corpus = _or_die(load_corpus, script_path)
-    if show_id:
+    if show_id is not None and emit == "json":
+        raise _InputError("--show prints text only; it takes no --emit json")
+    corpus = load_corpus(script_path)
+    if show_id is not None:
         try:
-            lines = _show_script(corpus, corpus.script(show_id))
+            return EXIT_OK, None, _show_script(corpus, corpus.script(show_id))
         except CorpusError:
-            st = _or_die(corpus.statement, show_id)
-            lines = [f"{st.id}: {st}"]
-        print(*lines, sep="\n")
-        return EXIT_OK
+            st = corpus.statement(show_id)
+            return EXIT_OK, None, [f"{st.id}: {st}"]
     report = verify_corpus(corpus)
     verified = sum(1 for _, status in report if status == "verified")
-    _emit(
-        emit,
-        {
-            "scripts": [{"id": sid, "status": status} for sid, status in report],
-            "verified": verified,
-            "total": len(report),
-        },
-        [*(f"{sid}: {status}" for sid, status in report), f"{verified}/{len(report)} verified"],
-    )
-    return EXIT_OK if verified == len(report) else EXIT_PROOF_FAILURE
+    scripts = [{"id": sid, "status": status} for sid, status in report]
+    out = {"scripts": scripts, "verified": verified, "total": len(report)}
+    lines = [*(f"{sid}: {status}" for sid, status in report), f"{verified}/{len(report)} verified"]
+    return (EXIT_OK if verified == len(report) else EXIT_PROOF_FAILURE), out, lines
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +211,16 @@ def _report_text(report: EnumerationReport, timings: bool) -> list[str]:
     return lines
 
 
-def enumerate_cmd(axioms_name, max_size, property_ids, emit, budget_nodes, timings):
+def enumerate_cmd(axioms_name, max_size, property_ids, budget_nodes, timings):
     """Isomorph-free enumeration of all models up to a size bound."""
     from .search import run_enumeration_report
 
-    corpus = _or_die(load_corpus, None)
-    system = _or_die(corpus.axiom_system, axioms_name)
+    corpus = load_corpus(None)
+    system = corpus.axiom_system(axioms_name)
     _check_max_size(max_size)
-    props = [_or_die(corpus.statement, pid) for pid in property_ids]
+    props = [corpus.statement(pid) for pid in property_ids]
     report = run_enumeration_report(system, max_size, props, budget_nodes)
-    _emit(emit, _report_json(report, timings), _report_text(report, timings))
-    return EXIT_OK
+    return EXIT_OK, _report_json(report, timings), _report_text(report, timings)
 
 
 # ---------------------------------------------------------------------------
@@ -245,23 +228,22 @@ def enumerate_cmd(axioms_name, max_size, property_ids, emit, budget_nodes, timin
 # ---------------------------------------------------------------------------
 
 
-def check(model_path, axioms_name, property_id, emit):
+def check(model_path, axioms_name, property_id):
     """Check a model file against an axiom system and optional property."""
     from .models import ModelFileError, is_model, load_model, satisfies
 
-    corpus = _or_die(load_corpus, None)
-    system = _or_die(corpus.axiom_system, axioms_name)
+    corpus = load_corpus(None)
+    system = corpus.axiom_system(axioms_name)
     try:
         model = load_model(model_path)
     except ModelFileError as e:
-        return _input_error(e)
-    prop = None if property_id is None else _or_die(corpus.statement, property_id)
+        raise _InputError(e) from None
+    prop = None if property_id is None else corpus.statement(property_id)
     ok, witness = is_model(model, system, corpus.statements)
     if not ok:
         out = {"model": "no", "axioms": axioms_name, "failed_axiom": witness.statement_id,
                "witness": _witness_json(witness)}
-        _emit(emit, out, [f"model: no; {witness.statement_id} violated, {_witness_text(witness)}"])
-        return EXIT_COUNTEREXAMPLE
+        return EXIT_COUNTEREXAMPLE, out, [f"model: no; {witness.statement_id} violated, {_witness_text(witness)}"]
     out = {"model": "yes", "axioms": axioms_name}
     lines = [f"model: yes ({axioms_name})"]
     holds = True
@@ -273,8 +255,7 @@ def check(model_path, axioms_name, property_id, emit):
         else:
             out["property"] = {"id": property_id, "status": "counterexample", "witness": _witness_json(pw)}
             lines.append(f"{property_id}: violated, {_witness_text(pw)}")
-    _emit(emit, out, lines)
-    return EXIT_OK if holds else EXIT_COUNTEREXAMPLE
+    return (EXIT_OK if holds else EXIT_COUNTEREXAMPLE), out, lines
 
 
 # ---------------------------------------------------------------------------
@@ -282,28 +263,25 @@ def check(model_path, axioms_name, property_id, emit):
 # ---------------------------------------------------------------------------
 
 
-def search(axioms_name, property_id, max_size, emit, budget_nodes):
+def search(axioms_name, property_id, max_size, budget_nodes):
     """Look for a model of the axioms that violates a property."""
     from .models import model_to_json
     from .search import NodeBudgetExceeded, find_counterexample
 
-    corpus = _or_die(load_corpus, None)
-    system = _or_die(corpus.axiom_system, axioms_name)
-    prop = _or_die(corpus.statement, property_id)
+    corpus = load_corpus(None)
+    system = corpus.axiom_system(axioms_name)
+    prop = corpus.statement(property_id)
     _check_max_size(max_size)
     out = {"axioms": axioms_name, "violates": property_id, "max_size": max_size}
     try:
         result = find_counterexample(system, prop, max_size, budget_nodes)
     except NodeBudgetExceeded as e:
-        _emit(emit, {**out, "status": "exceeded", "size": e.size}, [f"node budget exceeded at size {e.size}"])
-        return EXIT_OK
+        return EXIT_OK, {**out, "status": "exceeded", "size": e.size}, [f"node budget exceeded at size {e.size}"]
     if result is None:
-        _emit(emit, {**out, "status": "none"}, [f"none up to {max_size}"])
-        return EXIT_OK
+        return EXIT_OK, {**out, "status": "none"}, [f"none up to {max_size}"]
     model, witness = result
     out.update(status="counterexample", model=model_to_json(model), witness=_witness_json(witness))
-    _emit(emit, out, [f"counterexample of size {model.size}: {out['model']}", _witness_text(witness)])
-    return EXIT_COUNTEREXAMPLE
+    return EXIT_COUNTEREXAMPLE, out, [f"counterexample of size {model.size}: {out['model']}", _witness_text(witness)]
 
 
 # ---------------------------------------------------------------------------
@@ -311,22 +289,18 @@ def search(axioms_name, property_id, max_size, emit, budget_nodes):
 # ---------------------------------------------------------------------------
 
 
-def oracle(axioms_name, size, emit):
+def oracle(axioms_name, size):
     """Brute-force labeled and iso-class counts (small sizes only)."""
     from .search import brute_force_models
 
-    corpus = _or_die(load_corpus, None)
-    system = _or_die(corpus.axiom_system, axioms_name)
+    corpus = load_corpus(None)
+    system = corpus.axiom_system(axioms_name)
     try:
         labeled, classes = brute_force_models(system, size, corpus.statements)
     except ValueError as e:  # BruteForceBoundError included
-        return _input_error(e)
-    _emit(
-        emit,
-        {"axioms": axioms_name, "size": size, "labeled": labeled, "classes": classes},
-        [f"labeled {labeled}, classes {classes}"],
-    )
-    return EXIT_OK
+        raise _InputError(e) from None
+    out = {"axioms": axioms_name, "size": size, "labeled": labeled, "classes": classes}
+    return EXIT_OK, out, [f"labeled {labeled}, classes {classes}"]
 
 
 # ---------------------------------------------------------------------------
@@ -336,21 +310,20 @@ def oracle(axioms_name, size, emit):
 
 def corpus_export(out_path):
     """Write the built-in corpus file, byte for byte."""
-    _or_die(load_corpus, None)
+    load_corpus(None)
     # read before out_path is truncated, which may be the built-in file itself
     data = BUILTIN_PATH.read_bytes()
     try:
         with open(out_path, "wb") as fh:
             fh.write(data)
     except OSError as e:
-        return _input_error(f"cannot write {out_path}: {e.strerror}")
-    print(f"wrote {out_path}")
-    return EXIT_OK
+        raise _InputError(f"cannot write {out_path}: {e.strerror}") from None
+    return EXIT_OK, None, [f"wrote {out_path}"]
 
 
 def corpus_show(sid):
     """Print a statement or script in human-readable form."""
-    corpus = _or_die(load_corpus, None)
+    corpus = load_corpus(None)
     lines = []
     try:
         st = corpus.statement(sid)
@@ -363,9 +336,8 @@ def corpus_show(sid):
     except CorpusError:
         pass
     if not lines:
-        return _input_error(f"unknown id {sid!r}")
-    print(*lines, sep="\n")
-    return EXIT_OK
+        raise _InputError(f"unknown id {sid!r}")
+    return EXIT_OK, None, lines
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +354,7 @@ class _Parser(argparse.ArgumentParser):
         self.add_argument("--help", action="help", help="show this message and exit")
 
     def error(self, message):
-        sys.exit(_input_error(message))
+        raise _InputError(message)
 
 
 def _node_count(text: str) -> int:
@@ -461,7 +433,8 @@ def _parser(prog: str | None) -> argparse.ArgumentParser:
 
 
 def main(args=None, prog_name=None):
-    """Run one command line, `sys.argv[1:]` by default, and exit with its code."""
+    """Run one command line, `sys.argv[1:]` by default, write its result or
+    its one `error: ` line, and exit with its code."""
     # The collections at interpreter exit only free memory that the OS takes
     # back anyway; freezing every object first leaves them nothing to scan.
     # As an exit handler, it leaves a caller that catches SystemExit alone.
@@ -470,7 +443,14 @@ def main(args=None, prog_name=None):
     try:
         try:
             options = vars(_parser(prog_name).parse_args(args))
-            code = options.pop("run")(**options)
+            run = options.pop("run")
+            # replay reads --emit only to refuse it with --show
+            emit = options["emit"] if run is replay else options.pop("emit", "text")
+            code, obj, lines = run(**options)
+            _emit(emit, obj, lines)
+        except (CorpusError, _InputError) as e:
+            sys.stderr.write(f"error: {e}\n")
+            code = EXIT_INPUT_ERROR
         finally:
             sys.stdout.flush()
     except BrokenPipeError:

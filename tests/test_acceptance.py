@@ -11,14 +11,14 @@ import time
 
 import pytest
 
-from abeforge.corpus import load_corpus
+from abeforge.corpus import corpus_from_json, load_corpus
 from abeforge.kernel import ProofError, replay_proof, verify_corpus
 from abeforge.models import FiniteAlgebra, canonical_form, from_flat, relabelings, satisfies
 from abeforge.search import brute_force_models, enumerate_models, enumerate_with_stats
 from conftest import run_cli
 from ground_search import ground_search
 from mutate_util import mutated_script, mutation_sites
-from test_corpus import axiom_closures
+from test_corpus import COROLLARIES, axiom_closures, with_corollaries
 
 # Labeled implicative-aBE tables of size 8 (unit at 7) that the complete
 # row-major search finds, recorded once (28,725,672 nodes); the classes the
@@ -29,6 +29,13 @@ COMPLETE_LABELED_8 = 7036
 # concatenated in output order, recorded once before the search used
 # orderly generation.
 IMPLICATIVE_8_DIGEST = "5092b29427987ad37bf2797bf8029a66a56580d1194ba11c091800ed5c2d982d"
+
+# The scripts of the paper's corollaries, which the built-in corpus leaves out
+COROLLARY_SCRIPTS = json.loads(COROLLARIES.read_text(encoding="utf-8"))["scripts"]
+
+# {corollary: the aBE classes it fails in at sizes 1..4}; commutativity and
+# the join lemma first fail at size 3, BCK's first axiom at size 4
+ABE_FAILURES = {"commutativity": [0, 0, 1, 14], "join": [0, 0, 1, 14], "bck1": [0, 0, 0, 5]}
 
 
 def _verdict(num, name, ok, detail=""):
@@ -110,15 +117,15 @@ def test_criterion_1_corpus_replay(corpus):
     _verdict(1, "corpus replay", ok, f"13 scripts in {elapsed * 1000:.0f} ms")
 
 
-def test_criterion_2_perturbation_suite(corpus, corpus_json):
-    rng = random.Random(1736)
-    total = 0
-    rejected = 0
-    diagnostics_ok = True
-    rounds = 3  # every mutable field of every step, three seeded values each
-    for script in corpus_json["scripts"]:
+def perturb(corpus, scripts, seed):
+    """Three seeded mutants of every mutable field of every step of each
+    script in `scripts` (as JSON), each replayed after the scripts of
+    `corpus` that come before it: (mutants, rejected, rejected naming it)."""
+    rng = random.Random(seed)
+    total = rejected = named = 0
+    for script in scripts:
         for site in mutation_sites(script):
-            for _ in range(rounds):
+            for _ in range(3):
                 total += 1
                 bad = mutated_script(script, site, rng)
                 env = corpus.environment()
@@ -130,10 +137,21 @@ def test_criterion_2_perturbation_suite(corpus, corpus_json):
                         replay_proof(dep, env)
                 except ProofError as e:
                     rejected += 1
-                    if e.script != script["id"]:
-                        diagnostics_ok = False
-    ok = total == 426 and rejected == total and diagnostics_ok
+                    named += e.script == script["id"]
+    return total, rejected, named
+
+
+def test_criterion_2_perturbation_suite(corpus, corpus_json):
+    total, rejected, named = perturb(corpus, corpus_json["scripts"], 1736)
+    ok = total == 426 and rejected == named == total
     _verdict(2, "perturbation suite", ok, f"{rejected}/{total} mutations rejected")
+
+
+def test_criterion_2b_perturbation_of_the_corollary_scripts():
+    merged = corpus_from_json(with_corollaries())
+    total, rejected, named = perturb(merged, COROLLARY_SCRIPTS, 1736)
+    ok = total == 204 and rejected == named == total
+    _verdict("2b", "perturbation of the corollary scripts", ok, f"{rejected}/{total} mutations rejected")
 
 
 def test_criterion_3_theorem_at_desk_scale(corpus, implicative_runs, implicative_models):
@@ -258,6 +276,25 @@ def test_criterion_6_commutativity_corollary(corpus, implicative_models):
         "commutativity corollary up to size 8",
         not violations,
         f"{len(implicative_models)} models checked",
+    )
+
+
+def test_criterion_6b_corollaries_in_the_models(implicative_models):
+    # each corollary holds in every implicative-aBE class up to size 8, and
+    # fails in aBE from the size pinned in ABE_FAILURES
+    merged = corpus_from_json(with_corollaries())
+    targets = [merged.statement(script["target"]) for script in COROLLARY_SCRIPTS]
+    abe = merged.axiom_system("aBE")
+    abe_models = [list(enumerate_models(abe, n)) for n in range(1, 5)]
+    violations = [(st.id, m.size) for st in targets for m in implicative_models if not satisfies(m, st)[0]]
+    failures = {st.id: [sum(not satisfies(m, st)[0] for m in models) for models in abe_models] for st in targets}
+    ok = not violations and len(implicative_models) == 23 and failures == ABE_FAILURES
+    _verdict(
+        "6b",
+        "corollaries hold up to size 8 and fail in aBE",
+        ok,
+        f"{len(targets)} statements x {len(implicative_models)} models, violations: {violations}; "
+        f"aBE classes failing at sizes 1-4: {failures}",
     )
 
 

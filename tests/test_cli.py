@@ -78,6 +78,12 @@ class TestReplay:
         assert_input_error(result)
         assert result.stderr.count("\n") == 1
 
+    def test_show_empty_id_is_an_unknown_id(self):
+        # an empty id is looked up like any other, not read as no --show
+        result = run_cli("replay", "--show", "")
+        assert_input_error(result)
+        assert result.stderr == "error: unknown statement id ''\n"
+
     def test_show_with_emit_text_is_show(self):
         assert run_cli("replay", "--show", "ax5", "--emit", "text") == run_cli("replay", "--show", "ax5")
 
@@ -475,7 +481,78 @@ HELP = {
 }
 
 
+# command lines made of the real command and option names, values of the kind
+# each option takes, and junk; `corpus export` is left out, as it writes a file
+FUZZ_IDS = ("ax1", "ax5", "lem10", "thm", "trans", "commutativity")
+FUZZ_SIZES = ("-1", "0", "1", "2", "3")
+FUZZ_FILES = (str(DATA_CORPUS), "{model}", "{not-a-model}")
+FUZZ_VALUES = {
+    "--script": FUZZ_FILES,
+    "--show": FUZZ_IDS,
+    "--emit": ("text", "json"),
+    "--axioms": ("aBE", "implicative-aBE"),
+    "--max-size": FUZZ_SIZES,
+    "--property": FUZZ_IDS,
+    "--budget-nodes": FUZZ_SIZES,
+    "--model": FUZZ_FILES,
+    "--violates": FUZZ_IDS,
+    "--size": FUZZ_SIZES,
+}
+FUZZ_JUNK = ("", "nosuch", "--", "-x", "=", "--frob", "--timings", "--help", "corpus", "show")
+# each command, the words it needs and the words it may take
+FUZZ_COMMANDS = {
+    ("replay",): ((), ("--script", "--show", "--emit")),
+    ("enumerate",): (("--axioms", "--max-size"), ("--property", "--emit", "--budget-nodes", "--timings")),
+    ("check",): (("--model", "--axioms"), ("--property", "--emit")),
+    ("search",): (("--axioms", "--violates", "--max-size"), ("--emit", "--budget-nodes")),
+    ("oracle",): (("--axioms", "--size"), ("--emit",)),
+    ("corpus", "show"): ((), FUZZ_IDS),
+}
+FUZZ_ANY = st.sampled_from(sorted(FUZZ_VALUES) + list(FUZZ_JUNK))
+
+
+def fuzz_words(word):
+    """`word` and, for an option that takes a value, a value of its kind or junk."""
+    if word not in FUZZ_VALUES:
+        return st.just([word])
+    return st.tuples(st.just(word), st.sampled_from(FUZZ_VALUES[word] + FUZZ_JUNK[:2])).map(list)
+
+
+def fuzz_argv(command):
+    """`command`, the words it needs, some it may take, and maybe one of any
+    kind, in any order."""
+    needed, optional = FUZZ_COMMANDS[command]
+    words = st.builds(
+        lambda some, more: [*needed, *some, *more],
+        st.lists(st.sampled_from(optional), unique=True, max_size=len(optional)),
+        st.lists(FUZZ_ANY, max_size=1),
+    )
+    pairs = words.flatmap(st.permutations).flatmap(lambda ws: st.tuples(*map(fuzz_words, ws)))
+    return pairs.map(lambda ws: [*command, *(w for pair in ws for w in pair)])
+
+
+FUZZ_ARGV = st.sampled_from(sorted(FUZZ_COMMANDS)).flatmap(fuzz_argv)
+
+
+@pytest.fixture(scope="module")
+def fuzz_models(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("models")
+    return {"{model}": write_model(tmp, M2), "{not-a-model}": write_model(tmp, BAD_AX3, "bad.json")}
+
+
 class TestCommandLine:
+    @settings(max_examples=80, deadline=None)
+    @given(FUZZ_ARGV)
+    def test_any_command_line_exits_with_a_verdict_or_one_error(self, fuzz_models, argv):
+        # run_cli fails on any exception but SystemExit; exit 3 comes exactly
+        # with one `error: ` line on stderr
+        result = run_cli(*(fuzz_models.get(word, word) for word in argv))
+        assert result.exit_code in (0, 2, 3, 4)
+        one_error = result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert (result.exit_code == 3) == one_error
+        if result.exit_code != 3:
+            assert result.stderr == ""
+
     @pytest.mark.parametrize("case", MALFORMED)
     def test_malformed_command_line_is_one_error_line(self, case):
         result = run_cli(*MALFORMED[case])

@@ -19,14 +19,18 @@ from abeforge.kernel import (
 from abeforge.statements import Clause, Identity, QuasiIdentity
 from conftest import child_env, read_corpus_json
 
-# Scripts for the paper's corollaries, kept out of the built-in corpus
+# Statements and scripts for the paper's corollaries, kept out of the
+# built-in corpus
 COROLLARIES = Path(__file__).resolve().parent / "corollaries.json"
 
 
 def with_corollaries() -> dict:
-    """The parsed built-in corpus file with the corollaries' scripts appended."""
+    """The parsed built-in corpus file with the corollaries' statements and
+    scripts appended."""
     obj = read_corpus_json()
-    obj["scripts"] += json.loads(COROLLARIES.read_text(encoding="utf-8"))["scripts"]
+    extra = json.loads(COROLLARIES.read_text(encoding="utf-8"))
+    obj["statements"] += extra["statements"]
+    obj["scripts"] += extra["scripts"]
     return obj
 
 
@@ -114,13 +118,15 @@ def test_each_script_cites_only_what_it_declares(corpus):
 
 
 def test_corollaries_replay(tmp_path):
-    # commutativity, (x -> y) -> y = (y -> x) -> x, from ax3, ax4, ax5 and lem17
+    # commutativity, (x -> y) -> y = (y -> x) -> x, from ax3, ax4, ax5 and lem17;
+    # the join lemma, (y -> z) -> z = (((y -> z) -> z) -> y) -> y; and BCK's
+    # first axiom, (x -> y) -> (y -> z) -> x -> z = 1, from the join lemma
     path = tmp_path / "corpus.json"
     path.write_text(json.dumps(with_corollaries()), encoding="utf-8")
     argv = [sys.executable, "-m", "abeforge.cli", "replay", "--script", str(path)]
     proc = subprocess.run(argv, env=child_env(), capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.endswith("commutativity: verified\n14/14 verified\n")
+    assert proc.stdout.endswith("commutativity: verified\njoin: verified\nbck1: verified\n16/16 verified\n")
 
 
 # cited by a top-level rewrite, inside a literal-elim chain, inside a split branch
@@ -139,12 +145,13 @@ def axiom_closures(corpus):
     return {script.id: rests_on[script.target] for script in corpus.scripts}
 
 
-def test_axioms_each_result_rests_on(corpus):
-    # the table in the README; no result needs ax1
+def test_axioms_each_result_rests_on():
+    # the table in the README; only the join lemma, which cites ax1, and BCK's
+    # first axiom, which cites the join lemma, need ax1
     def ax(*ks):
         return {f"ax{k}" for k in ks}
 
-    assert axiom_closures(corpus) == {
+    assert axiom_closures(corpus_from_json(with_corollaries())) == {
         "ax5-clause": ax(5),
         "lem8a": ax(2, 3, 4, 5),
         "lem8b": ax(3, 4, 5),
@@ -158,6 +165,9 @@ def test_axioms_each_result_rests_on(corpus):
         "lem17": ax(2, 3, 4, 5, 6),
         "lem18": ax(2, 3, 4, 5, 6),
         "thm": ax(2, 3, 4, 5, 6),
+        "commutativity": ax(2, 3, 4, 5, 6),
+        "join": ax(1, 2, 3, 4, 5, 6),
+        "bck1": ax(1, 2, 3, 4, 5, 6),
     }
 
 
