@@ -19,20 +19,8 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .corpus import BUILTIN_PATH, Corpus, CorpusError, load_corpus
-from .kernel import (
-    ClauseInstantiate,
-    ClauseLiteralRewrite,
-    CloseConflict,
-    CloseRefl,
-    LiteralElim,
-    ProofScript,
-    Rewrite,
-    Split,
-    verify_corpus,
-)
-from .statements import Clause, Identity, QuasiIdentity
-from .terms import format_term
+from .corpus import BUILTIN_PATH, CorpusError, load_corpus
+from .kernel import verify_corpus
 
 if TYPE_CHECKING:
     from .models import Witness
@@ -90,58 +78,6 @@ def _check_max_size(max_size: int):
 # ---------------------------------------------------------------------------
 
 
-def _substitution(step) -> str:
-    return ", ".join(f"{v} := {format_term(t)}" for v, t in step.substitution.items())
-
-
-def _show_step(step, indent: int) -> list[str]:
-    pad = "  " * indent
-    if isinstance(step, Rewrite):
-        by = f"hyp {step.justification}" if isinstance(step.justification, int) else step.justification
-        at = step.position or "root"
-        return [f"{pad}rewrite {by} [{_substitution(step)}] at {at} {step.direction}"]
-    if isinstance(step, ClauseInstantiate):
-        return [f"{pad}instantiate clause {step.clause} [{_substitution(step)}]"]
-    if isinstance(step, LiteralElim):
-        lines = [f"{pad}eliminate literal {step.index} by:"]
-        for s in step.chain:
-            lines.extend(_show_step(s, indent + 1))
-        return lines
-    if isinstance(step, ClauseLiteralRewrite):
-        return [
-            f"{pad}rewrite literal {step.index} with {step.justification} [{_substitution(step)}] "
-            f"at {step.position} {step.direction}"
-        ]
-    if isinstance(step, Split):
-        lines = [f"{pad}split on {step.clause} [{_substitution(step)}]"]
-        for i, branch in enumerate(step.branches):
-            lines.append(f"{pad}  branch {i}:")
-            for s in branch:
-                lines.extend(_show_step(s, indent + 2))
-        return lines
-    if isinstance(step, CloseConflict):
-        return [f"{pad}close: conflicts hypothesis {step.hypothesis}"]
-    if isinstance(step, CloseRefl):
-        return [f"{pad}close: reflexivity"]
-    return [f"{pad}{step!r}"]
-
-
-def _show_script(corpus: Corpus, script: ProofScript) -> list[str]:
-    target = corpus.statement(script.target)
-    lines = [f"script {script.id}  (target {script.target}: {target})"]
-    if script.comment:
-        lines.append(f"  # {script.comment}")
-    if script.constants:
-        lines.append(f"  constants: {', '.join(script.constants)}")
-    for i, h in enumerate(script.hypotheses):
-        lines.append(f"  hypothesis {i}: {h}")
-    if script.depends_on:
-        lines.append(f"  depends on: {', '.join(script.depends_on)}")
-    for s in script.steps:
-        lines.extend(_show_step(s, 1))
-    return lines
-
-
 def replay(script_path, show_id, emit):
     """Replay proof scripts and report per-statement status."""
     if show_id is not None and emit == "json":
@@ -149,10 +85,11 @@ def replay(script_path, show_id, emit):
     corpus = load_corpus(script_path)
     if show_id is not None:
         try:
-            return EXIT_OK, None, _show_script(corpus, corpus.script(show_id))
+            script = corpus.script(show_id)
         except CorpusError:
             st = corpus.statement(show_id)
             return EXIT_OK, None, [f"{st.id}: {st}"]
+        return EXIT_OK, None, script.show(corpus.statement(script.target))
     report = verify_corpus(corpus)
     verified = sum(1 for _, status in report if status == "verified")
     scripts = [{"id": sid, "status": status} for sid, status in report]
@@ -327,12 +264,12 @@ def corpus_show(sid):
     lines = []
     try:
         st = corpus.statement(sid)
-        kind = {Identity: "identity", Clause: "clause", QuasiIdentity: "quasi-identity"}[type(st)]
-        lines.append(f"{st.id} ({kind}): {st}")
+        lines.append(f"{st.id} ({st.kind}): {st}")
     except CorpusError:
         pass
     try:
-        lines.extend(_show_script(corpus, corpus.script(sid)))
+        script = corpus.script(sid)
+        lines.extend(script.show(corpus.statement(script.target)))
     except CorpusError:
         pass
     if not lines:

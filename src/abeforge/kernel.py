@@ -2,7 +2,8 @@
 
 The kernel checks scripts, it never searches.  Rewriting is only ever done
 with verified identities and ground hypothesis equations; clauses enter a
-proof through explicit instantiation or a single case split.
+proof through explicit instantiation or a single case split.  Each script
+and step record renders itself as `replay --show` prints it.
 """
 
 from __future__ import annotations
@@ -54,6 +55,10 @@ L2R = "L2R"
 R2L = "R2L"
 
 
+def _substitution(step) -> str:
+    return ", ".join(f"{v} := {format_term(t)}" for v, t in step.substitution.items())
+
+
 @record
 class Rewrite:
     """Apply one equation (a verified identity or a ground hypothesis) at a position.
@@ -66,11 +71,20 @@ class Rewrite:
     position: str = ""
     direction: str = L2R
 
+    def show(self, indent: int) -> list[str]:
+        """The step as `replay --show` prints it, `indent` levels deep."""
+        by = f"hyp {self.justification}" if isinstance(self.justification, int) else self.justification
+        at = self.position or "root"
+        return [f"{'  ' * indent}rewrite {by} [{_substitution(self)}] at {at} {self.direction}"]
+
 
 @record
 class ClauseInstantiate:
     clause: str
     substitution: Mapping[str, Term]
+
+    def show(self, indent: int) -> list[str]:
+        return [f"{'  ' * indent}instantiate clause {self.clause} [{_substitution(self)}]"]
 
 
 @record
@@ -79,6 +93,12 @@ class LiteralElim:
 
     index: int
     chain: tuple[Rewrite, ...]
+
+    def show(self, indent: int) -> list[str]:
+        lines = [f"{'  ' * indent}eliminate literal {self.index} by:"]
+        for step in self.chain:
+            lines.extend(step.show(indent + 1))
+        return lines
 
 
 @record
@@ -92,6 +112,12 @@ class ClauseLiteralRewrite:
     position: str
     direction: str = L2R
 
+    def show(self, indent: int) -> list[str]:
+        return [
+            f"{'  ' * indent}rewrite literal {self.index} with {self.justification} [{_substitution(self)}] "
+            f"at {self.position} {self.direction}"
+        ]
+
 
 @record
 class Split:
@@ -101,15 +127,28 @@ class Split:
     substitution: Mapping[str, Term]
     branches: tuple[tuple["BranchStep", ...], ...]
 
+    def show(self, indent: int) -> list[str]:
+        pad = "  " * indent
+        lines = [f"{pad}split on {self.clause} [{_substitution(self)}]"]
+        for i, branch in enumerate(self.branches):
+            lines.append(f"{pad}  branch {i}:")
+            for step in branch:
+                lines.extend(step.show(indent + 2))
+        return lines
+
 
 @record
 class CloseConflict:
     hypothesis: int
 
+    def show(self, indent: int) -> list[str]:
+        return [f"{'  ' * indent}close: conflicts hypothesis {self.hypothesis}"]
+
 
 @record
 class CloseRefl:
-    pass
+    def show(self, indent: int) -> list[str]:
+        return [f"{'  ' * indent}close: reflexivity"]
 
 
 BranchStep = Union[Rewrite, CloseConflict, CloseRefl]
@@ -125,6 +164,22 @@ class ProofScript:
     hypotheses: tuple[Literal, ...] = ()
     depends_on: tuple[str, ...] = ()
     comment: str = ""
+
+    def show(self, target: Statement) -> list[str]:
+        """The script as `replay --show` prints it; `target` is the
+        statement with the id it names as its target."""
+        lines = [f"script {self.id}  (target {self.target}: {target})"]
+        if self.comment:
+            lines.append(f"  # {self.comment}")
+        if self.constants:
+            lines.append(f"  constants: {', '.join(self.constants)}")
+        for i, h in enumerate(self.hypotheses):
+            lines.append(f"  hypothesis {i}: {h}")
+        if self.depends_on:
+            lines.append(f"  depends on: {', '.join(self.depends_on)}")
+        for step in self.steps:
+            lines.extend(step.show(1))
+        return lines
 
 
 class ProofError(Exception):

@@ -41,10 +41,12 @@ class Literal:
 
 
 class Statement:
-    """Base for Identity / Clause / QuasiIdentity; all carry a string id."""
+    """Base for Identity / Clause / QuasiIdentity; all carry a string id,
+    and each class names its kind as `corpus show` prints it."""
 
     __slots__ = ()
     id: str
+    kind: str
 
     def free_variables(self) -> set[str]:
         out: set[str] = set()
@@ -55,6 +57,7 @@ class Statement:
 
 @record
 class Identity(Statement):
+    kind = "identity"
     id: str
     lhs: Term
     rhs: Term
@@ -65,6 +68,7 @@ class Identity(Statement):
 
 @record
 class Clause(Statement):
+    kind = "clause"
     id: str
     literals: tuple[Literal, ...]
 
@@ -78,6 +82,7 @@ class Clause(Statement):
 
 @record
 class QuasiIdentity(Statement):
+    kind = "quasi-identity"
     id: str
     hypotheses: tuple[Literal, ...]
     conclusion: Literal

@@ -18,7 +18,7 @@ from abeforge.search import brute_force_models, enumerate_models, enumerate_with
 from conftest import run_cli
 from ground_search import ground_search
 from mutate_util import mutated_script, mutation_sites
-from test_corpus import COROLLARIES, axiom_closures, with_corollaries
+from test_corpus import BASIS, COROLLARIES, axiom_closures, with_corollaries
 
 # Labeled implicative-aBE tables of size 8 (unit at 7) that the complete
 # row-major search finds, recorded once (28,725,672 nodes); the classes the
@@ -33,9 +33,33 @@ IMPLICATIVE_8_DIGEST = "5092b29427987ad37bf2797bf8029a66a56580d1194ba11c091800ed
 # The scripts of the paper's corollaries, which the built-in corpus leaves out
 COROLLARY_SCRIPTS = json.loads(COROLLARIES.read_text(encoding="utf-8"))["scripts"]
 
-# {corollary: the aBE classes it fails in at sizes 1..4}; commutativity and
-# the join lemma first fail at size 3, BCK's first axiom at size 4
-ABE_FAILURES = {"commutativity": [0, 0, 1, 14], "join": [0, 0, 1, 14], "bck1": [0, 0, 0, 5]}
+# {target of a corollary script: the aBE classes it fails in at sizes 1..5,
+# of 1, 1, 3, 19 and 241}; commutativity and the join lemma first fail at
+# size 3, BCK's first axiom and transitivity at size 4, and BCK's other two
+# axioms hold in all 265
+ABE_FAILURES = {
+    "commutativity": [0, 0, 1, 14, 230],
+    "join": [0, 0, 1, 14, 230],
+    "bck1": [0, 0, 0, 5, 153],
+    "trans": [0, 0, 0, 3, 102],
+    "k": [0, 0, 0, 0, 0],
+    "bck2": [0, 0, 0, 0, 0],
+    "ax1": [0, 0, 0, 0, 0],
+    "ax2": [0, 0, 0, 0, 0],
+}
+
+# {axiom dropped from the basis ax3-ax6: (the least size at which the other
+# three have a model that falsifies transitivity, the least canonical form of
+# such a model as a flat row-major table with the unit last)}, recorded once
+# from the reference search.  At the pinned size, 2 of 24 labeled tables
+# falsify it without ax3 (1 class), 530 of 1,896 without ax4 (24), 9 of 17
+# without ax5 (2) and 14 of 127 without ax6 (3).
+INDEPENDENCE = {
+    "ax3": (3, [0, 1, 2, 0, 0, 0, 0, 2, 2]),
+    "ax4": (5, [4, 1, 1, 1, 4, 0, 4, 0, 4, 4, 3, 3, 4, 3, 4, 4, 2, 2, 4, 4, 0, 1, 2, 3, 4]),
+    "ax5": (4, [3, 1, 1, 3, 0, 3, 3, 3, 3, 3, 3, 3, 0, 1, 2, 3]),
+    "ax6": (4, [3, 0, 3, 3, 3, 3, 2, 3, 0, 1, 3, 3, 0, 1, 2, 3]),
+}
 
 
 def _verdict(num, name, ok, detail=""):
@@ -150,7 +174,7 @@ def test_criterion_2_perturbation_suite(corpus, corpus_json):
 def test_criterion_2b_perturbation_of_the_corollary_scripts():
     merged = corpus_from_json(with_corollaries())
     total, rejected, named = perturb(merged, COROLLARY_SCRIPTS, 1736)
-    ok = total == 204 and rejected == named == total
+    ok = total == 393 and rejected == named == total
     _verdict("2b", "perturbation of the corollary scripts", ok, f"{rejected}/{total} mutations rejected")
 
 
@@ -233,6 +257,32 @@ def test_criterion_4b_each_result_in_the_models_of_its_axioms(corpus):
     )
 
 
+@pytest.mark.parametrize("dropped", sorted(INDEPENDENCE))
+def test_criterion_4c_each_basis_axiom_is_needed(corpus, dropped):
+    # The reference search finds no model of the other three axioms that
+    # falsifies transitivity below the pinned size; the pinned table is one
+    # at that size, in canonical form, and it falsifies the dropped axiom.
+    # The search at the pinned size is left out: without ax4 it takes 4.7 s.
+    size, flat = INDEPENDENCE[dropped]
+    trans = corpus.statement("trans")
+    others = [corpus.statement(ax) for ax in BASIS if ax != dropped]
+    smaller = [
+        (n, table)
+        for n in range(1, size)
+        for table in ground_search(others, n)
+        if not satisfies(from_flat(table, n), trans)[0]
+    ]
+    model = from_flat(flat, size)
+    ok = (
+        not smaller
+        and canonical_form(model) == bytes([size, *flat])
+        and all(satisfies(model, st)[0] for st in others)
+        and not satisfies(model, trans)[0]
+        and not satisfies(model, corpus.statement(dropped))[0]
+    )
+    _verdict("4c", f"{dropped} is needed for transitivity", ok, f"none below size {size}: {smaller}")
+
+
 def test_criterion_5_oracle_equivalence(corpus):
     mismatches = []
     for name in ("aBE", "implicative-aBE"):
@@ -280,12 +330,12 @@ def test_criterion_6_commutativity_corollary(corpus, implicative_models):
 
 
 def test_criterion_6b_corollaries_in_the_models(implicative_models):
-    # each corollary holds in every implicative-aBE class up to size 8, and
-    # fails in aBE from the size pinned in ABE_FAILURES
+    # each target of a corollary script holds in every implicative-aBE class
+    # up to size 8, and fails in the aBE classes pinned in ABE_FAILURES
     merged = corpus_from_json(with_corollaries())
-    targets = [merged.statement(script["target"]) for script in COROLLARY_SCRIPTS]
+    targets = [merged.statement(sid) for sid in dict.fromkeys(script["target"] for script in COROLLARY_SCRIPTS)]
     abe = merged.axiom_system("aBE")
-    abe_models = [list(enumerate_models(abe, n)) for n in range(1, 5)]
+    abe_models = [list(enumerate_models(abe, n)) for n in range(1, 6)]
     violations = [(st.id, m.size) for st in targets for m in implicative_models if not satisfies(m, st)[0]]
     failures = {st.id: [sum(not satisfies(m, st)[0] for m in models) for models in abe_models] for st in targets}
     ok = not violations and len(implicative_models) == 23 and failures == ABE_FAILURES
@@ -294,7 +344,7 @@ def test_criterion_6b_corollaries_in_the_models(implicative_models):
         "corollaries hold up to size 8 and fail in aBE",
         ok,
         f"{len(targets)} statements x {len(implicative_models)} models, violations: {violations}; "
-        f"aBE classes failing at sizes 1-4: {failures}",
+        f"aBE classes failing at sizes 1-5: {failures}",
     )
 
 

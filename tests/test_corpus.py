@@ -119,55 +119,83 @@ def test_each_script_cites_only_what_it_declares(corpus):
 
 def test_corollaries_replay(tmp_path):
     # commutativity, (x -> y) -> y = (y -> x) -> x, from ax3, ax4, ax5 and lem17;
-    # the join lemma, (y -> z) -> z = (((y -> z) -> z) -> y) -> y; and BCK's
-    # first axiom, (x -> y) -> (y -> z) -> x -> z = 1, from the join lemma
+    # the join lemma, (y -> z) -> z = (((y -> z) -> z) -> y) -> y; BCK's
+    # first axiom, (x -> y) -> (y -> z) -> x -> z = 1, from the join lemma;
+    # transitivity again, from BCK's first axiom and ax1; BCK's x -> y -> x = 1
+    # and x -> (x -> y) -> y = 1; and ax1 and ax2 from ax3 and ax6
     path = tmp_path / "corpus.json"
     path.write_text(json.dumps(with_corollaries()), encoding="utf-8")
     argv = [sys.executable, "-m", "abeforge.cli", "replay", "--script", str(path)]
     proc = subprocess.run(argv, env=child_env(), capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.endswith("commutativity: verified\njoin: verified\nbck1: verified\n16/16 verified\n")
+    assert proc.stdout.endswith(
+        "commutativity: verified\njoin: verified\nbck1: verified\ntrans-bck1: verified\nk: verified\n"
+        "bck2: verified\nax1-from-ax3-ax6: verified\nax2-from-ax3-ax6: verified\n21/21 verified\n"
+    )
+
+
+def script_json(corpus_json, sid):
+    return next(s for s in corpus_json["scripts"] if s["id"] == sid)
 
 
 # cited by a top-level rewrite, inside a literal-elim chain, inside a split branch
 @pytest.mark.parametrize("script_id, dep", [("lem11", "lem10"), ("lem14", "lem13"), ("thm", "ax4")])
 def test_undeclared_citation_is_named(corpus_json, script_id, dep):
-    script = next(s for s in corpus_json["scripts"] if s["id"] == script_id)
+    script = script_json(corpus_json, script_id)
     script["depends_on"].remove(dep)
     assert undeclared_citations(corpus_from_json(corpus_json)) == {script_id: {dep}}
 
 
-def axiom_closures(corpus):
-    """{script id: the axioms its declared dependencies lead down to}."""
-    rests_on = {sid: {sid} for sid in AXIOM_IDS}
-    for script in corpus.scripts:  # dependencies come first
-        rests_on[script.target] = set().union(*(rests_on[dep] for dep in script.depends_on))
-    return {script.id: rests_on[script.target] for script in corpus.scripts}
+# ax1 and ax2 follow from ax3 and ax6 (the scripts ax1-from-ax3-ax6 and
+# ax2-from-ax3-ax6 in tests/corollaries.json)
+BASIS = ("ax3", "ax4", "ax5", "ax6")
+
+
+def axiom_closures(corpus, basis=AXIOM_IDS):
+    """{script id: the axioms of `basis` that its declared dependencies lead
+    down to}.  A dependency outside `basis` is read through the first script
+    that proves it."""
+    first = {}
+    for script in corpus.scripts:
+        first.setdefault(script.target, script)
+
+    def closure(script):
+        return set().union(*({dep} if dep in basis else closure(first[dep]) for dep in script.depends_on))
+
+    return {script.id: closure(script) for script in corpus.scripts}
 
 
 def test_axioms_each_result_rests_on():
-    # the table in the README; only the join lemma, which cites ax1, and BCK's
-    # first axiom, which cites the join lemma, need ax1
+    # the table in the README: the axioms each result rests on, and the
+    # same with ax1 and ax2 read through their derivations from ax3 and ax6;
+    # only the results that cite the join lemma or ax1 need ax1
     def ax(*ks):
         return {f"ax{k}" for k in ks}
 
-    assert axiom_closures(corpus_from_json(with_corollaries())) == {
-        "ax5-clause": ax(5),
-        "lem8a": ax(2, 3, 4, 5),
-        "lem8b": ax(3, 4, 5),
-        "lem10": ax(4, 6),
-        "lem11": ax(4, 6),
-        "lem12": ax(2, 3, 4, 6),
-        "lem13": ax(2, 3, 4, 6),
-        "lem14": ax(2, 3, 4, 5, 6),
-        "lem15": ax(4, 6),
-        "lem16": ax(2, 3, 4, 5, 6),
-        "lem17": ax(2, 3, 4, 5, 6),
-        "lem18": ax(2, 3, 4, 5, 6),
-        "thm": ax(2, 3, 4, 5, 6),
-        "commutativity": ax(2, 3, 4, 5, 6),
-        "join": ax(1, 2, 3, 4, 5, 6),
-        "bck1": ax(1, 2, 3, 4, 5, 6),
+    merged = corpus_from_json(with_corollaries())
+    closures, from_basis = axiom_closures(merged), axiom_closures(merged, BASIS)
+    assert {sid: (closures[sid], from_basis[sid]) for sid in closures} == {
+        "ax5-clause": (ax(5), ax(5)),
+        "lem8a": (ax(2, 3, 4, 5), ax(3, 4, 5, 6)),
+        "lem8b": (ax(3, 4, 5), ax(3, 4, 5)),
+        "lem10": (ax(4, 6), ax(4, 6)),
+        "lem11": (ax(4, 6), ax(4, 6)),
+        "lem12": (ax(2, 3, 4, 6), ax(3, 4, 6)),
+        "lem13": (ax(2, 3, 4, 6), ax(3, 4, 6)),
+        "lem14": (ax(2, 3, 4, 5, 6), ax(3, 4, 5, 6)),
+        "lem15": (ax(4, 6), ax(4, 6)),
+        "lem16": (ax(2, 3, 4, 5, 6), ax(3, 4, 5, 6)),
+        "lem17": (ax(2, 3, 4, 5, 6), ax(3, 4, 5, 6)),
+        "lem18": (ax(2, 3, 4, 5, 6), ax(3, 4, 5, 6)),
+        "thm": (ax(2, 3, 4, 5, 6), ax(3, 4, 5, 6)),
+        "commutativity": (ax(2, 3, 4, 5, 6), ax(3, 4, 5, 6)),
+        "join": (ax(1, 2, 3, 4, 5, 6), ax(3, 4, 5, 6)),
+        "bck1": (ax(1, 2, 3, 4, 5, 6), ax(3, 4, 5, 6)),
+        "trans-bck1": (ax(1, 2, 3, 4, 5, 6), ax(3, 4, 5, 6)),
+        "k": (ax(2, 3, 4), ax(3, 4, 6)),
+        "bck2": (ax(3, 4), ax(3, 4)),
+        "ax1-from-ax3-ax6": (ax(3, 6), ax(3, 6)),
+        "ax2-from-ax3-ax6": (ax(3, 6), ax(3, 6)),
     }
 
 
@@ -185,6 +213,25 @@ def test_unknown_dependency_rejected(corpus_json):
     corpus_json["scripts"][3]["depends_on"].append("lem99")
     with pytest.raises(CorpusError, match="lem99"):
         corpus_from_json(corpus_json)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda obj: obj["properties"].append("nosuch"), "property references unknown id 'nosuch'"),
+        (lambda obj: script_json(obj, "lem8a").update(target="nosuch"), "script 'lem8a' targets unknown id 'nosuch'"),
+        (
+            lambda obj: script_json(obj, "lem10")["depends_on"].append("lem11"),
+            "script 'lem10' depends on 'lem11' before it is proved",
+        ),
+        (lambda obj: obj["statements"][0].update(kind="frob"), "unknown statement kind 'frob'"),
+    ],
+)
+def test_loader_names_what_is_wrong(corpus_json, edit, message):
+    edit(corpus_json)
+    with pytest.raises(CorpusError) as exc:
+        corpus_from_json(corpus_json)
+    assert str(exc.value) == message
 
 
 def test_unknown_step_rule_rejected(corpus_json):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from abeforge.corpus import corpus_from_json
 from abeforge.kernel import (
     L2R,
     R2L,
@@ -40,7 +41,7 @@ from abeforge.terms import (
     variables,
 )
 
-from conftest import terms
+from conftest import read_corpus_json, terms
 from mutate_util import mutated_script, mutation_sites
 
 
@@ -270,6 +271,104 @@ class TestCorpusReplay:
         assert report["lem10"].startswith("failed")
         assert report["lem11"] == "skipped"
         assert report["thm"] == "skipped"
+
+
+def thm_with(**fields) -> dict:
+    """The built-in script thm (as JSON), renamed and with `fields` replaced."""
+    thm = next(s for s in read_corpus_json()["scripts"] if s["id"] == "thm")
+    return {**thm, "id": "thm2", **fields}
+
+
+def thm_with_branch_1(branch: list) -> dict:
+    split = thm_with()["steps"][0]
+    return thm_with(steps=[{**split, "branches": [split["branches"][0], branch]}])
+
+
+def equation(lhs, rhs, polarity="="):
+    return {"lhs": lhs, "polarity": polarity, "rhs": rhs}
+
+
+# x -> y = 1 ==> y -> x = 1, which fails in the 2-element implicative aBE
+# algebra; the split on ax3 at a has one branch, which assumes a -> a = 1
+CONVERSE = {
+    "id": "converse",
+    "kind": "quasi",
+    "hypotheses": [equation("x -> y", "1")],
+    "conclusion": equation("y -> x", "1"),
+}
+
+
+def converse_by(branch: list) -> dict:
+    return {
+        "id": "converse",
+        "target": "converse",
+        "constants": ["a", "b"],
+        "depends_on": ["ax3"],
+        "hypotheses": [equation("a -> b", "1"), equation("b -> a", "1", "!=")],
+        "steps": [{"rule": "split", "clause": "ax3", "subst": {"x": "a"}, "branches": [branch]}],
+    }
+
+
+X_TO_ONE = {"rule": "rewrite", "by": "ax3", "subst": {"x": "x"}}
+
+# (statements to add, script, the step and message of the ProofError it raises)
+CRAFTED = {
+    "rewrite by an absent hypothesis": (
+        [], {"id": "h", "target": "ax3", "steps": [{"rule": "rewrite", "by": 0}]},
+        "step.0", "no hypothesis with index 0",
+    ),
+    "bad direction": (
+        [], {"id": "d", "target": "ax3", "depends_on": ["ax3"], "steps": [{**X_TO_ONE, "dir": "up"}]},
+        "step.0", "bad direction 'up'",
+    ),
+    "close step in a rewrite chain": (
+        [], {"id": "c", "target": "ax3", "depends_on": ["ax3"], "steps": [X_TO_ONE, {"rule": "close-refl"}]},
+        "step.1", "expected a rewrite, got CloseRefl",
+    ),
+    "rewrite in a clause derivation": (
+        [],
+        {"id": "r", "target": "ax5", "depends_on": ["ax3", "ax5"],
+         "steps": [{"rule": "clause-instantiate", "clause": "ax5"}, X_TO_ONE]},
+        1, "step kind Rewrite not allowed in a clause derivation",
+    ),
+    "hypothesis with a variable": (
+        [], thm_with(hypotheses=[equation("x -> b", "1"), equation("b -> c", "1"), equation("a -> c", "1", "!=")]),
+        None, "hypothesis 0 is not ground",
+    ),
+    "refutation of two splits": (
+        [], thm_with(steps=thm_with()["steps"] * 2), None, "a refutation is a single case split",
+    ),
+    "empty branch": ([], thm_with_branch_1([]), "branch 1", "branch has no steps"),
+    # the two below verified the false converse without their checks
+    "close-refl on an assumed equation": (
+        [CONVERSE], converse_by([{"rule": "rewrite", "by": 2}, {"rule": "close-refl"}]),
+        "branch 0", "close-refl needs an assumed disequation",
+    ),
+    "chain before a disequation's conflict": (
+        [], thm_with_branch_1([X_TO_ONE, {"rule": "close-conflict", "hypothesis": 1}]),
+        "branch 1", "disequation branches close without a chain",
+    ),
+    "branch without a close step": (
+        [CONVERSE], converse_by([{"rule": "rewrite", "by": 2}]),
+        "branch 0", "branch must end in a close step, got Rewrite",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CRAFTED))
+def test_crafted_script_rejected(case):
+    # each script loads, and is replayed after the built-in ones
+    statements, script, step, message = CRAFTED[case]
+    obj = read_corpus_json()
+    obj["statements"] += statements
+    obj["scripts"].append(script)
+    corpus = corpus_from_json(obj)
+    env = corpus.environment()
+    for built_in in corpus.scripts[:-1]:
+        replay_proof(built_in, env)
+    with pytest.raises(ProofError) as exc:
+        replay_proof(corpus.scripts[-1], env)
+    assert (exc.value.script, exc.value.step, exc.value.message) == (script["id"], step, message)
 
 
 class TestPerturbation:

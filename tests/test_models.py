@@ -307,6 +307,10 @@ class TestModelFiles:
         with pytest.raises(ModelFileError):
             model_from_json([1, 2, 3])
 
+    def test_table_entry_out_of_range(self):
+        with pytest.raises(ModelFileError, match="^bad model file: table entry out of range$"):
+            model_from_json({"size": 2, "unit": 1, "table": [[2, 1], [0, 1]]})
+
     def test_invalid_table_shape(self):
         with pytest.raises(ModelFileError):
             model_from_json({"size": 2, "unit": 0, "table": [[0, 0]]})

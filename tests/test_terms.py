@@ -46,6 +46,11 @@ class TestParse:
             parse_term("x -> @")
         assert exc.value.offset == 5
 
+    def test_unexpected_token_named_with_its_offset(self):
+        with pytest.raises(TermSyntaxError, match=r"^unexpected token '\)' \(at offset 5\)$") as exc:
+            parse_term("x -> )")
+        assert exc.value.offset == 5
+
     def test_trailing_input_rejected(self):
         with pytest.raises(TermSyntaxError):
             parse_term("x y")
