@@ -79,32 +79,22 @@ def evaluate(model: FiniteAlgebra, t: Term, assignment: Mapping[str, int]) -> in
 _MAX_LOOPS = 20
 
 
-def _first_unbound(t: Term, index: Mapping[str, int]) -> Optional[str]:
-    """The first name of t, left operand before right as evaluate reads
-    them, that index does not bind."""
-    if isinstance(t, Arrow):
-        return _first_unbound(t.left, index) or _first_unbound(t.right, index)
-    if isinstance(t, (Var, Const)) and t.name not in index:
-        return t.name
-    return None
-
-
 def _check_source(literals: Sequence[Literal], names: Sequence[str]) -> str:
-    """Source of check(tab, unit, r): nested loops over the sorted variable
-    names, each taking the values in r, that return the first assignment
-    falsifying the clause as a tuple, with the (lhs, rhs) values of its
-    literals under it, or None.
+    """Source of check(tab, unit, r): one loop per sorted variable name, each
+    taking the values in r, that returns the first assignment falsifying the
+    clause as a tuple, with the (lhs, rhs) values of its literals under it,
+    or None.
 
     The loop body is straight-line, with one local tab[x][y] per arrow, so no
     term depth reaches CPython's nesting limits.  It keeps evaluate's order:
     literals in clause order up to the first true one, left side before
-    right, left operand before right.  A literal reading an unbound name
-    raises evaluate's KeyError when it is reached; the table reads before
-    that name have no effect.  A clause with more than _MAX_LOOPS variables
-    takes its outer ones from one product loop."""
-    index = {name: i for i, name in enumerate(names)}
+    right, left operand before right.  A constant, which no assignment binds,
+    or more than _MAX_LOOPS variables raise ValueError before any table is
+    read."""
     k = len(names)
-    outer = k - _MAX_LOOPS + 1 if k > _MAX_LOOPS else 0
+    if k > _MAX_LOOPS:
+        raise ValueError(f"a statement over {k} variables; at most {_MAX_LOOPS} can be checked")
+    index = {name: i for i, name in enumerate(names)}
     body: list[str] = []
     arrows = 0
 
@@ -112,7 +102,9 @@ def _check_source(literals: Sequence[Literal], names: Sequence[str]) -> str:
         nonlocal arrows
         if isinstance(t, Unit):
             return "unit"
-        if isinstance(t, (Var, Const)):
+        if isinstance(t, Const):
+            raise ValueError(f"constant {t.name!r} cannot be checked in a model")
+        if isinstance(t, Var):
             return f"v{index[t.name]}"
         x, y = value(t.left), value(t.right)
         arrows += 1
@@ -122,25 +114,15 @@ def _check_source(literals: Sequence[Literal], names: Sequence[str]) -> str:
     nxt = "continue" if k else "return None"
     sides = []
     for lit in literals:
-        name = _first_unbound(lit.lhs, index) or _first_unbound(lit.rhs, index)
-        if name is not None:
-            body.append(f"raise KeyError({f'unbound name {name!r}'!r})")
-            break
         x, y = value(lit.lhs), value(lit.rhs)
         body.append(f"if {x} {'==' if lit.positive else '!='} {y}: {nxt}")
         sides.append(f"({x}, {y}), ")
-    else:
-        # reached only when every literal was tested and found false
-        body.append(f"return ({''.join(f'v{i}, ' for i in range(k))}), ({''.join(sides)})")
+    # reached only when every literal was tested and found false
+    body.append(f"return ({''.join(f'v{i}, ' for i in range(k))}), ({''.join(sides)})")
 
-    loops = []
-    if outer:
-        loops.append(f"for {', '.join(f'v{i}' for i in range(outer))} in product(r, repeat={outer}):")
-    loops += [f"for v{i} in r:" for i in range(outer, k)]
-    indent = "    " * (len(loops) + 1)
     src = ["def check(tab, unit, r):"]
-    src += ["    " * (d + 1) + loop for d, loop in enumerate(loops)]
-    src += [indent + line for line in body]
+    src += ["    " * (i + 1) + f"for v{i} in r:" for i in range(k)]
+    src += ["    " * (k + 1) + line for line in body]
     src.append("    return None")
     return "\n".join(src) + "\n"
 
@@ -162,7 +144,7 @@ def _compile(st: Statement):
         return entry[1], entry[2]
     names = sorted(st.free_variables())
     source = _check_source(clause_form(st).literals, names)
-    namespace = {"product": itertools.product}
+    namespace: dict = {}
     exec(compile(source, f"<statement {st.id}>", "exec"), namespace)
     check = namespace["check"]
     if len(_compiled) >= _COMPILED_MAX:

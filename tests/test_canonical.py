@@ -31,6 +31,7 @@ from abeforge.models import (
 from abeforge.search import enumerate_with_stats
 
 from ground_search import ground_search
+from test_corpus import BASIS
 
 # Labeled tables of the complete search, recorded once; the identity below
 # checks every size, these pin the largest.
@@ -141,12 +142,20 @@ def orbit_sum(models):
     return total
 
 
-@pytest.mark.parametrize("name, max_size", [("aBE", 4), ("implicative-aBE", 5)])
-def test_independent_search_agrees(corpus, name, max_size):
-    # The grounded axioms give the complete search's labeled tables, and
-    # their classes are the enumerator's.
+@pytest.mark.parametrize(
+    "name, max_size, axioms",
+    [
+        pytest.param("aBE", 4, None, id="aBE-4"),
+        pytest.param("implicative-aBE", 5, None, id="implicative-aBE-5"),
+        pytest.param("implicative-aBE", 5, BASIS, id="basis-5"),
+    ],
+)
+def test_independent_search_agrees(corpus, name, max_size, axioms):
+    # The grounded axioms, the system's own or the basis {ax3, ax4, ax5, ax6}
+    # that ax1 and ax2 follow from, give the complete search's labeled
+    # tables, and their classes are the enumerator's.
     system = corpus.axiom_system(name)
-    statements = [corpus.statement(sid) for sid in system.members]
+    statements = [corpus.statement(sid) for sid in axioms or system.members]
     for n in range(1, max_size + 1):
         tables = ground_search(statements, n)
         assert len(set(tables)) == len(tables), n

@@ -140,6 +140,22 @@ class TestEnumerate:
         assert [s["count"] for s in obj["sizes"]] == [1, 1, 1, 2]
         assert all(s["millis"] is None for s in obj["sizes"])
 
+    def test_timings_add_millis_and_change_nothing_else(self):
+        args = ("enumerate", "--axioms", "aBE", "--max-size", "3")
+        timed, plain = run_cli(*args, "--timings", "--emit", "json"), run_cli(*args, "--emit", "json")
+        timed_text, plain_text = run_cli(*args, "--timings"), run_cli(*args)
+        assert {r.exit_code for r in (timed, plain, timed_text, plain_text)} == {0}
+        obj = json.loads(timed.stdout)
+        assert all(isinstance(s["millis"], float) and s["millis"] >= 0 for s in obj["sizes"])
+        for s in obj["sizes"]:
+            s["millis"] = None
+        assert obj == json.loads(plain.stdout)
+        rows, untimed_rows = timed_text.stdout.splitlines(), plain_text.stdout.splitlines()
+        assert len(rows) == len(untimed_rows) == 5
+        assert rows[1] == untimed_rows[1] + f" {'millis':>10}"
+        for row, untimed in zip(rows[2:], untimed_rows[2:]):
+            assert row.startswith(untimed) and float(row[len(untimed):]) >= 0
+
     def test_text_table(self):
         result = run_cli("enumerate", "--axioms", "aBE", "--max-size", "3")
         assert result.exit_code == 0
