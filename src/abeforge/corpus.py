@@ -26,7 +26,6 @@ from .kernel import (
     ClauseLiteralRewrite,
     CloseConflict,
     CloseRefl,
-    Environment,
     LiteralElim,
     ProofScript,
     Rewrite,
@@ -68,8 +67,9 @@ class Corpus:
                 return s
         raise CorpusError(f"unknown script id {sid!r}")
 
-    def environment(self) -> Environment:
-        return Environment(self.statements, axioms=AXIOM_IDS)
+    def axioms(self) -> dict[str, Statement]:
+        """A fresh dict of the six axioms, verified before any script replays."""
+        return {sid: self.statements[sid] for sid in AXIOM_IDS}
 
 
 def load_corpus(path: str | None = None) -> Corpus:

@@ -3,7 +3,9 @@
 The kernel checks scripts, it never searches.  Rewriting is only ever done
 with verified identities and ground hypothesis equations; clauses enter a
 proof through explicit instantiation or a single case split.  Each script
-and step record renders itself as `replay --show` prints it.
+and step record renders itself as `replay --show` prints it.  The kernel's
+one state is the dict of verified statements, which only a successful
+`replay_proof` extends; `instantiate` works on clause forms.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 from ._record import record
 from .statements import (
-    Clause,
     Identity,
     Literal,
     Statement,
@@ -44,7 +45,6 @@ __all__ = [
     "CloseConflict",
     "CloseRefl",
     "ProofScript",
-    "Environment",
     "ProofError",
     "verify_rewrite",
     "replay_proof",
@@ -193,37 +193,11 @@ class ProofError(Exception):
         super().__init__(f"[{script}] {where}: {message}")
 
 
-class Environment:
-    """Append-only registry of statements, with a verified subset.
-
-    Axioms are admitted as verified up front; everything else gets in only
-    through replay_proof.
-    """
-
-    def __init__(self, statements: Mapping[str, Statement], axioms: Sequence[str] = ()):
-        self._statements = dict(statements)
-        self._verified: dict[str, Statement] = {ax: self._statements[ax] for ax in axioms}
-
-    def statement(self, sid: str) -> Statement:
-        if sid not in self._statements:
-            raise KeyError(f"unknown statement id {sid!r}")
-        return self._statements[sid]
-
-    def is_verified(self, sid: str) -> bool:
-        return sid in self._verified
-
-    def verified(self, sid: str) -> Statement:
-        return self._verified[sid]
-
-    def admit(self, st: Statement):
-        self._verified[st.id] = st
-
-
 def _resolve_equation(
     script_id: str,
     step_no: object,
     step: Rewrite,
-    env: Environment,
+    verified: Mapping[str, Statement],
     hyps: Sequence[Literal],
 ) -> tuple[Term, Term]:
     """The (source, target) pair of the justifying equation, before direction."""
@@ -237,9 +211,9 @@ def _resolve_equation(
         if step.substitution:
             raise ProofError(script_id, step_no, "hypothesis rewrites take no substitution")
         return hyp.lhs, hyp.rhs
-    if not env.is_verified(just):
+    if just not in verified:
         raise ProofError(script_id, step_no, f"justification {just!r} is not verified")
-    st = env.verified(just)
+    st = verified[just]
     if not isinstance(st, Identity):
         raise ProofError(script_id, step_no, f"justification {just!r} is not an identity")
     return st.lhs, st.rhs
@@ -248,13 +222,13 @@ def _resolve_equation(
 def verify_rewrite(
     current: Term,
     step: Rewrite,
-    env: Environment,
+    verified: Mapping[str, Statement],
     hyps: Sequence[Literal] = (),
     script_id: str = "<adhoc>",
     step_no: object = None,
 ) -> Term:
     """Check one rewrite step against `current` and return the rewritten term."""
-    src, dst = _resolve_equation(script_id, step_no, step, env, hyps)
+    src, dst = _resolve_equation(script_id, step_no, step, verified, hyps)
     if step.direction == R2L:
         src, dst = dst, src
     elif step.direction != L2R:
@@ -279,7 +253,7 @@ def _run_chain(
     start: Term,
     goal: Term,
     chain: Sequence[Rewrite],
-    env: Environment,
+    verified: Mapping[str, Statement],
     hyps: Sequence[Literal],
     script_id: str,
     label: str,
@@ -292,33 +266,33 @@ def _run_chain(
     for i, st in enumerate(chain):
         if not isinstance(st, Rewrite):
             raise ProofError(script_id, f"{label}.{i}", f"expected a rewrite, got {type(st).__name__}")
-        cur = verify_rewrite(cur, st, env, hyps, script_id, f"{label}.{i}")
+        cur = verify_rewrite(cur, st, verified, hyps, script_id, f"{label}.{i}")
     if cur != goal:
         raise ProofError(script_id, step_no, mismatch(cur))
 
 
-def _replay_identity(script: ProofScript, target: Identity, env: Environment):
+def _replay_identity(script: ProofScript, target: Identity, verified: Mapping[str, Statement]):
     _run_chain(
-        target.lhs, target.rhs, script.steps, env, (), script.id, "step", None,
+        target.lhs, target.rhs, script.steps, verified, (), script.id, "step", None,
         lambda end: f"chain ended at {format_term(end)!r}, target rhs is {format_term(target.rhs)!r}",
     )
 
 
 def _clause_instance(
-    script_id: str, step: Union[ClauseInstantiate, Split], env: Environment
+    script_id: str, step: Union[ClauseInstantiate, Split], verified: Mapping[str, Statement]
 ) -> tuple[Literal, ...]:
     """The verified clause that step 0 names, instantiated, in clause form."""
-    if not env.is_verified(step.clause):
+    if step.clause not in verified:
         raise ProofError(script_id, 0, f"clause {step.clause!r} is not verified")
-    return clause_form(instantiate(env.verified(step.clause), step.substitution)).literals
+    return instantiate(verified[step.clause], step.substitution)
 
 
-def _replay_clause(script: ProofScript, target: Statement, env: Environment):
+def _replay_clause(script: ProofScript, target: Statement, verified: Mapping[str, Statement]):
     steps = script.steps
     first = steps[0]
     if not isinstance(first, ClauseInstantiate):
         raise ProofError(script.id, 0, "clause derivations must start with clause-instantiate")
-    literals = list(_clause_instance(script.id, first, env))
+    literals = list(_clause_instance(script.id, first, verified))
 
     for no, step in enumerate(steps[1:], start=1):
         if isinstance(step, LiteralElim):
@@ -328,7 +302,7 @@ def _replay_clause(script: ProofScript, target: Statement, env: Environment):
             if lit.positive:
                 raise ProofError(script.id, no, "only not-equal literals can be eliminated")
             _run_chain(
-                lit.lhs, lit.rhs, step.chain, env, (), script.id, f"step {no} elim", no,
+                lit.lhs, lit.rhs, step.chain, verified, (), script.id, f"step {no} elim", no,
                 lambda end: f"elimination chain ended at {format_term(end)!r}, "
                 f"literal rhs is {format_term(lit.rhs)!r}",
             )
@@ -344,7 +318,7 @@ def _replay_clause(script: ProofScript, target: Statement, env: Environment):
             side, rest = step.position[0], step.position[1:]
             term = lit.lhs if side == "L" else lit.rhs
             rw = Rewrite(step.justification, step.substitution, rest, step.direction)
-            new = verify_rewrite(term, rw, env, (), script.id, no)
+            new = verify_rewrite(term, rw, verified, (), script.id, no)
             if side == "L":
                 literals[step.index] = Literal(new, lit.rhs, lit.positive)
             else:
@@ -363,7 +337,7 @@ def _is_ground(t: Term) -> bool:
     return not variables(t)
 
 
-def _replay_refutation(script: ProofScript, target: Statement, env: Environment):
+def _replay_refutation(script: ProofScript, target: Statement, verified: Mapping[str, Statement]):
     hyps = script.hypotheses
     for i, h in enumerate(hyps):
         if not (_is_ground(h.lhs) and _is_ground(h.rhs)):
@@ -371,7 +345,7 @@ def _replay_refutation(script: ProofScript, target: Statement, env: Environment)
     if len(script.steps) != 1 or not isinstance(script.steps[0], Split):
         raise ProofError(script.id, None, "a refutation is a single case split")
     split = script.steps[0]
-    literals = _clause_instance(script.id, split, env)
+    literals = _clause_instance(script.id, split, verified)
     for lit in literals:
         if not (_is_ground(lit.lhs) and _is_ground(lit.rhs)):
             raise ProofError(script.id, 0, "split clause instance must be ground")
@@ -380,7 +354,7 @@ def _replay_refutation(script: ProofScript, target: Statement, env: Environment)
             script.id, 0, f"split has {len(split.branches)} branches for {len(literals)} literals"
         )
     for bi, (lit, branch) in enumerate(zip(literals, split.branches)):
-        _close_branch(script, env, hyps, lit, branch, bi)
+        _close_branch(script, verified, hyps, lit, branch, bi)
 
     # All branches closed: the split clause is exhaustive, so the assumed
     # hypotheses are contradictory and the target quasi-identity holds.
@@ -389,7 +363,7 @@ def _replay_refutation(script: ProofScript, target: Statement, env: Environment)
 
 def _close_branch(
     script: ProofScript,
-    env: Environment,
+    verified: Mapping[str, Statement],
     hyps: tuple[Literal, ...],
     assumed: Literal,
     branch: tuple[BranchStep, ...],
@@ -407,7 +381,7 @@ def _close_branch(
         if assumed.positive:
             raise ProofError(script.id, label, "close-refl needs an assumed disequation")
         _run_chain(
-            assumed.lhs, assumed.rhs, chain, env, pool, script.id, label, label,
+            assumed.lhs, assumed.rhs, chain, verified, pool, script.id, label, label,
             lambda end: f"chain ended at {format_term(end)!r}, assumed rhs is {format_term(assumed.rhs)!r}",
         )
         return
@@ -429,7 +403,7 @@ def _close_branch(
         if hyp.positive:
             raise ProofError(script.id, label, f"hypothesis {j} is an equation, no conflict possible")
         _run_chain(
-            hyp.lhs, hyp.rhs, chain, env, pool, script.id, label, label,
+            hyp.lhs, hyp.rhs, chain, verified, pool, script.id, label, label,
             lambda end: f"chain established {format_term(hyp.lhs)} = {format_term(end)}, "
             f"hypothesis {j} denies {format_term(hyp.lhs)} = {format_term(hyp.rhs)}",
         )
@@ -488,23 +462,27 @@ def _first_instance(
     return None
 
 
-def replay_proof(script: ProofScript, env: Environment) -> Statement:
-    """Replay one script; on success the target joins the verified environment."""
+def replay_proof(
+    script: ProofScript, statements: Mapping[str, Statement], verified: dict[str, Statement]
+) -> Statement:
+    """Replay one script; on success, and only then, its target joins `verified`."""
     for dep in script.depends_on:
-        if not env.is_verified(dep):
+        if dep not in verified:
             raise ProofError(script.id, None, f"dependency {dep!r} is not verified")
-    target = env.statement(script.target)
+    if script.target not in statements:
+        raise KeyError(f"unknown statement id {script.target!r}")
+    target = statements[script.target]
     if not script.steps:
         raise ProofError(script.id, None, "empty script")
     if script.hypotheses:
-        _replay_refutation(script, target, env)
+        _replay_refutation(script, target, verified)
     elif isinstance(script.steps[0], ClauseInstantiate):
-        _replay_clause(script, target, env)
+        _replay_clause(script, target, verified)
     elif isinstance(target, Identity):
-        _replay_identity(script, target, env)
+        _replay_identity(script, target, verified)
     else:
         raise ProofError(script.id, None, "rewrite chains only prove identities")
-    env.admit(target)
+    verified[target.id] = target
     return target
 
 
@@ -514,7 +492,7 @@ def verify_corpus(corpus) -> list[tuple[str, str]]:
     Returns [(script id, status)] with status in {"verified", "failed: ...",
     "skipped"}; the first failure halts replay.
     """
-    env = corpus.environment()
+    verified = corpus.axioms()
     report: list[tuple[str, str]] = []
     failed = False
     for script in corpus.scripts:
@@ -522,7 +500,7 @@ def verify_corpus(corpus) -> list[tuple[str, str]]:
             report.append((script.id, "skipped"))
             continue
         try:
-            replay_proof(script, env)
+            replay_proof(script, corpus.statements, verified)
             report.append((script.id, "verified"))
         except ProofError as e:
             report.append((script.id, f"failed: {e}"))

@@ -103,24 +103,11 @@ class AxiomSystem:
     members: tuple[str, ...]
 
 
-def _subst_literal(lit: Literal, s: Substitution) -> Literal:
-    return Literal(substitute(lit.lhs, s), substitute(lit.rhs, s), lit.positive)
-
-
-def instantiate(st: Statement, s: Substitution, new_id: str | None = None) -> Statement:
-    """Apply a substitution to every term of the statement."""
-    derived = new_id if new_id is not None else f"{st.id}[inst]"
-    if isinstance(st, Identity):
-        return Identity(derived, substitute(st.lhs, s), substitute(st.rhs, s))
-    if isinstance(st, Clause):
-        return Clause(derived, tuple(_subst_literal(l, s) for l in st.literals))
-    if isinstance(st, QuasiIdentity):
-        return QuasiIdentity(
-            derived,
-            tuple(_subst_literal(h, s) for h in st.hypotheses),
-            _subst_literal(st.conclusion, s),
-        )
-    raise TypeError(f"not a statement: {st!r}")
+def instantiate(st: Statement, s: Substitution) -> tuple[Literal, ...]:
+    """The literals of the statement's clause form, `s` applied to both sides."""
+    return tuple(
+        Literal(substitute(l.lhs, s), substitute(l.rhs, s), l.positive) for l in clause_form(st).literals
+    )
 
 
 def clause_form(st: Statement) -> Clause:

@@ -164,13 +164,13 @@ def perturb(corpus, scripts, seed):
             for _ in range(3):
                 total += 1
                 bad = mutated_script(script, site, rng)
-                env = corpus.environment()
+                verified = corpus.axioms()
                 try:
                     for dep in corpus.scripts:
                         if dep.id == script["id"]:
-                            replay_proof(bad, env)
+                            replay_proof(bad, corpus.statements, verified)
                             break
-                        replay_proof(dep, env)
+                        replay_proof(dep, corpus.statements, verified)
                 except ProofError as e:
                     rejected += 1
                     named += e.script == script["id"]
@@ -214,10 +214,10 @@ def test_criterion_3b_size_8_digest(implicative_forms):
 
 
 def test_criterion_4_kernel_soundness_bridge(corpus, implicative_models):
-    env = corpus.environment()
+    proved = corpus.axioms()
     verified = []
     for script in corpus.scripts:
-        verified.append(replay_proof(script, env))
+        verified.append(replay_proof(script, corpus.statements, proved))
     violations = []
     for st in verified:
         for model in implicative_models:

@@ -82,10 +82,10 @@ def test_info_functions_read_real_calls(corpus):
     assert info("abeforge.search", "satisfies", model, corpus.statement("commutativity")) == 1
     assert info("abeforge.search", "enumerate_with_stats", corpus.axiom_system("aBE"), 3) == 3
     script = corpus.script("ax5-clause")
-    assert info("abeforge.kernel", "replay_proof", script, corpus.environment()) == ["ax5-clause", 0]
-    # lem11 depends on lem10, which this environment has not verified
+    assert info("abeforge.kernel", "replay_proof", script, corpus.statements, corpus.axioms()) == ["ax5-clause", 0]
+    # lem11 depends on lem10, which the axioms alone do not verify
     script = corpus.script("lem11")
-    assert info("abeforge.kernel", "replay_proof", script, corpus.environment()) == ["lem11", 1]
+    assert info("abeforge.kernel", "replay_proof", script, corpus.statements, corpus.axioms()) == ["lem11", 1]
     assert traced == {hook for hook, functions in INFO.items() if functions != (None, None)}
 
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import re
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,6 @@ from abeforge.kernel import (
     ClauseLiteralRewrite,
     CloseConflict,
     CloseRefl,
-    Environment,
     LiteralElim,
     ProofError,
     ProofScript,
@@ -50,103 +50,103 @@ def subst(**kw):
 
 
 @pytest.fixture()
-def env(corpus):
-    return corpus.environment()
+def verified(corpus):
+    return corpus.axioms()
 
 
 class TestVerifyRewrite:
-    def test_expand_with_contraction_axiom(self, env):
+    def test_expand_with_contraction_axiom(self, verified):
         got = verify_rewrite(
             parse_term("x -> y"),
             Rewrite("ax6", subst(x="x -> y", y="z -> x"), "", R2L),
-            env,
+            verified,
         )
         assert got == parse_term("((x -> y) -> (z -> x)) -> (x -> y)")
 
-    def test_collapse_at_inner_position(self, env):
+    def test_collapse_at_inner_position(self, verified):
         got = verify_rewrite(
             parse_term("(z -> ((x -> y) -> x)) -> (x -> y)"),
             Rewrite("ax6", subst(x="x", y="y"), "LR", L2R),
-            env,
+            verified,
         )
         assert got == parse_term("(z -> x) -> (x -> y)")
 
-    def test_ground_collapse_to_unit(self, env):
+    def test_ground_collapse_to_unit(self, verified):
         consts = ("b", "c")
         got = verify_rewrite(
             parse_term("(c -> b) -> 1", consts),
             Rewrite("ax2", {"x": parse_term("c -> b", consts)}, "", L2R),
-            env,
+            verified,
         )
         assert got == UNIT
 
-    def test_source_mismatch_reports_both_terms(self, env):
+    def test_source_mismatch_reports_both_terms(self, verified):
         with pytest.raises(ProofError) as exc:
-            verify_rewrite(parse_term("x -> y"), Rewrite("ax3", subst(x="x"), "", L2R), env)
+            verify_rewrite(parse_term("x -> y"), Rewrite("ax3", subst(x="x"), "", L2R), verified)
         assert "expected" in str(exc.value) and "found" in str(exc.value)
 
-    def test_unknown_justification(self, env):
+    def test_unknown_justification(self, verified):
         with pytest.raises(ProofError, match="not verified"):
-            verify_rewrite(parse_term("x -> y"), Rewrite("nosuch", {}, "", L2R), env)
+            verify_rewrite(parse_term("x -> y"), Rewrite("nosuch", {}, "", L2R), verified)
 
-    def test_unverified_lemma_rejected(self, env):
+    def test_unverified_lemma_rejected(self, verified):
         # lem10 is registered but not yet replayed
         with pytest.raises(ProofError, match="not verified"):
-            verify_rewrite(parse_term("x -> y"), Rewrite("lem10", subst(x="x", y="y", z="z"), "", L2R), env)
+            verify_rewrite(parse_term("x -> y"), Rewrite("lem10", subst(x="x", y="y", z="z"), "", L2R), verified)
 
-    def test_invalid_position(self, env):
+    def test_invalid_position(self, verified):
         with pytest.raises(ProofError, match="position"):
-            verify_rewrite(parse_term("x -> y"), Rewrite("ax3", subst(x="x"), "LL", L2R), env)
+            verify_rewrite(parse_term("x -> y"), Rewrite("ax3", subst(x="x"), "LL", L2R), verified)
 
-    def test_disequation_hypothesis_cannot_rewrite(self, env):
+    def test_disequation_hypothesis_cannot_rewrite(self, verified):
         hyp = Literal(parse_term("x"), parse_term("1"), False)
         with pytest.raises(ProofError, match="disequation"):
-            verify_rewrite(parse_term("x"), Rewrite(0, {}, "", L2R), env, hyps=(hyp,))
+            verify_rewrite(parse_term("x"), Rewrite(0, {}, "", L2R), verified, hyps=(hyp,))
 
     @given(terms(max_leaves=8), st.integers(0, 4))
     def test_step_locality(self, t, seed):
         # a rewrite at position p changes nothing disjoint from p
         from abeforge.corpus import load_corpus
 
-        env = load_corpus().environment()
+        verified = load_corpus().axioms()
         rng = random.Random(seed)
         pos = rng.choice(positions(t))
         target = subterm_at(t, pos)
         step = Rewrite("ax6", {"x": target, "y": parse_term("w")}, pos, R2L)
-        got = verify_rewrite(t, step, env)
+        got = verify_rewrite(t, step, verified)
         for p in positions(t):
             if not (p.startswith(pos) or pos.startswith(p)):
                 assert subterm_at(got, p) == subterm_at(t, p)
 
 
 class TestReplayShapes:
-    def test_lem10_rewrite_chain(self, corpus, env):
-        assert replay_proof(corpus.script("lem10"), env) == corpus.statement("lem10")
-        assert env.is_verified("lem10")
+    def test_lem10_rewrite_chain(self, corpus, verified):
+        assert replay_proof(corpus.script("lem10"), corpus.statements, verified) == corpus.statement("lem10")
+        assert "lem10" in verified
 
     def test_lem14_clause_derivation(self, corpus):
-        env = corpus.environment()
+        verified = corpus.axioms()
         for sid in ("ax5-clause", "lem8a", "lem10", "lem11", "lem12", "lem13"):
-            replay_proof(corpus.script(sid), env)
-        assert replay_proof(corpus.script("lem14"), env) == corpus.statement("lem14")
+            replay_proof(corpus.script(sid), corpus.statements, verified)
+        assert replay_proof(corpus.script("lem14"), corpus.statements, verified) == corpus.statement("lem14")
 
     def test_theorem_refutation(self, corpus):
-        env = corpus.environment()
+        verified = corpus.axioms()
         for script in corpus.scripts:
-            replay_proof(script, env)
-        assert env.is_verified("trans")
+            replay_proof(script, corpus.statements, verified)
+        assert "trans" in verified
 
-    def test_dependency_order_enforced(self, corpus, env):
+    def test_dependency_order_enforced(self, corpus, verified):
         with pytest.raises(ProofError, match="dependency"):
-            replay_proof(corpus.script("lem13"), env)
+            replay_proof(corpus.script("lem13"), corpus.statements, verified)
 
-    def test_chain_must_reach_target_rhs(self, corpus, env):
+    def test_chain_must_reach_target_rhs(self, corpus, verified):
         script = corpus.script("lem10")
         truncated = ProofScript(
             script.id, script.target, script.steps[:2], depends_on=script.depends_on
         )
         with pytest.raises(ProofError, match="chain ended"):
-            replay_proof(truncated, env)
+            replay_proof(truncated, corpus.statements, verified)
 
     def test_replay_is_deterministic(self, corpus):
         r1 = verify_corpus(corpus)
@@ -168,7 +168,7 @@ class TestReplayShapes:
         statements["selfneq"] = Clause(
             "selfneq", (Literal(parse_term("x"), parse_term("x"), True),)
         )
-        env = Environment(statements, axioms=("ax1", "ax2", "ax3", "ax4", "ax5", "ax6", "em"))
+        verified = {sid: statements[sid] for sid in ("ax1", "ax2", "ax3", "ax4", "ax5", "ax6", "em")}
         script = ProofScript(
             id="selfneq",
             target="selfneq",
@@ -186,12 +186,12 @@ class TestReplayShapes:
             ),
             depends_on=("em", "ax3"),
         )
-        assert replay_proof(script, env).id == "selfneq"
+        assert replay_proof(script, statements, verified).id == "selfneq"
 
     def test_refutation_needs_distinct_constants(self, corpus):
-        env = corpus.environment()
+        verified = corpus.axioms()
         for script in corpus.scripts[:-1]:
-            replay_proof(script, env)
+            replay_proof(script, corpus.statements, verified)
         thm = corpus.script("thm")
         # collapse the witnesses: replace constant b by a everywhere
         collapsed = ProofScript(
@@ -207,7 +207,7 @@ class TestReplayShapes:
             depends_on=thm.depends_on,
         )
         with pytest.raises(ProofError):
-            replay_proof(collapsed, env)
+            replay_proof(collapsed, corpus.statements, verified)
 
     def test_literal_rewrite_side_must_be_l_or_r(self, corpus):
         # ax5 with y := 1 -> z, then 1 -> z collapsed to z on the rhs of literal 0
@@ -221,7 +221,7 @@ class TestReplayShapes:
                 Literal(parse_term("(1 -> z) -> x"), UNIT, False),
             ),
         )
-        env = Environment(statements, axioms=("ax1", "ax5"))
+        verified = {sid: statements[sid] for sid in ("ax1", "ax5")}
 
         def script(at):
             return ProofScript(
@@ -235,8 +235,86 @@ class TestReplayShapes:
             )
 
         with pytest.raises(ProofError, match=r"\[ax5z\] step 1: .*'X'"):
-            replay_proof(script("X"), env)
-        assert replay_proof(script("R"), env).id == "ax5z"
+            replay_proof(script("X"), statements, verified)
+        assert replay_proof(script("R"), statements, verified).id == "ax5z"
+
+
+def failing_at_the_end(script: ProofScript) -> ProofScript:
+    """The script with a last step that fails after every step before it
+    has been checked: an extra rewrite in a bad direction, an extra
+    elimination of a literal that does not exist, or a last branch that
+    closes on a hypothesis that does not exist."""
+    steps = script.steps
+    if script.hypotheses:
+        split = steps[0]
+        *branches, (*chain, _close) = split.branches
+        steps = (Split(split.clause, split.substitution, (*branches, (*chain, CloseConflict(99)))),)
+    elif isinstance(steps[0], ClauseInstantiate):
+        steps += (LiteralElim(99, ()),)
+    else:
+        steps += (Rewrite("ax1", {}, "", "sideways"),)
+    return ProofScript(script.id, script.target, steps, script.constants, script.hypotheses, script.depends_on)
+
+
+class TestVerifiedDict:
+    """The kernel's one state is the dict of verified statements: a script
+    that replays adds its target to it, one that fails leaves it as it was,
+    and the statements a script's target is looked up in are only read."""
+
+    def test_a_script_failing_at_its_last_step_leaves_verified_as_it_was(self, corpus):
+        verified = corpus.axioms()
+        for script in corpus.scripts:
+            before = dict(verified)
+            with pytest.raises(ProofError, match="99|sideways"):
+                replay_proof(failing_at_the_end(script), corpus.statements, verified)
+            assert verified == before
+            replay_proof(script, corpus.statements, verified)
+
+    def test_a_script_missing_a_dependency_leaves_verified_as_it_was(self, corpus):
+        verified = corpus.axioms()
+        for script in corpus.scripts:
+            for dep in script.depends_on:
+                without = {sid: st for sid, st in verified.items() if sid != dep}
+                before = dict(without)
+                with pytest.raises(ProofError, match=re.escape(f"dependency {dep!r} is not verified")):
+                    replay_proof(script, corpus.statements, without)
+                assert without == before
+            replay_proof(script, corpus.statements, verified)
+
+    def test_a_passing_script_adds_exactly_its_target(self, corpus):
+        verified = corpus.axioms()
+        for script in corpus.scripts:
+            before = dict(verified)
+            assert replay_proof(script, corpus.statements, verified) == corpus.statement(script.target)
+            assert verified == {**before, script.target: corpus.statement(script.target)}
+
+    def test_the_statements_are_never_written(self, corpus):
+        snapshot = dict(corpus.statements)
+        read_only = MappingProxyType(corpus.statements)  # a write raises TypeError
+        verified = corpus.axioms()
+        for script in corpus.scripts:
+            with pytest.raises(ProofError):
+                replay_proof(failing_at_the_end(script), read_only, verified)
+            replay_proof(script, read_only, verified)
+        verify_corpus(corpus)
+        assert corpus.statements == snapshot
+
+    def test_axioms_gives_a_fresh_dict_each_call(self, corpus):
+        verified = corpus.axioms()
+        replay_proof(corpus.script("lem10"), corpus.statements, verified)
+        assert "lem10" not in corpus.axioms()
+        assert set(corpus.axioms()) == {"ax1", "ax2", "ax3", "ax4", "ax5", "ax6"}
+
+    def test_two_runs_on_a_failing_corpus_give_one_report(self, corpus, corpus_json):
+        from abeforge.corpus import Corpus, _script_from_json
+
+        obj = next(s for s in corpus_json["scripts"] if s["id"] == "lem10")
+        obj["steps"][1]["dir"] = "R2L"
+        scripts = tuple(_script_from_json(obj) if s.id == "lem10" else s for s in corpus.scripts)
+        broken = Corpus(corpus.statements, corpus.axiom_systems, corpus.properties, scripts)
+        report = verify_corpus(broken)
+        assert dict(report)["lem10"].startswith("failed")
+        assert verify_corpus(broken) == report
 
 
 class TestCorpusReplay:
@@ -251,9 +329,9 @@ class TestCorpusReplay:
         obj = next(s for s in corpus_json["scripts"] if s["id"] == "lem10")
         obj["steps"][1]["subst"]["y"] = "x"
         bad = _script_from_json(obj)
-        env = corpus.environment()
+        verified = corpus.axioms()
         with pytest.raises(ProofError) as exc:
-            replay_proof(bad, env)
+            replay_proof(bad, corpus.statements, verified)
         assert exc.value.script == "lem10"
         assert "does not match" in exc.value.message
 
@@ -363,11 +441,11 @@ def test_crafted_script_rejected(case):
     obj["statements"] += statements
     obj["scripts"].append(script)
     corpus = corpus_from_json(obj)
-    env = corpus.environment()
+    verified = corpus.axioms()
     for built_in in corpus.scripts[:-1]:
-        replay_proof(built_in, env)
+        replay_proof(built_in, corpus.statements, verified)
     with pytest.raises(ProofError) as exc:
-        replay_proof(corpus.scripts[-1], env)
+        replay_proof(corpus.scripts[-1], corpus.statements, verified)
     assert (exc.value.script, exc.value.step, exc.value.message) == (script["id"], step, message)
 
 
@@ -382,14 +460,14 @@ class TestPerturbation:
             for site in sites:
                 total += 1
                 bad = mutated_script(script, site, rng)
-                env = corpus.environment()
+                verified = corpus.axioms()
                 ok = True
                 try:
                     for dep in corpus.scripts:
                         if dep.id == script["id"]:
-                            replay_proof(bad, env)
+                            replay_proof(bad, corpus.statements, verified)
                             break
-                        replay_proof(dep, env)
+                        replay_proof(dep, corpus.statements, verified)
                 except ProofError as e:
                     ok = False
                     assert e.script == script["id"]
@@ -516,7 +594,7 @@ class TestRefutationCheck:
 
         for step in obj["steps"]:
             remap(step)
-        env = corpus.environment()
+        verified = corpus.axioms()
         for script in corpus.scripts[:-1]:
-            replay_proof(script, env)
-        assert replay_proof(_script_from_json(obj), env).id == "trans"
+            replay_proof(script, corpus.statements, verified)
+        assert replay_proof(_script_from_json(obj), corpus.statements, verified).id == "trans"

@@ -1,7 +1,6 @@
-from hypothesis import given
-import hypothesis.strategies as st
 import pytest
 
+from abeforge.corpus import corpus_from_json
 from abeforge.models import FiniteAlgebra, satisfies
 from abeforge.statements import (
     Clause,
@@ -15,7 +14,7 @@ from abeforge.statements import (
 )
 from abeforge.terms import parse_term
 
-from conftest import terms
+from test_corpus import with_corollaries
 
 
 def lit(lhs, rhs, positive=True):
@@ -50,35 +49,32 @@ def test_clause_form_stable(corpus):
         assert clause_form(cf) == cf
 
 
-def test_instantiate_identity(corpus):
-    got = instantiate(corpus.statement("ax6"), {"x": parse_term("x -> y"), "y": parse_term("z -> x")})
-    assert isinstance(got, Identity)
-    assert got.lhs == parse_term("((x -> y) -> (z -> x)) -> (x -> y)")
-    assert got.rhs == parse_term("x -> y")
+def test_instantiate_with_no_substitution_is_the_clause_form():
+    for st_ in corpus_from_json(with_corollaries()).statements.values():
+        assert instantiate(st_, {}) == clause_form(st_).literals
 
 
-def test_instantiate_ax5_clause(corpus):
-    got = clause_form(instantiate(corpus.statement("ax5"), {"y": parse_term("y -> x")}))
-    assert clauses_equal(
-        got.literals,
-        (lit("x", "y -> x"), lit("x -> (y -> x)", "1", False), lit("(y -> x) -> x", "1", False)),
-    )
-
-
-def test_instantiate_identity_substitution_is_noop(corpus):
-    for sid in ("ax4", "lem8a", "trans"):
-        st_ = corpus.statement(sid)
-        got = instantiate(st_, {}, new_id=sid)
-        assert got == st_
-
-
-def test_instantiate_commutes_with_clause_form(corpus):
-    s = {"x": parse_term("x -> y"), "y": parse_term("1")}
-    for sid in ("ax5", "trans", "lem18", "ax4"):
-        st_ = corpus.statement(sid)
-        a = clause_form(instantiate(st_, s, new_id="d"))
-        b = instantiate(clause_form(st_), s, new_id="d")
-        assert a == b
+@pytest.mark.parametrize(
+    "sid, substitution, literals",
+    [
+        ("ax6", {"x": "x -> y", "y": "z -> x"}, [lit("((x -> y) -> (z -> x)) -> (x -> y)", "x -> y")]),
+        (
+            "ax5",
+            {"y": "y -> x"},
+            [lit("x", "y -> x"), lit("x -> (y -> x)", "1", False), lit("(y -> x) -> x", "1", False)],
+        ),
+        (
+            "trans",
+            {"x": "x -> y", "y": "1"},
+            [lit("(x -> y) -> z", "1"), lit("(x -> y) -> 1", "1", False), lit("1 -> z", "1", False)],
+        ),
+    ],
+    ids=["ax6", "ax5", "trans"],
+)
+def test_instantiate_substitutes_in_clause_form_order(corpus, sid, substitution, literals):
+    # conclusion first, then the negated hypotheses, as clause_form orders them
+    s = {v: parse_term(t) for v, t in substitution.items()}
+    assert instantiate(corpus.statement(sid), s) == tuple(literals)
 
 
 def test_quasi_parts_must_be_equations():
