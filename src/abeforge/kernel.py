@@ -183,13 +183,15 @@ class ProofScript:
 
 
 class ProofError(Exception):
-    """Replay failure, pointing at the script and step that broke."""
+    """Replay failure, pointing at the script and step that broke: step is
+    the number of one of the script's steps, a location that names its own
+    kind, such as "branch 0.1", or None for the script as a whole."""
 
     def __init__(self, script: str, step: object, message: str):
         self.script = script
         self.step = step
         self.message = message
-        where = f"step {step}" if step is not None else "script"
+        where = "script" if step is None else f"step {step}" if isinstance(step, int) else step
         super().__init__(f"[{script}] {where}: {message}")
 
 
@@ -256,24 +258,26 @@ def _run_chain(
     verified: Mapping[str, Statement],
     hyps: Sequence[Literal],
     script_id: str,
-    label: str,
+    label: Optional[str],
     step_no: object,
     mismatch: Callable[[Term], str],
 ):
     """Rewrite start along the chain, whose i-th step is reported as
-    `label.i`; unless it ends at goal, fail at step_no with mismatch(end)."""
+    `label.i`, or as step i when label is None and the chain is the script's
+    own steps; unless it ends at goal, fail at step_no with mismatch(end)."""
     cur = start
     for i, st in enumerate(chain):
+        at = i if label is None else f"{label}.{i}"
         if not isinstance(st, Rewrite):
-            raise ProofError(script_id, f"{label}.{i}", f"expected a rewrite, got {type(st).__name__}")
-        cur = verify_rewrite(cur, st, verified, hyps, script_id, f"{label}.{i}")
+            raise ProofError(script_id, at, f"expected a rewrite, got {type(st).__name__}")
+        cur = verify_rewrite(cur, st, verified, hyps, script_id, at)
     if cur != goal:
         raise ProofError(script_id, step_no, mismatch(cur))
 
 
 def _replay_identity(script: ProofScript, target: Identity, verified: Mapping[str, Statement]):
     _run_chain(
-        target.lhs, target.rhs, script.steps, verified, (), script.id, "step", None,
+        target.lhs, target.rhs, script.steps, verified, (), script.id, None, None,
         lambda end: f"chain ended at {format_term(end)!r}, target rhs is {format_term(target.rhs)!r}",
     )
 

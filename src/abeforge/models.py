@@ -1,4 +1,4 @@
-"""Finite algebras as operation tables: evaluation, satisfaction, isomorphism.
+"""Finite algebras as operation tables: satisfaction, isomorphism.
 
 table[i][j] is i -> j.  Nothing about the type implies any axiom holds; a raw
 table may violate everything.
@@ -13,22 +13,19 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from ._record import record
 from .statements import AxiomSystem, Literal, Statement, clause_form
-from .terms import Arrow, Const, Term, Unit, Var
+from .terms import Const, Term, Unit, Var
 
 __all__ = [
     "FiniteAlgebra",
     "Witness",
     "ModelFileError",
-    "evaluate",
     "satisfies",
     "is_model",
-    "relabel",
     "relabelings",
     "relabeling_table",
     "from_flat",
     "canonical_form",
     "canonicalize",
-    "are_isomorphic",
     "model_to_json",
     "model_from_json",
     "load_model",
@@ -64,17 +61,6 @@ class ModelFileError(ValueError):
     pass
 
 
-def evaluate(model: FiniteAlgebra, t: Term, assignment: Mapping[str, int]) -> int:
-    if isinstance(t, Unit):
-        return model.unit
-    if isinstance(t, (Var, Const)):
-        if t.name not in assignment:
-            raise KeyError(f"unbound name {t.name!r}")
-        return assignment[t.name]
-    assert isinstance(t, Arrow)
-    return model.table[evaluate(model, t.left, assignment)][evaluate(model, t.right, assignment)]
-
-
 # CPython compiles at most 20 statically nested blocks into one function.
 _MAX_LOOPS = 20
 
@@ -86,11 +72,11 @@ def _check_source(literals: Sequence[Literal], names: Sequence[str]) -> str:
     or None.
 
     The loop body is straight-line, with one local tab[x][y] per arrow, so no
-    term depth reaches CPython's nesting limits.  It keeps evaluate's order:
-    literals in clause order up to the first true one, left side before
-    right, left operand before right.  A constant, which no assignment binds,
-    or more than _MAX_LOOPS variables raise ValueError before any table is
-    read."""
+    term depth reaches CPython's nesting limits.  It evaluates literals in
+    clause order up to the first true one, each left side before its right
+    side and each left operand before its right one.  A constant, which no
+    assignment binds, or more than _MAX_LOOPS variables raise ValueError
+    before any table is read."""
     k = len(names)
     if k > _MAX_LOOPS:
         raise ValueError(f"a statement over {k} variables; at most {_MAX_LOOPS} can be checked")
@@ -180,16 +166,6 @@ def is_model(
     return True, None
 
 
-def relabel(model: FiniteAlgebra, perm: Sequence[int]) -> FiniteAlgebra:
-    """Apply the bijection perm (old index -> new index)."""
-    n = model.size
-    table = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            table[perm[i]][perm[j]] = perm[model.table[i][j]]
-    return FiniteAlgebra(n, perm[model.unit], tuple(tuple(row) for row in table))
-
-
 # Cell maps are bytes, so no larger size can be searched or canonicalized.
 MAX_SIZE = 16
 
@@ -246,12 +222,6 @@ def canonical_form(model: FiniteAlgebra) -> bytes:
 
 def canonicalize(model: FiniteAlgebra) -> FiniteAlgebra:
     return from_flat(min(relabelings(model)), model.size)
-
-
-def are_isomorphic(m1: FiniteAlgebra, m2: FiniteAlgebra) -> bool:
-    if m1.size != m2.size:
-        return False
-    return canonical_form(m1) == canonical_form(m2)
 
 
 def model_to_json(model: FiniteAlgebra) -> dict:

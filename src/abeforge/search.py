@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Iterator, Optional
+from typing import Optional
 
 from . import _core
 from ._record import record
@@ -34,7 +34,6 @@ __all__ = [
     "BruteForceBoundError",
     "NodeBudgetExceeded",
     "UnknownSystemError",
-    "enumerate_models",
     "enumerate_with_stats",
     "brute_force_models",
     "find_counterexample",
@@ -127,15 +126,6 @@ def enumerate_with_stats(
     models = [canonicalize(from_flat(flat, n)) for flat in tables]
     models.sort(key=lambda m: m.table)  # one size, so rows compare as the flat table
     return models, nodes, exceeded
-
-
-def enumerate_models(
-    system: AxiomSystem, n: int, node_budget: int = 0
-) -> Iterator[FiniteAlgebra]:
-    models, _, exceeded = enumerate_with_stats(system, n, node_budget)
-    if exceeded:
-        raise NodeBudgetExceeded(n)
-    yield from models
 
 
 def brute_force_models(

@@ -27,7 +27,6 @@ __all__ = [
     "match_pattern",
     "subterm_at",
     "replace_at",
-    "positions",
     "variables",
 ]
 
@@ -245,15 +244,6 @@ def replace_at(t: Term, path: str, replacement: Term) -> Term:
         return Arrow(cur.left, go(cur.right, i + 1))
 
     return go(t, 0)
-
-
-def positions(t: Term) -> list[str]:
-    """All valid positions of t, in pre-order."""
-    out = [""]
-    if isinstance(t, Arrow):
-        out.extend("L" + p for p in positions(t.left))
-        out.extend("R" + p for p in positions(t.right))
-    return out
 
 
 def variables(t: Term) -> set[str]:

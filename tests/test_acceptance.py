@@ -14,7 +14,7 @@ import pytest
 from abeforge.corpus import corpus_from_json, load_corpus
 from abeforge.kernel import ProofError, replay_proof, verify_corpus
 from abeforge.models import FiniteAlgebra, canonical_form, from_flat, relabelings, satisfies
-from abeforge.search import brute_force_models, enumerate_models, enumerate_with_stats
+from abeforge.search import brute_force_models, enumerate_with_stats
 from conftest import run_cli
 from ground_search import ground_search
 from mutate_util import mutated_script, mutation_sites
@@ -29,6 +29,12 @@ COMPLETE_LABELED_8 = 7036
 # concatenated in output order, recorded once before the search used
 # orderly generation.
 IMPLICATIVE_8_DIGEST = "5092b29427987ad37bf2797bf8029a66a56580d1194ba11c091800ed5c2d982d"
+
+# The same digest for size 9, recorded once from the enumerator (8,307 nodes)
+IMPLICATIVE_9_DIGEST = "5c4f2c8becf09d0961980551a6a7c1edeca81b05a61b9ac754cfd9cb8a78df24"
+
+# The implicative-aBE classes of sizes 1..9
+IMPLICATIVE_CLASSES = [1, 1, 1, 2, 2, 3, 5, 8, 11]
 
 # The scripts of the paper's corollaries, which the built-in corpus leaves out
 COROLLARY_SCRIPTS = json.loads(COROLLARIES.read_text(encoding="utf-8"))["scripts"]
@@ -113,28 +119,44 @@ def implicative_forms(implicative_runs):
     }
 
 
+def least_relabeling(complex_):
+    """The complex with the m vertices that lie in a face of two or more
+    renamed 0..m-1, so that those faces, sorted, are least; the other
+    vertices are m..k-1.  Equal iff the complexes are isomorphic."""
+    k = sum(len(face) == 1 for face in complex_)
+    higher = [face for face in complex_ if len(face) > 1]
+    busy = sorted({v for face in higher for v in face})
+    least = min(
+        sorted(tuple(sorted(image[busy.index(v)] for v in face)) for face in higher)
+        for image in itertools.permutations(range(len(busy)))
+    )
+    return tuple(sorted([(v,) for v in range(k)] + least))
+
+
 def simplicial_complexes(faces):
     """The abstract simplicial complexes with `faces` nonempty faces, one per
     class under vertex relabeling.  Each is a sorted tuple of its nonempty
-    faces as sorted vertex tuples, its vertices 0..k-1."""
-    found = set()
-    for k in range(faces + 1):
-        higher = [f for size in range(2, k + 1) for f in itertools.combinations(range(k), size)]
-        for extra in itertools.combinations(higher, faces - k):
-            present = set(extra)
-            if any(
-                facet not in present
-                for face in extra
-                if len(face) > 2
-                for facet in itertools.combinations(face, len(face) - 1)
-            ):
-                continue
-            complex_ = [(v,) for v in range(k)] + list(extra)
-            found.add(min(
-                tuple(sorted(tuple(sorted(perm[v] for v in face)) for face in complex_))
-                for perm in itertools.permutations(range(k))
-            ))
-    return sorted(found)
+    faces as sorted vertex tuples, its vertices 0..k-1.
+
+    They are grown one face at a time: a new vertex, or two or more vertices
+    whose facets are all faces.  Removing a maximal face undoes either, so
+    each complex grows from one with a face fewer."""
+    level = {()}
+    for _ in range(faces):
+        grown = set()
+        for complex_ in level:
+            present = set(complex_)
+            k = sum(len(face) == 1 for face in complex_)
+            higher = [
+                face
+                for size in range(2, k + 1)
+                for face in itertools.combinations(range(k), size)
+                if face not in present and set(itertools.combinations(face, size - 1)) <= present
+            ]
+            for face in [(k,), *higher]:
+                grown.add(least_relabeling(complex_ + (face,)))
+        level = grown
+    return sorted(level)
 
 
 def complex_algebra(complex_):
@@ -320,7 +342,7 @@ def test_criterion_5_oracle_equivalence(corpus):
         system = corpus.axiom_system(name)
         for n in (1, 2, 3):
             _, classes = brute_force_models(system, n, corpus.statements)
-            enumerated = len(list(enumerate_models(system, n)))
+            enumerated = len(enumerate_with_stats(system, n)[0])
             if classes != enumerated:
                 mismatches.append((name, n, classes, enumerated))
             if n <= 2 and classes != 1:
@@ -333,19 +355,20 @@ def test_criterion_5b_simplicial_complex_oracle(implicative_forms):
     # ax1-ax6, and in a finite implication algebra (Abbott, 1967) each
     # element is known by the set of coatoms above it, so the complexes with
     # n-1 nonempty faces should give exactly the classes of size n.  The
-    # construction shares no code with the search but canonical_form.
-    mismatches = []
-    counts = {}
-    for n, forms in implicative_forms.items():
-        oracle = {canonical_form(complex_algebra(c)) for c in simplicial_complexes(n - 1)}
-        counts[n] = len(oracle)
-        if oracle != set(forms):
-            mismatches.append((n, len(oracle), len(forms)))
+    # construction shares no code with the search but canonical_form.  Size 9
+    # is checked against the enumerator's recorded digest, with no search.
+    oracle = {
+        n: sorted(canonical_form(complex_algebra(c)) for c in simplicial_complexes(n - 1)) for n in range(1, 10)
+    }
+    mismatches = [n for n, forms in implicative_forms.items() if oracle[n] != sorted(forms)]
+    if hashlib.sha256(b"".join(oracle[9])).hexdigest() != IMPLICATIVE_9_DIGEST:
+        mismatches.append(9)
+    counts = [len(forms) for forms in oracle.values()]
     _verdict(
         "5b",
-        "simplicial-complex oracle n<=8",
-        not mismatches,
-        f"classes per size {counts}, mismatches: {mismatches}",
+        "simplicial-complex oracle n<=9",
+        not mismatches and counts == IMPLICATIVE_CLASSES,
+        f"classes per size {counts}, mismatches at sizes {mismatches}",
     )
 
 
@@ -366,7 +389,7 @@ def test_criterion_6b_corollaries_in_the_models(implicative_models):
     merged = corpus_from_json(with_corollaries())
     targets = [merged.statement(sid) for sid in dict.fromkeys(script["target"] for script in COROLLARY_SCRIPTS)]
     abe = merged.axiom_system("aBE")
-    abe_models = [list(enumerate_models(abe, n)) for n in range(1, 6)]
+    abe_models = [enumerate_with_stats(abe, n)[0] for n in range(1, 6)]
     violations = [(st.id, m.size) for st in targets for m in implicative_models if not satisfies(m, st)[0]]
     failures = {st.id: [sum(not satisfies(m, st)[0] for m in models) for models in abe_models] for st in targets}
     ok = not violations and len(implicative_models) == 23 and failures == ABE_FAILURES

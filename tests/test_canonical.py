@@ -128,7 +128,7 @@ def test_agrees_with_scan_on_every_labeled_table(name, max_size):
 
 @given(arbitrary_tables())
 def test_agrees_with_scan_on_arbitrary_tables(model):
-    # check and are_isomorphic canonicalize unvalidated input, so any unit
+    # canonical_form and canonicalize take any FiniteAlgebra, so any unit
     # and any entries, models or not.
     assert_matches_reference(model)
 

@@ -30,8 +30,8 @@ GOLDEN = {
     ("replay",): "122f5d0c78bbc26c30cc8765a8648a9efda6e22912821d6401620f9b358234c7",
     ("replay", "--emit", "json"): "4bd2433d20c20a6298f71abbe3ee664c9561e533f4b7933b22e00a29ff14f1bf",
     ("replay", "--script", "{corpus}"): "122f5d0c78bbc26c30cc8765a8648a9efda6e22912821d6401620f9b358234c7",
-    ("replay", "--script", "{broken}"): "fe1b15ec050be0b2eb931d6f95204af895280cee23a46c1222711b0cbc3ce053",
-    ("replay", "--script", "{broken}", "--emit", "json"): "fc8dd2ddc91b0d5244b8d40fcb9befe32c1c0dfe2e81783081f8a3f2262677e7",
+    ("replay", "--script", "{broken}"): "1cbeead4cab841272b5d74ec4150a9d27e43ccdbf41fb4cb0a7a870332d8ab71",
+    ("replay", "--script", "{broken}", "--emit", "json"): "0dc5bfb2d7c5bf344866df5183d1508956dfb7e5293ddc05598f4577720b603d",
     ("replay", "--show", "thm"): "43d0dcb387a4142bae196b76cdfd427dcc4c7c35740ad13bcfc07eb6f6191fbb",
     ("replay", "--show", "lem13"): "bd4805b7c58b02c5b7276eb2469be0a7f6013ed1cbfbcc2efd9d4a81cd354d41",
     ("replay", "--show", "lem8a"): "83c4feaf6cb0aa8954bab35329869c22ab41d6bf0a42a12d65c265858ca248fb",

@@ -34,7 +34,6 @@ from abeforge.terms import (
     Var,
     format_term,
     parse_term,
-    positions,
     replace_at,
     substitute,
     subterm_at,
@@ -43,6 +42,7 @@ from abeforge.terms import (
 
 from conftest import read_corpus_json, terms
 from mutate_util import mutated_script, mutation_sites
+from reference import positions
 
 
 def subst(**kw):
@@ -393,15 +393,15 @@ X_TO_ONE = {"rule": "rewrite", "by": "ax3", "subst": {"x": "x"}}
 CRAFTED = {
     "rewrite by an absent hypothesis": (
         [], {"id": "h", "target": "ax3", "steps": [{"rule": "rewrite", "by": 0}]},
-        "step.0", "no hypothesis with index 0",
+        0, "no hypothesis with index 0",
     ),
     "bad direction": (
         [], {"id": "d", "target": "ax3", "depends_on": ["ax3"], "steps": [{**X_TO_ONE, "dir": "up"}]},
-        "step.0", "bad direction 'up'",
+        0, "bad direction 'up'",
     ),
     "close step in a rewrite chain": (
         [], {"id": "c", "target": "ax3", "depends_on": ["ax3"], "steps": [X_TO_ONE, {"rule": "close-refl"}]},
-        "step.1", "expected a rewrite, got CloseRefl",
+        1, "expected a rewrite, got CloseRefl",
     ),
     "rewrite in a clause derivation": (
         [],
@@ -449,6 +449,15 @@ def test_crafted_script_rejected(case):
     assert (exc.value.script, exc.value.step, exc.value.message) == (script["id"], step, message)
 
 
+@pytest.mark.parametrize(
+    "step, where",
+    [(3, "step 3"), ("step 1 elim.0", "step 1 elim.0"), ("branch 0.2", "branch 0.2"), (None, "script")],
+)
+def test_each_failure_location_is_named_once(step, where):
+    # a step number gets its kind; a location that names its kind is kept
+    assert str(ProofError("s", step, "m")) == f"[s] {where}: m"
+
+
 class TestPerturbation:
     def test_seeded_mutations_all_rejected(self, corpus, corpus_json):
         rejected = 0
@@ -478,7 +487,7 @@ class TestPerturbation:
         assert rejected == total
         # every diagnostic, byte for byte
         digest = hashlib.sha256("\n".join(messages).encode()).hexdigest()
-        assert digest == "c945c08fdeb4d746556eb90d8246cbe087dcd72a4e17279a1400a4f1d722c97d"
+        assert digest == "54384c272df63b5062d41fc1828ab4990ba3d45ec75bded45904832564d54ddd"
 
 
 def _bind(pattern, subject, binding) -> bool:

@@ -8,7 +8,6 @@ from abeforge.search import (
     UnknownSystemError,
     brute_force_models,
     core_name,
-    enumerate_models,
     enumerate_with_stats,
     find_counterexample,
     run_enumeration_report,
@@ -38,12 +37,12 @@ ABE_TRANS_CEX_SIZE = 4
 
 class TestEnumerate:
     def test_size_one_is_trivial(self, corpus):
-        models = list(enumerate_models(corpus.axiom_system("implicative-aBE"), 1))
+        models = enumerate_with_stats(corpus.axiom_system("implicative-aBE"), 1)[0]
         assert len(models) == 1
         assert models[0].size == 1
 
     def test_size_two_forced(self, corpus):
-        models = list(enumerate_models(corpus.axiom_system("implicative-aBE"), 2))
+        models = enumerate_with_stats(corpus.axiom_system("implicative-aBE"), 2)[0]
         assert len(models) == 1
         assert models[0].table == ((1, 1), (0, 1))
 
@@ -51,14 +50,14 @@ class TestEnumerate:
     def test_golden_counts(self, corpus, name):
         system = corpus.axiom_system(name)
         for n, want in GOLDEN_CLASSES[name].items():
-            assert len(list(enumerate_models(system, n))) == want
+            assert len(enumerate_with_stats(system, n)[0]) == want
 
     @pytest.mark.parametrize("name", ["aBE", "implicative-aBE"])
     def test_emitted_models_are_canonical_distinct_models(self, corpus, name):
         system = corpus.axiom_system(name)
         seen = set()
         for n in (3, 4):
-            for model in enumerate_models(system, n):
+            for model in enumerate_with_stats(system, n)[0]:
                 ok, _ = is_model(model, system, corpus.statements)
                 assert ok
                 assert canonicalize(model) == model
@@ -68,18 +67,18 @@ class TestEnumerate:
 
     def test_stream_ascending_canonical_order(self, corpus):
         system = corpus.axiom_system("aBE")
-        keys = [canonical_form(m) for m in enumerate_models(system, 4)]
+        keys = [canonical_form(m) for m in enumerate_with_stats(system, 4)[0]]
         assert keys == sorted(keys)
 
     def test_repeat_runs_identical(self, corpus):
         system = corpus.axiom_system("implicative-aBE")
-        a = list(enumerate_models(system, 5))
-        b = list(enumerate_models(system, 5))
+        a = enumerate_with_stats(system, 5)[0]
+        b = enumerate_with_stats(system, 5)[0]
         assert a == b
 
     def test_unknown_system_rejected(self, corpus):
         with pytest.raises(UnknownSystemError):
-            list(enumerate_models(AxiomSystem("weird", ("ax1",)), 2))
+            enumerate_with_stats(AxiomSystem("weird", ("ax1",)), 2)
 
     def test_budget_exceeded_flag(self, corpus):
         system = corpus.axiom_system("aBE")
@@ -124,7 +123,7 @@ class TestBruteForce:
             system = corpus.axiom_system(name)
             for n in (1, 2, 3):
                 _, classes = brute_force_models(system, n, corpus.statements)
-                assert classes == len(list(enumerate_models(system, n)))
+                assert classes == len(enumerate_with_stats(system, n)[0])
 
     def test_size_bound_refusal(self, corpus):
         with pytest.raises(BruteForceBoundError, match="3"):

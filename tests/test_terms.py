@@ -11,13 +11,13 @@ from abeforge.terms import (
     format_term,
     match_pattern,
     parse_term,
-    positions,
     replace_at,
     substitute,
     subterm_at,
 )
 
 from conftest import terms
+from reference import positions
 
 x, y, z = Var("x"), Var("y"), Var("z")
 
