@@ -10,7 +10,7 @@ one state is the dict of verified statements, which only a successful
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from ._record import record
 from .statements import (
@@ -253,33 +253,22 @@ def verify_rewrite(
 
 def _run_chain(
     start: Term,
-    goal: Term,
     chain: Sequence[Rewrite],
     verified: Mapping[str, Statement],
     hyps: Sequence[Literal],
     script_id: str,
     label: Optional[str],
-    step_no: object,
-    mismatch: Callable[[Term], str],
-):
-    """Rewrite start along the chain, whose i-th step is reported as
-    `label.i`, or as step i when label is None and the chain is the script's
-    own steps; unless it ends at goal, fail at step_no with mismatch(end)."""
+) -> Term:
+    """The term that rewriting start along the chain ends at; the chain's
+    i-th step is reported as `label.i`, or as step i when label is None and
+    the chain is the script's own steps."""
     cur = start
     for i, st in enumerate(chain):
         at = i if label is None else f"{label}.{i}"
         if not isinstance(st, Rewrite):
             raise ProofError(script_id, at, f"expected a rewrite, got {type(st).__name__}")
         cur = verify_rewrite(cur, st, verified, hyps, script_id, at)
-    if cur != goal:
-        raise ProofError(script_id, step_no, mismatch(cur))
-
-
-def _replay_identity(script: ProofScript, target: Identity, verified: Mapping[str, Statement]):
-    _run_chain(
-        target.lhs, target.rhs, script.steps, verified, (), script.id, None, None,
-        lambda end: f"chain ended at {format_term(end)!r}, target rhs is {format_term(target.rhs)!r}",
-    )
+    return cur
 
 
 def _clause_instance(
@@ -292,24 +281,20 @@ def _clause_instance(
 
 
 def _replay_clause(script: ProofScript, target: Statement, verified: Mapping[str, Statement]):
-    steps = script.steps
-    first = steps[0]
-    if not isinstance(first, ClauseInstantiate):
-        raise ProofError(script.id, 0, "clause derivations must start with clause-instantiate")
-    literals = list(_clause_instance(script.id, first, verified))
+    """A clause derivation; `replay_proof` picks it when step 0 is a ClauseInstantiate."""
+    literals = list(_clause_instance(script.id, script.steps[0], verified))
 
-    for no, step in enumerate(steps[1:], start=1):
+    for no, step in enumerate(script.steps[1:], start=1):
         if isinstance(step, LiteralElim):
             if not 0 <= step.index < len(literals):
                 raise ProofError(script.id, no, f"no literal with index {step.index}")
             lit = literals[step.index]
             if lit.positive:
                 raise ProofError(script.id, no, "only not-equal literals can be eliminated")
-            _run_chain(
-                lit.lhs, lit.rhs, step.chain, verified, (), script.id, f"step {no} elim", no,
-                lambda end: f"elimination chain ended at {format_term(end)!r}, "
-                f"literal rhs is {format_term(lit.rhs)!r}",
-            )
+            end = _run_chain(lit.lhs, step.chain, verified, (), script.id, f"step {no} elim")
+            if end != lit.rhs:
+                msg = f"elimination chain ended at {format_term(end)!r}, literal rhs is {format_term(lit.rhs)!r}"
+                raise ProofError(script.id, no, msg)
             del literals[step.index]
         elif isinstance(step, ClauseLiteralRewrite):
             if not 0 <= step.index < len(literals):
@@ -337,21 +322,17 @@ def _replay_clause(script: ProofScript, target: Statement, verified: Mapping[str
         raise ProofError(script.id, None, f"final clause {got!r} differs from target {exp!r}")
 
 
-def _is_ground(t: Term) -> bool:
-    return not variables(t)
-
-
 def _replay_refutation(script: ProofScript, target: Statement, verified: Mapping[str, Statement]):
     hyps = script.hypotheses
     for i, h in enumerate(hyps):
-        if not (_is_ground(h.lhs) and _is_ground(h.rhs)):
+        if variables(h.lhs) or variables(h.rhs):
             raise ProofError(script.id, None, f"hypothesis {i} is not ground")
     if len(script.steps) != 1 or not isinstance(script.steps[0], Split):
         raise ProofError(script.id, None, "a refutation is a single case split")
     split = script.steps[0]
     literals = _clause_instance(script.id, split, verified)
     for lit in literals:
-        if not (_is_ground(lit.lhs) and _is_ground(lit.rhs)):
+        if variables(lit.lhs) or variables(lit.rhs):
             raise ProofError(script.id, 0, "split clause instance must be ground")
     if len(split.branches) != len(literals):
         raise ProofError(
@@ -384,10 +365,10 @@ def _close_branch(
     if isinstance(close, CloseRefl):
         if assumed.positive:
             raise ProofError(script.id, label, "close-refl needs an assumed disequation")
-        _run_chain(
-            assumed.lhs, assumed.rhs, chain, verified, pool, script.id, label, label,
-            lambda end: f"chain ended at {format_term(end)!r}, assumed rhs is {format_term(assumed.rhs)!r}",
-        )
+        end = _run_chain(assumed.lhs, chain, verified, pool, script.id, label)
+        if end != assumed.rhs:
+            msg = f"chain ended at {format_term(end)!r}, assumed rhs is {format_term(assumed.rhs)!r}"
+            raise ProofError(script.id, label, msg)
         return
     if isinstance(close, CloseConflict):
         j = close.hypothesis
@@ -406,11 +387,11 @@ def _close_branch(
             return
         if hyp.positive:
             raise ProofError(script.id, label, f"hypothesis {j} is an equation, no conflict possible")
-        _run_chain(
-            hyp.lhs, hyp.rhs, chain, verified, pool, script.id, label, label,
-            lambda end: f"chain established {format_term(hyp.lhs)} = {format_term(end)}, "
-            f"hypothesis {j} denies {format_term(hyp.lhs)} = {format_term(hyp.rhs)}",
-        )
+        end = _run_chain(hyp.lhs, chain, verified, pool, script.id, label)
+        if end != hyp.rhs:
+            lhs = format_term(hyp.lhs)
+            msg = f"chain established {lhs} = {format_term(end)}, hypothesis {j} denies {lhs} = {format_term(hyp.rhs)}"
+            raise ProofError(script.id, label, msg)
         return
     raise ProofError(script.id, label, f"branch must end in a close step, got {type(close).__name__}")
 
@@ -483,7 +464,10 @@ def replay_proof(
     elif isinstance(script.steps[0], ClauseInstantiate):
         _replay_clause(script, target, verified)
     elif isinstance(target, Identity):
-        _replay_identity(script, target, verified)
+        end = _run_chain(target.lhs, script.steps, verified, (), script.id, None)
+        if end != target.rhs:
+            msg = f"chain ended at {format_term(end)!r}, target rhs is {format_term(target.rhs)!r}"
+            raise ProofError(script.id, None, msg)
     else:
         raise ProofError(script.id, None, "rewrite chains only prove identities")
     verified[target.id] = target

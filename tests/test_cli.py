@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 
 from abeforge.cli import BUDGET_HELP
-from abeforge.models import model_to_json
 from conftest import DATA_CORPUS, child_env, run_cli
 
 
@@ -261,6 +260,12 @@ class TestCheck:
         result = run_cli("check", "--model", path, "--axioms", "aBE")
         assert_input_error(result)
         assert result.stderr == f"error: bad model file: {message}\n"
+
+    def test_size_zero_exits_3(self, tmp_path):
+        path = write_model(tmp_path, {"size": 0, "unit": 0, "table": []})
+        result = run_cli("check", "--model", path, "--axioms", "aBE")
+        assert_input_error(result)
+        assert result.stderr == "error: bad model file: size must be >= 1\n"
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(M2_PATHS), ANY_JSON)

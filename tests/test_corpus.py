@@ -225,6 +225,10 @@ def test_unknown_dependency_rejected(corpus_json):
             "script 'lem10' depends on 'lem11' before it is proved",
         ),
         (lambda obj: obj["statements"][0].update(kind="frob"), "unknown statement kind 'frob'"),
+        (
+            lambda obj: obj.update(axiom_systems={"X": ["nosuch"]}),
+            "axiom system 'X' references unknown id 'nosuch'",
+        ),
     ],
 )
 def test_loader_names_what_is_wrong(corpus_json, edit, message):

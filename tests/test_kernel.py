@@ -5,7 +5,7 @@ import re
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 import hypothesis.strategies as st
 
 from abeforge.corpus import corpus_from_json
@@ -26,15 +26,13 @@ from abeforge.kernel import (
     verify_corpus,
     verify_rewrite,
 )
-from abeforge.statements import Clause, Identity, Literal, clause_form
+from abeforge.statements import Clause, Literal, clause_form
 from abeforge.terms import (
     UNIT,
     Arrow,
     Const,
     Var,
-    format_term,
     parse_term,
-    replace_at,
     substitute,
     subterm_at,
     variables,
@@ -239,6 +237,10 @@ class TestReplayShapes:
         assert replay_proof(script("R"), statements, verified).id == "ax5z"
 
 
+def test_close_refl_renders_itself():
+    assert CloseRefl().show(2) == ["    close: reflexivity"]
+
+
 def failing_at_the_end(script: ProofScript) -> ProofScript:
     """The script with a last step that fails after every step before it
     has been checked: an extra rewrite in a bad direction, an extra
@@ -357,9 +359,12 @@ def thm_with(**fields) -> dict:
     return {**thm, "id": "thm2", **fields}
 
 
-def thm_with_branch_1(branch: list) -> dict:
+def thm_with_branch(bi: int, branch: list) -> dict:
+    """thm2 with branch `bi` of its split replaced by `branch`."""
     split = thm_with()["steps"][0]
-    return thm_with(steps=[{**split, "branches": [split["branches"][0], branch]}])
+    branches = list(split["branches"])
+    branches[bi] = branch
+    return thm_with(steps=[{**split, "branches": branches}])
 
 
 def equation(lhs, rhs, polarity="="):
@@ -395,6 +400,11 @@ CRAFTED = {
         [], {"id": "h", "target": "ax3", "steps": [{"rule": "rewrite", "by": 0}]},
         0, "no hypothesis with index 0",
     ),
+    "empty script": ([], {"id": "z", "target": "ax3", "steps": []}, None, "empty script"),
+    "rewrite chain for a clause": (
+        [], {"id": "w", "target": "lem8a", "depends_on": ["ax3"], "steps": [X_TO_ONE]},
+        None, "rewrite chains only prove identities",
+    ),
     "bad direction": (
         [], {"id": "d", "target": "ax3", "depends_on": ["ax3"], "steps": [{**X_TO_ONE, "dir": "up"}]},
         0, "bad direction 'up'",
@@ -409,6 +419,13 @@ CRAFTED = {
          "steps": [{"rule": "clause-instantiate", "clause": "ax5"}, X_TO_ONE]},
         1, "step kind Rewrite not allowed in a clause derivation",
     ),
+    "elimination chain short of the literal rhs": (
+        [],
+        {"id": "e", "target": "ax5", "depends_on": ["ax5"],
+         "steps": [{"rule": "clause-instantiate", "clause": "ax5", "subst": {"x": "x", "y": "x"}},
+                   {"rule": "literal-elim", "literal": 1, "chain": []}]},
+        1, "elimination chain ended at 'x -> x', literal rhs is '1'",
+    ),
     "hypothesis with a variable": (
         [], thm_with(hypotheses=[equation("x -> b", "1"), equation("b -> c", "1"), equation("a -> c", "1", "!=")]),
         None, "hypothesis 0 is not ground",
@@ -416,14 +433,21 @@ CRAFTED = {
     "refutation of two splits": (
         [], thm_with(steps=thm_with()["steps"] * 2), None, "a refutation is a single case split",
     ),
-    "empty branch": ([], thm_with_branch_1([]), "branch 1", "branch has no steps"),
+    "empty branch": ([], thm_with_branch(1, []), "branch 1", "branch has no steps"),
+    "close-refl short of the assumed rhs": (
+        [], thm_with_branch(1, [{"rule": "close-refl"}]), "branch 1", "chain ended at 'b -> c', assumed rhs is '1'",
+    ),
+    "conflict chain short of the denied rhs": (
+        [], thm_with_branch(0, [{"rule": "close-conflict", "hypothesis": 2}]),
+        "branch 0", "chain established a -> c = a -> c, hypothesis 2 denies a -> c = 1",
+    ),
     # the two below verified the false converse without their checks
     "close-refl on an assumed equation": (
         [CONVERSE], converse_by([{"rule": "rewrite", "by": 2}, {"rule": "close-refl"}]),
         "branch 0", "close-refl needs an assumed disequation",
     ),
     "chain before a disequation's conflict": (
-        [], thm_with_branch_1([X_TO_ONE, {"rule": "close-conflict", "hypothesis": 1}]),
+        [], thm_with_branch(1, [X_TO_ONE, {"rule": "close-conflict", "hypothesis": 1}]),
         "branch 1", "disequation branches close without a chain",
     ),
     "branch without a close step": (

@@ -71,6 +71,20 @@ def test_defaults():
     assert (EnumerationReport("aBE").sizes, EnumerationReport("aBE").properties) == ((), ())
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"lhs": UNIT}, "Literal.__init__() missing required argument 'rhs'"),
+        ({"lhs": UNIT, "rhs": UNIT, "sides": 2}, "Literal.__init__() got unexpected or repeated keyword arguments ['sides']"),
+    ],
+    ids=["missing", "unexpected"],
+)
+def test_bad_keyword_arguments_name_the_field(kwargs, message):
+    with pytest.raises(TypeError) as exc:
+        Literal(**kwargs)
+    assert str(exc.value) == message
+
+
 def test_repr_names_the_fields_unless_the_class_has_its_own():
     assert repr(SizeResult(3, None, 9, 0.5)) == "SizeResult(size=3, count=None, nodes=9, millis=0.5, exceeded=False)"
     assert repr(Arrow(Var("x"), UNIT)) == "Arrow(Var(x), Unit)"
