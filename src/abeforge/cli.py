@@ -24,7 +24,6 @@ from .kernel import verify_corpus
 
 if TYPE_CHECKING:
     from .models import Witness
-    from .search import EnumerationReport
 
 EXIT_OK = 0
 EXIT_PROOF_FAILURE = 2
@@ -103,61 +102,39 @@ def replay(script_path, show_id, emit):
 # ---------------------------------------------------------------------------
 
 
-def _report_json(report: EnumerationReport, timings: bool) -> dict:
-    from .models import model_to_json
-
-    return {
-        "axioms": report.axioms,
-        "sizes": [
-            {
-                "n": s.size,
-                "count": s.count,
-                "nodes": s.nodes,
-                "millis": round(s.millis, 3) if timings else None,
-                "exceeded": s.exceeded,
-            }
-            for s in report.sizes
-        ],
-        "properties": [
-            {
-                "id": p.property_id,
-                "status": p.status,
-                **({"model": model_to_json(p.model)} if p.model else {}),
-                **({"witness": _witness_json(p.witness)} if p.witness else {}),
-            }
-            for p in report.properties
-        ],
-    }
-
-
-def _report_text(report: EnumerationReport, timings: bool) -> list[str]:
-    from .models import model_to_json
-
-    lines = [
-        f"axiom system: {report.axioms}",
-        f"{'n':>3} {'count':>8} {'nodes':>12}" + (f" {'millis':>10}" if timings else ""),
-    ]
-    for s in report.sizes:
-        count = "exceeded" if s.exceeded else str(s.count)
-        lines.append(f"{s.size:>3} {count:>8} {s.nodes:>12}" + (f" {s.millis:>10.1f}" if timings else ""))
-    for p in report.properties:
-        if p.status == "holds":
-            lines.append(f"property {p.property_id}: holds in all enumerated models")
-        else:
-            lines.append(f"property {p.property_id}: counterexample {model_to_json(p.model)}; {_witness_text(p.witness)}")
-    return lines
-
-
 def enumerate_cmd(axioms_name, max_size, property_ids, budget_nodes, timings):
     """Isomorph-free enumeration of all models up to a size bound."""
-    from .search import run_enumeration_report
+    from .models import model_to_json
+    from .search import enumerate_sizes, first_counterexample
 
     corpus = load_corpus(None)
     system = corpus.axiom_system(axioms_name)
     _check_max_size(max_size)
     props = [corpus.statement(pid) for pid in property_ids]
-    report = run_enumeration_report(system, max_size, props, budget_nodes)
-    return EXIT_OK, _report_json(report, timings), _report_text(report, timings)
+    sizes, properties, models = [], [], []
+    lines = [
+        f"axiom system: {system.name}",
+        f"{'n':>3} {'count':>8} {'nodes':>12}" + (f" {'millis':>10}" if timings else ""),
+    ]
+    for n, found, nodes, exceeded, millis in enumerate_sizes(system, max_size, budget_nodes):
+        count = None if exceeded else len(found)
+        millis_json = round(millis, 3) if timings else None
+        sizes.append({"n": n, "count": count, "nodes": nodes, "millis": millis_json, "exceeded": exceeded})
+        timing = f" {millis:>10.1f}" if timings else ""
+        lines.append(f"{n:>3} {'exceeded' if exceeded else count:>8} {nodes:>12}{timing}")
+        models.extend(found)
+    for prop in props:
+        result = first_counterexample(models, prop)
+        if result is None:
+            properties.append({"id": prop.id, "status": "holds"})
+            lines.append(f"property {prop.id}: holds in all enumerated models")
+            continue
+        model, witness = result
+        out = {"id": prop.id, "status": "counterexample", "model": model_to_json(model),
+               "witness": _witness_json(witness)}
+        properties.append(out)
+        lines.append(f"property {prop.id}: counterexample {out['model']}; {_witness_text(witness)}")
+    return EXIT_OK, {"axioms": system.name, "sizes": sizes, "properties": properties}, lines
 
 
 # ---------------------------------------------------------------------------

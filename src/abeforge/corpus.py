@@ -1,4 +1,4 @@
-"""The corpus: statements, axiom systems, properties and proof scripts.
+"""The corpus: statements, axiom systems and proof scripts.
 
 The built-in corpus is the file data/corpus.json, which the package reads
 as its own corpus.json (a symlink in the source tree, a copy once built).
@@ -48,7 +48,6 @@ class CorpusError(ValueError):
 class Corpus:
     statements: Mapping[str, Statement]
     axiom_systems: Mapping[str, AxiomSystem]
-    properties: tuple[str, ...]
     scripts: tuple[ProofScript, ...]
 
     def statement(self, sid: str) -> Statement:
@@ -92,9 +91,6 @@ def _validate(corpus: Corpus):
         for sid in system.members:
             if sid not in corpus.statements:
                 raise CorpusError(f"axiom system {name!r} references unknown id {sid!r}")
-    for prop in corpus.properties:
-        if prop not in corpus.statements:
-            raise CorpusError(f"property references unknown id {prop!r}")
     seen: set[str] = set(AXIOM_IDS)
     script_ids: set[str] = set()
     for script in corpus.scripts:
@@ -251,12 +247,7 @@ def corpus_from_json(obj: dict) -> Corpus:
         statements[st.id] = st
     members = _get(obj, "axiom_systems", dict, {})
     systems = {name: AxiomSystem(name, _strings(members, name)) for name in members}
-    corpus = Corpus(
-        statements,
-        systems,
-        _strings(obj, "properties"),
-        tuple(_script_from_json(s) for s in _objects(obj, "scripts", [])),
-    )
+    corpus = Corpus(statements, systems, tuple(_script_from_json(s) for s in _objects(obj, "scripts", [])))
     _validate(corpus)
     return corpus
 

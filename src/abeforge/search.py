@@ -13,7 +13,6 @@ import time
 from typing import Optional
 
 from . import _core
-from ._record import record
 from .models import (
     MAX_SIZE,
     FiniteAlgebra,
@@ -28,16 +27,14 @@ from .statements import AxiomSystem, Statement
 
 __all__ = [
     "core_name",
-    "SizeResult",
-    "PropertyResult",
-    "EnumerationReport",
     "BruteForceBoundError",
     "NodeBudgetExceeded",
     "UnknownSystemError",
     "enumerate_with_stats",
+    "enumerate_sizes",
     "brute_force_models",
+    "first_counterexample",
     "find_counterexample",
-    "run_enumeration_report",
 ]
 
 BRUTE_FORCE_MAX = 3
@@ -63,32 +60,6 @@ class NodeBudgetExceeded(RuntimeError):
     def __init__(self, size: int):
         super().__init__(f"node budget exceeded at size {size}")
         self.size = size
-
-
-@record
-class SizeResult:
-    size: int
-    count: Optional[int]  # None when the budget was exceeded
-    nodes: int
-    millis: float
-    exceeded: bool = False
-
-
-@record
-class PropertyResult:
-    property_id: str
-    status: str  # "holds" | "counterexample"
-    model: Optional[FiniteAlgebra] = None
-    witness: Optional[Witness] = None
-
-
-@record
-class EnumerationReport:
-    """One SizeResult per size and one PropertyResult per property, in order."""
-
-    axioms: str
-    sizes: tuple[SizeResult, ...] = ()
-    properties: tuple[PropertyResult, ...] = ()
 
 
 def _implicative_flag(system: AxiomSystem) -> bool:
@@ -150,7 +121,7 @@ def brute_force_models(
     return labeled, len(classes)
 
 
-def _sizes(system: AxiomSystem, max_size: int, node_budget: int):
+def enumerate_sizes(system: AxiomSystem, max_size: int, node_budget: int):
     """(n, models, nodes, exceeded, millis) for n = 1..max_size, lazily.
 
     node_budget bounds the whole run: each size gets only the nodes the sizes
@@ -169,6 +140,17 @@ def _sizes(system: AxiomSystem, max_size: int, node_budget: int):
         yield n, models, nodes, exceeded, millis
 
 
+def first_counterexample(models, prop: Statement) -> Optional[tuple[FiniteAlgebra, Witness]]:
+    """The first of the models, in their order, that falsifies the property,
+    with its witness; None if every one satisfies it."""
+    for model in models:
+        ok, witness = satisfies(model, prop)
+        if not ok:
+            assert witness is not None
+            return model, witness
+    return None
+
+
 def find_counterexample(
     system: AxiomSystem,
     prop: Statement,
@@ -180,37 +162,10 @@ def find_counterexample(
     node_budget bounds the nodes of all sizes together.  Raises
     NodeBudgetExceeded at the first size whose search runs out of nodes
     before a counterexample is found."""
-    for n, models, _, exceeded, _ in _sizes(system, max_size, node_budget):
+    for n, models, _, exceeded, _ in enumerate_sizes(system, max_size, node_budget):
         if exceeded:
             raise NodeBudgetExceeded(n)
-        for model in models:
-            ok, witness = satisfies(model, prop)
-            if not ok:
-                assert witness is not None
-                return model, witness
+        result = first_counterexample(models, prop)
+        if result is not None:
+            return result
     return None
-
-
-def run_enumeration_report(
-    system: AxiomSystem,
-    max_size: int,
-    properties: list[Statement] = (),
-    node_budget: int = 0,
-) -> EnumerationReport:
-    """Enumerate sizes 1..max_size, then check each property over all models
-    in size order.  node_budget bounds the nodes of all sizes together."""
-    sizes: list[SizeResult] = []
-    all_models: list[FiniteAlgebra] = []
-    for n, models, nodes, exceeded, millis in _sizes(system, max_size, node_budget):
-        sizes.append(SizeResult(n, None if exceeded else len(models), nodes, millis, exceeded))
-        all_models.extend(models)
-    results: list[PropertyResult] = []
-    for prop in properties:
-        result = PropertyResult(prop.id, "holds")
-        for model in all_models:
-            ok, witness = satisfies(model, prop)
-            if not ok:
-                result = PropertyResult(prop.id, "counterexample", model, witness)
-                break
-        results.append(result)
-    return EnumerationReport(system.name, tuple(sizes), tuple(results))

@@ -5,8 +5,9 @@ and records what its info function reads from each call's arguments and
 result, perfbench/run.py times a fresh interpreter that runs its
 SETUP_CODE, and perfbench/parity.py builds _speed.c and compares it with
 _speed_py.  A package change that breaks one of these names, or the shape
-of what a hooked function takes or returns, would otherwise fail only in a
-benchmark run.  The files are read as source, not imported or run."""
+of what a hooked function takes or returns, or a command that stops calling
+a hooked function through the name the tracer patches, would otherwise fail
+only in a benchmark run.  The files are read as source, not imported or run."""
 
 import ast
 import importlib
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import SRC, child_env
+from conftest import SRC, child_env, run_cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -87,6 +88,38 @@ def test_info_functions_read_real_calls(corpus):
     script = corpus.script("lem11")
     assert info("abeforge.kernel", "replay_proof", script, corpus.statements, corpus.axioms()) == ["lem11", 1]
     assert traced == {hook for hook, functions in INFO.items() if functions != (None, None)}
+
+
+# one command line of each kind that the workloads run, and the oracle, which
+# alone reaches canonical_form
+CLI_TRAFFIC = (
+    ("enumerate", "--axioms", "aBE", "--max-size", "3", "--property", "trans", "--emit", "json"),
+    ("oracle", "--axioms", "aBE", "--size", "2"),
+    ("replay", "--emit", "json"),
+)
+
+
+def test_every_hook_sees_cli_traffic(monkeypatch):
+    calls = {}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for _, module, path in HOOKS:
+        # patched where the tracer patches it: on the owner of its last name
+        owner = importlib.import_module(module)
+        *parents, name = path.split(".")
+        for part in parents:
+            owner = getattr(owner, part)
+        calls[module, path] = 0
+        monkeypatch.setattr(owner, name, counting((module, path), getattr(owner, name)))
+    for args in CLI_TRAFFIC:
+        assert run_cli(*args).exit_code == 0, args
+    assert [key for key, n in calls.items() if n == 0] == []
 
 
 def test_setup_code_runs_in_a_fresh_interpreter():

@@ -484,6 +484,7 @@ MALFORMED = {
     "negative-budget": ("search", "--axioms", "aBE", "--violates", "trans", "--max-size", "3", "--budget-nodes", "-1"),
     "unknown-option": ("replay", "--frob"),
     "option-prefix": ("enumerate", "--axioms", "aBE", "--max", "3"),
+    "budget-not-an-integer": ("enumerate", "--axioms", "aBE", "--max-size", "3", "--budget-nodes", "abc"),
 }
 
 # what --help must list for each command: every option, and the help text it has
@@ -579,6 +580,8 @@ class TestCommandLine:
         result = run_cli(*MALFORMED[case])
         assert_input_error(result)
         assert result.stderr.count("\n") == 1
+        if case == "budget-not-an-integer":
+            assert "invalid int value: 'abc'" in result.stderr
 
     @pytest.mark.parametrize("command", [("enumerate",), ("search", "--violates", "trans")], ids=lambda c: c[0])
     @pytest.mark.parametrize("max_size, bound", [("0", ">= 1"), ("17", "<= 16"), (str(10**20), "<= 16")])

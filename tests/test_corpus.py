@@ -62,7 +62,7 @@ def test_statement_kinds(corpus):
 
 
 def test_commutativity_has_no_script(corpus):
-    assert "commutativity" in corpus.properties
+    assert corpus.statement("commutativity").id == "commutativity"
     with pytest.raises(CorpusError):
         corpus.script("commutativity")
 
@@ -215,10 +215,15 @@ def test_unknown_dependency_rejected(corpus_json):
         corpus_from_json(corpus_json)
 
 
+def test_a_properties_key_is_not_read(corpus_json):
+    # like any other key the loader does not read, even one naming no statement
+    corpus_json["properties"].append("nosuch")
+    assert corpus_from_json(corpus_json) == corpus_from_json(read_corpus_json())
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda obj: obj["properties"].append("nosuch"), "property references unknown id 'nosuch'"),
         (lambda obj: script_json(obj, "lem8a").update(target="nosuch"), "script 'lem8a' targets unknown id 'nosuch'"),
         (
             lambda obj: script_json(obj, "lem10")["depends_on"].append("lem11"),

@@ -313,7 +313,7 @@ class TestVerifiedDict:
         obj = next(s for s in corpus_json["scripts"] if s["id"] == "lem10")
         obj["steps"][1]["dir"] = "R2L"
         scripts = tuple(_script_from_json(obj) if s.id == "lem10" else s for s in corpus.scripts)
-        broken = Corpus(corpus.statements, corpus.axiom_systems, corpus.properties, scripts)
+        broken = Corpus(corpus.statements, corpus.axiom_systems, scripts)
         report = verify_corpus(broken)
         assert dict(report)["lem10"].startswith("failed")
         assert verify_corpus(broken) == report
@@ -345,7 +345,7 @@ class TestCorpusReplay:
         scripts = tuple(
             _script_from_json(obj) if s.id == "lem10" else s for s in corpus.scripts
         )
-        broken = Corpus(corpus.statements, corpus.axiom_systems, corpus.properties, scripts)
+        broken = Corpus(corpus.statements, corpus.axiom_systems, scripts)
         report = dict(verify_corpus(broken))
         assert report["lem8a"] == "verified"
         assert report["lem10"].startswith("failed")

@@ -13,8 +13,7 @@ from abeforge._record import record
 from abeforge.corpus import load_corpus
 from abeforge.kernel import L2R, ProofScript, Rewrite
 from abeforge.models import FiniteAlgebra, Witness
-from abeforge.search import EnumerationReport, PropertyResult, SizeResult
-from abeforge.statements import Clause, Literal
+from abeforge.statements import AxiomSystem, Clause, Literal
 from abeforge.terms import UNIT, Arrow, Const, Var
 
 
@@ -42,11 +41,9 @@ def test_equal_records_hash_equal():
         (FiniteAlgebra(1, 0, ((0,),)), "unit"),
         (load_corpus(), "scripts"),
         (Witness("p", {"x": 0}, ((0, 1),)), "assignment"),
-        (SizeResult(1, 1, 0, 0.0), "count"),
-        (PropertyResult("p", "holds"), "status"),
-        (EnumerationReport("aBE"), "sizes"),
+        (AxiomSystem("aBE", ("ax1",)), "members"),
     ],
-    ids=["Var", "Arrow", "FiniteAlgebra", "Corpus", "Witness", "SizeResult", "PropertyResult", "EnumerationReport"],
+    ids=["Var", "Arrow", "FiniteAlgebra", "Corpus", "Witness", "AxiomSystem"],
 )
 def test_frozen_fields_refuse_assignment(obj, name):
     with pytest.raises(AttributeError):
@@ -68,7 +65,6 @@ def test_defaults():
     assert (script.constants, script.hypotheses, script.depends_on, script.comment) == ((), (), (), "")
     assert ProofScript(id="s", target="lem10", steps=()) == script
     assert Literal(UNIT, UNIT).positive is True
-    assert (EnumerationReport("aBE").sizes, EnumerationReport("aBE").properties) == ((), ())
 
 
 @pytest.mark.parametrize(
@@ -86,8 +82,9 @@ def test_bad_keyword_arguments_name_the_field(kwargs, message):
 
 
 def test_repr_names_the_fields_unless_the_class_has_its_own():
-    assert repr(SizeResult(3, None, 9, 0.5)) == "SizeResult(size=3, count=None, nodes=9, millis=0.5, exceeded=False)"
+    assert repr(AxiomSystem("aBE", ("ax1", "ax2"))) == "AxiomSystem(name='aBE', members=('ax1', 'ax2'))"
     assert repr(Arrow(Var("x"), UNIT)) == "Arrow(Var(x), Unit)"
+    assert repr(Const("a")) == "Const(a)"
 
 
 def test_fields_are_the_annotations_of_the_class_body():
@@ -112,7 +109,7 @@ def _package_records():
 
 def test_every_record_is_slotted_with_its_fields():
     records = _package_records()
-    assert len(records) == 23, sorted(records)
+    assert len(records) == 20, sorted(records)
     for cls in records.values():
         assert cls.__slots__ == tuple(cls.__dict__.get("__annotations__", ())), cls
         assert not hasattr(cls.__new__(cls), "__dict__"), cls

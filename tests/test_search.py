@@ -9,8 +9,9 @@ from abeforge.search import (
     brute_force_models,
     core_name,
     enumerate_with_stats,
+    enumerate_sizes,
     find_counterexample,
-    run_enumeration_report,
+    first_counterexample,
 )
 from abeforge.statements import AxiomSystem
 
@@ -171,33 +172,28 @@ class TestFindCounterexample:
 class TestReport:
     def test_report_counts_and_properties(self, corpus):
         system = corpus.axiom_system("implicative-aBE")
-        report = run_enumeration_report(
-            system,
-            4,
-            [corpus.statement("trans"), corpus.statement("commutativity")],
-        )
-        assert [s.count for s in report.sizes] == [1, 1, 1, 2]
-        assert all(p.status == "holds" for p in report.properties)
+        sizes = list(enumerate_sizes(system, 4, 0))
+        assert [len(models) for _, models, _, _, _ in sizes] == [1, 1, 1, 2]
+        models = [model for _, found, _, _, _ in sizes for model in found]
+        for sid in ("trans", "commutativity"):
+            assert first_counterexample(models, corpus.statement(sid)) is None
 
     def test_report_budget_exceeded(self, corpus):
         system = corpus.axiom_system("aBE")
-        report = run_enumeration_report(system, 4, node_budget=10)
-        assert report.sizes[-1].exceeded
-        assert report.sizes[-1].count is None
+        n, models, _, exceeded, _ = list(enumerate_sizes(system, 4, 10))[-1]
+        assert (n, models, exceeded) == (4, [], True)
 
     def test_budget_is_shared_by_the_sizes(self, corpus):
         # sizes 1..3 need 0, 0 and 9 nodes, so size 4 gets the 1 node left
         # and size 5 none, and is not searched
         system = corpus.axiom_system("aBE")
-        report = run_enumeration_report(system, 5, node_budget=10)
-        got = [(s.count, s.nodes, s.exceeded) for s in report.sizes]
+        got = [(None if exceeded else len(models), nodes, exceeded)
+               for _, models, nodes, exceeded, _ in enumerate_sizes(system, 5, 10)]
         assert got == [(1, 0, False), (1, 0, False), (3, 9, False), (None, 1, True), (None, 0, True)]
 
     def test_budget_used_up_exactly_skips_the_rest(self, corpus, monkeypatch):
         # a budget of 0 means unlimited to the core, so a size with nothing
         # left must not reach it
-        import abeforge.search as search
-
         sizes_searched = []
         core_search = search._core.search_tables
 
@@ -207,7 +203,7 @@ class TestReport:
 
         monkeypatch.setattr(search._core, "search_tables", recording_search)
         system = corpus.axiom_system("aBE")
-        report = run_enumeration_report(system, 5, node_budget=9)
+        got = [(None if exceeded else len(models), nodes, exceeded)
+               for _, models, nodes, exceeded, _ in enumerate_sizes(system, 5, 9)]
         assert sizes_searched == [1, 2, 3]
-        got = [(s.count, s.nodes, s.exceeded) for s in report.sizes]
         assert got == [(1, 0, False), (1, 0, False), (3, 9, False), (None, 0, True), (None, 0, True)]

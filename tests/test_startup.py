@@ -1,7 +1,8 @@
 """`replay` starts without the model layers, generated record code or any
 module from outside the standard library, and the CLI exits with a frozen
-heap."""
+heap, or with 1 and nothing on stderr when its reader has gone."""
 
+import os
 import subprocess
 import sys
 
@@ -57,3 +58,16 @@ def test_exit_freezes_the_heap_before_the_last_collections():
         [sys.executable, "-c", EXIT_PROBE], env=child_env(), capture_output=True, text=True, check=True
     ).stdout
     assert out.splitlines()[-1] == "frozen: True"
+
+
+def test_a_reader_gone_before_the_first_write_exits_1_in_silence():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "abeforge.cli", "replay", "--emit", "json"],
+            env=child_env(), stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")

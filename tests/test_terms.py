@@ -40,6 +40,7 @@ class TestParse:
 
     def test_whitespace_insignificant(self):
         assert parse_term("x->y   ->  z") == parse_term("x -> y -> z")
+        assert parse_term("  x -> y  ") == parse_term("x -> y")
 
     def test_syntax_error_carries_offset(self):
         with pytest.raises(TermSyntaxError) as exc:
@@ -133,6 +134,11 @@ class TestPositions:
         with pytest.raises(PositionError) as exc:
             subterm_at(parse_term("x -> y"), "LL")
         assert exc.value.index == 1
+
+    def test_replace_below_a_leaf_names_the_selector(self):
+        with pytest.raises(PositionError) as exc:
+            replace_at(UNIT, "L", UNIT)
+        assert str(exc.value) == "cannot descend 'L' into '1' (selector index 0)"
 
     def test_bad_selector_letter(self):
         with pytest.raises(PositionError):
