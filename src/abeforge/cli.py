@@ -180,22 +180,22 @@ def check(model_path, axioms_name, property_id):
 def search(axioms_name, property_id, max_size, budget_nodes):
     """Look for a model of the axioms that violates a property."""
     from .models import model_to_json
-    from .search import NodeBudgetExceeded, find_counterexample
+    from .search import enumerate_sizes, first_counterexample
 
     corpus = load_corpus(None)
     system = corpus.axiom_system(axioms_name)
     prop = corpus.statement(property_id)
     _check_max_size(max_size)
     out = {"axioms": axioms_name, "violates": property_id, "max_size": max_size}
-    try:
-        result = find_counterexample(system, prop, max_size, budget_nodes)
-    except NodeBudgetExceeded as e:
-        return EXIT_OK, {**out, "status": "exceeded", "size": e.size}, [f"node budget exceeded at size {e.size}"]
-    if result is None:
-        return EXIT_OK, {**out, "status": "none"}, [f"none up to {max_size}"]
-    model, witness = result
-    out.update(status="counterexample", model=model_to_json(model), witness=_witness_json(witness))
-    return EXIT_COUNTEREXAMPLE, out, [f"counterexample of size {model.size}: {out['model']}", _witness_text(witness)]
+    for n, models, _, exceeded, _ in enumerate_sizes(system, max_size, budget_nodes):
+        if exceeded:
+            return EXIT_OK, {**out, "status": "exceeded", "size": n}, [f"node budget exceeded at size {n}"]
+        result = first_counterexample(models, prop)
+        if result is not None:
+            model, witness = result
+            out.update(status="counterexample", model=model_to_json(model), witness=_witness_json(witness))
+            return EXIT_COUNTEREXAMPLE, out, [f"counterexample of size {n}: {out['model']}", _witness_text(witness)]
+    return EXIT_OK, {**out, "status": "none"}, [f"none up to {max_size}"]
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +211,7 @@ def oracle(axioms_name, size):
     system = corpus.axiom_system(axioms_name)
     try:
         labeled, classes = brute_force_models(system, size, corpus.statements)
-    except ValueError as e:  # BruteForceBoundError included
+    except ValueError as e:
         raise _InputError(e) from None
     out = {"axioms": axioms_name, "size": size, "labeled": labeled, "classes": classes}
     return EXIT_OK, out, [f"labeled {labeled}, classes {classes}"]

@@ -27,14 +27,10 @@ from .statements import AxiomSystem, Statement
 
 __all__ = [
     "core_name",
-    "BruteForceBoundError",
-    "NodeBudgetExceeded",
-    "UnknownSystemError",
     "enumerate_with_stats",
     "enumerate_sizes",
     "brute_force_models",
     "first_counterexample",
-    "find_counterexample",
 ]
 
 BRUTE_FORCE_MAX = 3
@@ -46,30 +42,12 @@ def core_name() -> str:
     return "python"
 
 
-class BruteForceBoundError(ValueError):
-    pass
-
-
-class UnknownSystemError(ValueError):
-    pass
-
-
-class NodeBudgetExceeded(RuntimeError):
-    """The search at one size tried node_budget nodes without finishing."""
-
-    def __init__(self, size: int):
-        super().__init__(f"node budget exceeded at size {size}")
-        self.size = size
-
-
 def _implicative_flag(system: AxiomSystem) -> bool:
     if system.name == "aBE":
         return False
     if system.name == "implicative-aBE":
         return True
-    raise UnknownSystemError(
-        f"the search core only knows 'aBE' and 'implicative-aBE', not {system.name!r}"
-    )
+    raise ValueError(f"the search core only knows 'aBE' and 'implicative-aBE', not {system.name!r}")
 
 
 def enumerate_with_stats(
@@ -107,9 +85,7 @@ def brute_force_models(
     if n < 1:
         raise ValueError("size must be >= 1")
     if n > BRUTE_FORCE_MAX:
-        raise BruteForceBoundError(
-            f"brute force is capped at size {BRUTE_FORCE_MAX}, got {n}"
-        )
+        raise ValueError(f"brute force is capped at size {BRUTE_FORCE_MAX}, got {n}")
     labeled = 0
     classes: set[bytes] = set()
     for flat in itertools.product(range(n), repeat=n * n):
@@ -150,22 +126,3 @@ def first_counterexample(models, prop: Statement) -> Optional[tuple[FiniteAlgebr
             return model, witness
     return None
 
-
-def find_counterexample(
-    system: AxiomSystem,
-    prop: Statement,
-    max_size: int,
-    node_budget: int = 0,
-) -> Optional[tuple[FiniteAlgebra, Witness]]:
-    """First model (smallest size, least canonical form) falsifying the property.
-
-    node_budget bounds the nodes of all sizes together.  Raises
-    NodeBudgetExceeded at the first size whose search runs out of nodes
-    before a counterexample is found."""
-    for n, models, _, exceeded, _ in enumerate_sizes(system, max_size, node_budget):
-        if exceeded:
-            raise NodeBudgetExceeded(n)
-        result = first_counterexample(models, prop)
-        if result is not None:
-            return result
-    return None

@@ -6,6 +6,7 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 import hashlib
 import itertools
 import json
+import math
 import random
 import time
 
@@ -13,11 +14,12 @@ import pytest
 
 from abeforge.corpus import corpus_from_json, load_corpus
 from abeforge.kernel import ProofError, replay_proof, verify_corpus
-from abeforge.models import FiniteAlgebra, canonical_form, from_flat, relabelings, satisfies
+from abeforge.models import FiniteAlgebra, canonical_form, from_flat, is_model, relabelings, satisfies
 from abeforge.search import brute_force_models, enumerate_with_stats
 from conftest import run_cli
 from ground_search import ground_search
 from mutate_util import mutated_script, mutation_sites
+from test_canonical import COMPLETE_LABELED, orbit_sum
 from test_corpus import BASIS, COROLLARIES, axiom_closures, with_corollaries
 
 # Labeled implicative-aBE tables of size 8 (unit at 7) that the complete
@@ -35,6 +37,14 @@ IMPLICATIVE_9_DIGEST = "5c4f2c8becf09d0961980551a6a7c1edeca81b05a61b9ac754cfd9cb
 
 # The implicative-aBE classes of sizes 1..9
 IMPLICATIVE_CLASSES = [1, 1, 1, 2, 2, 3, 5, 8, 11]
+
+# The labeled implicative-aBE tables (unit at n-1) of sizes 1..8
+IMPLICATIVE_LABELED = [1, 1, 1, 4, 13, 91, 631, COMPLETE_LABELED_8]
+
+# {n: the simplicial complexes with n-1 nonempty faces} past the sizes any
+# test searches, recorded once from simplicial_complexes; size 13 (83) is
+# left out, as least_relabeling's brute-force key takes seconds there
+COMPLEX_CLASSES = {10: 18, 11: 29, 12: 49}
 
 # The scripts of the paper's corollaries, which the built-in corpus leaves out
 COROLLARY_SCRIPTS = json.loads(COROLLARIES.read_text(encoding="utf-8"))["scripts"]
@@ -165,6 +175,17 @@ def complex_algebra(complex_):
     index = {face: i for i, face in enumerate(faces)}
     n = len(faces)
     return FiniteAlgebra(n, n - 1, tuple(tuple(index[y - x] for y in faces) for x in faces))
+
+
+def automorphism_count(complex_):
+    """The permutations of the complex's vertices that map its faces onto
+    its faces."""
+    k = sum(len(face) == 1 for face in complex_)
+    faces = set(complex_)
+    return sum(
+        all(tuple(sorted(image[v] for v in face)) in faces for face in complex_)
+        for image in itertools.permutations(range(k))
+    )
 
 
 def test_criterion_1_corpus_replay(corpus):
@@ -369,6 +390,43 @@ def test_criterion_5b_simplicial_complex_oracle(implicative_forms):
         "simplicial-complex oracle n<=9",
         not mismatches and counts == IMPLICATIVE_CLASSES,
         f"classes per size {counts}, mismatches at sizes {mismatches}",
+    )
+
+
+def test_criterion_5c_labeled_counts_from_the_complexes(implicative_runs):
+    # An automorphism of a complex's algebra fixes the unit and the order, so
+    # it is a permutation of the vertices that maps faces onto faces, and each
+    # class stands for (n-1)!/|Aut| labeled tables.  Sizes 6 and 7 are checked
+    # against the complete search, and size 8 against the enumerator's
+    # classes.  The count shares no code with the package.
+    labeled = [
+        sum(math.factorial(n - 1) // automorphism_count(c) for c in simplicial_complexes(n - 1)) for n in range(1, 9)
+    ]
+    searched = [COMPLETE_LABELED["implicative-aBE", 6], COMPLETE_LABELED["implicative-aBE", 7],
+                orbit_sum(implicative_runs[8][0])]
+    _verdict(
+        "5c",
+        "labeled counts from the simplicial complexes n<=8",
+        labeled == IMPLICATIVE_LABELED and labeled[5:] == searched,
+        f"labeled tables per size {labeled}; the complete search and the enumerator give {searched} at sizes 6-8",
+    )
+
+
+def test_criterion_5d_complexes_past_the_search(corpus):
+    # Every complex's algebra up to size 9 is an implicative aBE algebra, and
+    # commutative, and the complexes are counted to size 12, with no search.
+    system = corpus.axiom_system("implicative-aBE")
+    commutativity = corpus.statement("commutativity")
+    algebras = [complex_algebra(c) for n in range(1, 10) for c in simplicial_complexes(n - 1)]
+    failing = [
+        m.table for m in algebras if not (is_model(m, system, corpus.statements)[0] and satisfies(m, commutativity)[0])
+    ]
+    counts = {n: len(simplicial_complexes(n - 1)) for n in COMPLEX_CLASSES}
+    _verdict(
+        "5d",
+        "the complexes are commutative implicative-aBE models, counted to n=12",
+        len(algebras) == sum(IMPLICATIVE_CLASSES) and not failing and counts == COMPLEX_CLASSES,
+        f"{len(algebras)} algebras, failing: {failing}; classes at sizes 10-12 {counts}",
     )
 
 

@@ -99,7 +99,9 @@ CLI_TRAFFIC = (
 )
 
 
-def test_every_hook_sees_cli_traffic(monkeypatch):
+def count_hook_calls(monkeypatch) -> dict:
+    """Wrap every hooked function, where the tracer patches it, in a counter
+    of its calls: {(module, attribute path): calls}."""
     calls = {}
 
     def counting(key, fn):
@@ -117,9 +119,21 @@ def test_every_hook_sees_cli_traffic(monkeypatch):
             owner = getattr(owner, part)
         calls[module, path] = 0
         monkeypatch.setattr(owner, name, counting((module, path), getattr(owner, name)))
+    return calls
+
+
+def test_every_hook_sees_cli_traffic(monkeypatch):
+    calls = count_hook_calls(monkeypatch)
     for args in CLI_TRAFFIC:
         assert run_cli(*args).exit_code == 0, args
     assert [key for key, n in calls.items() if n == 0] == []
+
+
+def test_search_reaches_the_hooks(monkeypatch):
+    calls = count_hook_calls(monkeypatch)
+    assert run_cli("search", "--axioms", "aBE", "--violates", "trans", "--max-size", "4").exit_code == 4
+    fired = {path for (_, path), n in calls.items() if n}
+    assert fired == {"_core.search_tables", "canonicalize", "satisfies", "enumerate_with_stats", "load_corpus"}
 
 
 def test_setup_code_runs_in_a_fresh_interpreter():

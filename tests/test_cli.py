@@ -381,6 +381,37 @@ class TestSearch:
         obj = json.loads(result.stdout)
         assert (obj["status"], obj["size"], obj["max_size"]) == ("exceeded", 3, 4)
 
+    @pytest.mark.parametrize("name, max_size, failing", [("aBE", 4, 12), ("implicative-aBE", 5, 0)])
+    def test_agrees_with_enumerate_on_every_statement(self, corpus, name, max_size, failing):
+        # both report the first model, by size then canonical form, that
+        # falsifies a statement
+        size = ("--axioms", name, "--max-size", str(max_size), "--emit", "json")
+        props = [arg for sid in corpus.statements for arg in ("--property", sid)]
+        enumerated = run_cli("enumerate", *size, *props)
+        assert enumerated.exit_code == 0
+        verdicts = json.loads(enumerated.stdout)["properties"]
+        assert [v["id"] for v in verdicts] == list(corpus.statements)
+        assert sum(v["status"] == "counterexample" for v in verdicts) == failing
+        for verdict in verdicts:
+            result = run_cli("search", *size, "--violates", verdict["id"])
+            obj = json.loads(result.stdout)
+            if verdict["status"] == "holds":
+                assert (result.exit_code, obj["status"]) == (0, "none")
+            else:
+                assert (result.exit_code, obj["status"]) == (4, "counterexample")
+                assert (obj["model"], obj["witness"]) == (verdict["model"], verdict["witness"])
+
+    def test_budget_is_shared_by_the_sizes(self):
+        # trans first fails at size 4, which needs 208 nodes after the 9 of
+        # size 3; a budget of 216 covers each size alone but not both
+        args = ("search", "--axioms", "aBE", "--violates", "trans", "--max-size", "4", "--emit", "json")
+        result = run_cli(*args, "--budget-nodes", "216")
+        obj = json.loads(result.stdout)
+        assert (result.exit_code, obj["status"], obj["size"]) == (0, "exceeded", 4)
+        result = run_cli(*args, "--budget-nodes", "217")
+        assert result.exit_code == 4
+        assert json.loads(result.stdout)["status"] == "counterexample"
+
     def test_negative_budget_exit_3(self):
         result = run_cli(
             "search", "--axioms", "aBE", "--violates", "trans", "--max-size", "3",
