@@ -13,31 +13,26 @@ from __future__ import annotations
 from ._core import _prefill, _propagate
 
 
-def search_tables(
-    n: int,
-    implicative: bool,
-    node_budget: int = 0,
-) -> tuple[list[tuple[int, ...]], int, bool]:
+def search_tables(n: int, implicative: bool) -> tuple[list[tuple[int, ...]], int, bool]:
     """Depth-first fill of the free cells in row-major order.
 
-    Returns (complete tables satisfying all axioms, nodes tried, budget
-    exceeded).  A node is one attempted cell assignment.  node_budget 0 means
-    unlimited.
+    Returns (complete tables satisfying all axioms, nodes tried, False), the
+    triple of the compiled core's search_tables with no budget.  A node is one
+    attempted cell assignment.
     """
     u = n - 1
     t = _prefill(n)
     free = [i * n + j for i in range(u) for j in range(u) if i != j]
     results: list[tuple[int, ...]] = []
     nodes = 0
-    exceeded = False
 
     trail: list[int] = []
     if not _propagate(t, n, implicative, trail, [c for c, v in enumerate(t) if v >= 0]):
-        return results, nodes, exceeded
+        return results, nodes, False
 
     def rec(k: int):
         # free[:k] are all assigned, and stay so below this frame
-        nonlocal nodes, exceeded
+        nonlocal nodes
         for k in range(k, len(free)):
             cell = free[k]
             if t[cell] < 0:
@@ -46,9 +41,6 @@ def search_tables(
             results.append(tuple(t))
             return
         for v in range(n):
-            if node_budget and nodes >= node_budget:
-                exceeded = True
-                return
             nodes += 1
             mark = len(trail)
             t[cell] = v
@@ -57,8 +49,6 @@ def search_tables(
                 rec(k + 1)
             while len(trail) > mark:
                 t[trail.pop()] = -1
-            if exceeded:
-                return
 
     rec(0)
-    return results, nodes, exceeded
+    return results, nodes, False

@@ -62,14 +62,17 @@ def _witness_text(w: Witness) -> str:
     return f"witness {vals}"
 
 
-def _check_max_size(max_size: int):
-    """Raise an input error unless `--max-size` is a size the search can run."""
+def _check_bounds(max_size: int, budget_nodes: int):
+    """Raise an input error unless `--max-size` is a size the search can run
+    and `--budget-nodes` is a node count."""
     from .models import MAX_SIZE
 
     if max_size < 1:
         raise _InputError("--max-size must be >= 1")
     if max_size > MAX_SIZE:
         raise _InputError(f"--max-size must be <= {MAX_SIZE}")
+    if budget_nodes < 0:
+        raise _InputError("--budget-nodes must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +112,7 @@ def enumerate_cmd(axioms_name, max_size, property_ids, budget_nodes, timings):
 
     corpus = load_corpus(None)
     system = corpus.axiom_system(axioms_name)
-    _check_max_size(max_size)
+    _check_bounds(max_size, budget_nodes)
     props = [corpus.statement(pid) for pid in property_ids]
     sizes, properties, models = [], [], []
     lines = [
@@ -185,7 +188,7 @@ def search(axioms_name, property_id, max_size, budget_nodes):
     corpus = load_corpus(None)
     system = corpus.axiom_system(axioms_name)
     prop = corpus.statement(property_id)
-    _check_max_size(max_size)
+    _check_bounds(max_size, budget_nodes)
     out = {"axioms": axioms_name, "violates": property_id, "max_size": max_size}
     for n, models, _, exceeded, _ in enumerate_sizes(system, max_size, budget_nodes):
         if exceeded:
@@ -271,17 +274,6 @@ class _Parser(argparse.ArgumentParser):
         raise _InputError(message)
 
 
-def _node_count(text: str) -> int:
-    """A `--budget-nodes` value: an integer, 0 or more."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, not {n}")
-    return n
-
-
 def _parser(prog: str | None) -> argparse.ArgumentParser:
     parser = _Parser(prog=prog, description="Verification workbench for implicative aBE algebras.")
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
@@ -301,7 +293,7 @@ def _parser(prog: str | None) -> argparse.ArgumentParser:
         sub.add_argument("--emit", choices=("text", "json"), default="text")
 
     def budget(sub):
-        sub.add_argument("--budget-nodes", type=_node_count, default=0, metavar="N", help=BUDGET_HELP)
+        sub.add_argument("--budget-nodes", type=int, default=0, metavar="N", help=BUDGET_HELP)
 
     sub = command(commands, "replay", replay)
     sub.add_argument("--script", dest="script_path", metavar="PATH",

@@ -17,8 +17,8 @@ DATA_CORPUS = Path(__file__).resolve().parent.parent / "data" / "corpus.json"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def terms(max_leaves: int = 12, with_constants: bool = False):
-    leaves = [st.sampled_from(VAR_NAMES).map(Var), st.just(UNIT)]
+def terms(max_leaves: int = 12, with_constants: bool = False, names: tuple[str, ...] = VAR_NAMES):
+    leaves = [st.sampled_from(names).map(Var), st.just(UNIT)]
     if with_constants:
         leaves.append(st.sampled_from(("a", "b", "c")).map(Const))
     return st.recursive(

@@ -64,6 +64,18 @@ ABE_FAILURES = {
     "ax2": [0, 0, 0, 0, 0],
 }
 
+# {n: the aBE classes of size n that Abbott's coatom map fails for, counted
+# by the first check each fails: injectivity, closure under subsets, then
+# the law phi(x -> y) = phi(y) minus phi(x)}, recorded once; the 1, 1, 1, 2
+# and 2 classes it passes for are the implicative ones
+ABBOTT_FAILURES = {
+    1: {"injective": 0, "closed": 0, "law": 0},
+    2: {"injective": 0, "closed": 0, "law": 0},
+    3: {"injective": 2, "closed": 0, "law": 0},
+    4: {"injective": 15, "closed": 0, "law": 2},
+    5: {"injective": 234, "closed": 3, "law": 2},
+}
+
 # {axiom dropped from the basis ax3-ax6: (the least size at which the other
 # three have a model that falsifies transitivity, the least canonical form of
 # such a model as a flat row-major table with the unit last)}, recorded once
@@ -114,6 +126,14 @@ def implicative_runs(corpus):
         assert not exceeded
         runs[n] = (models, nodes, time.perf_counter() - start)
     return runs
+
+
+@pytest.fixture(scope="module")
+def abe_classes(corpus):
+    """The aBE classes of sizes 1..5, one list per size, for criteria 5e
+    and 6b."""
+    system = corpus.axiom_system("aBE")
+    return [enumerate_with_stats(system, n)[0] for n in range(1, 6)]
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +195,41 @@ def complex_algebra(complex_):
     index = {face: i for i, face in enumerate(faces)}
     n = len(faces)
     return FiniteAlgebra(n, n - 1, tuple(tuple(index[y - x] for y in faces) for x in faces))
+
+
+def coatom_map(model):
+    """Abbott's map: each element to the set of coatoms above it, where
+    x <= y means x -> y = 1 and the coatoms are the maximal non-unit
+    elements.  Read from the table alone."""
+    tab, unit = model.table, model.unit
+    rest = [x for x in range(model.size) if x != unit]
+    coatoms = [c for c in rest if not any(d != c and tab[c][d] == unit for d in rest)]
+    return [frozenset(c for c in coatoms if tab[x][c] == unit) for x in range(model.size)]
+
+
+def abbott_failure(model):
+    """The first check of Abbott's representation that the model fails:
+    `injective`, `closed` (the image under subsets) or `law`
+    (phi(x -> y) = phi(y) minus phi(x)); None if it passes all three."""
+    phi = coatom_map(model)
+    image = set(phi)
+    if len(image) != model.size:
+        return "injective"
+    if any(face - {c} not in image for face in image for c in face):
+        return "closed"
+    n, tab = model.size, model.table
+    if any(phi[tab[x][y]] != phi[y] - phi[x] for x in range(n) for y in range(n)):
+        return "law"
+    return None
+
+
+def abbott_complex(model):
+    """The nonempty images of the coatom map as a complex, the coatoms
+    renamed 0..k-1 in index order, under least_relabeling."""
+    phi = coatom_map(model)
+    coatoms = sorted(set().union(*phi))
+    faces = [tuple(sorted(coatoms.index(c) for c in face)) for face in phi if face]
+    return least_relabeling(tuple(sorted(faces)))
 
 
 def automorphism_count(complex_):
@@ -430,6 +485,34 @@ def test_criterion_5d_complexes_past_the_search(corpus):
     )
 
 
+def test_criterion_5e_abbott_map_for_each_class(implicative_runs, abe_classes):
+    # Abbott (1967): a finite implication algebra is the family of sets of
+    # coatoms above its elements, closed under subsets, with x -> y read as
+    # set difference.  So each implicative-aBE class has its own complex,
+    # with no permutation searched, which turns 5b's equal lists into a
+    # bijection; over aBE the map passes for exactly the implicative classes.
+    failing, mismatches = [], []
+    for n, (models, _, _) in implicative_runs.items():
+        failing += [(n, m.table) for m in models if abbott_failure(m) or coatom_map(m)[m.unit]]
+        complexes = [abbott_complex(m) for m in models]
+        if len(set(complexes)) != len(complexes) or sorted(complexes) != simplicial_complexes(n - 1):
+            mismatches.append(n)
+    # 1 -> c = c for a coatom c, so the unit maps to the empty set in aBE
+    unit_empty = all(not coatom_map(m)[m.unit] for models in abe_classes for m in models)
+    outcomes = [[abbott_failure(m) for m in models] for models in abe_classes]
+    passing = [outcome.count(None) for outcome in outcomes]
+    failures = {n: {check: outcome.count(check) for check in ("injective", "closed", "law")}
+                for n, outcome in enumerate(outcomes, 1)}
+    _verdict(
+        "5e",
+        "Abbott's map certifies each implicative-aBE class n<=8 and no other aBE class n<=5",
+        not failing and not mismatches and unit_empty and passing == IMPLICATIVE_CLASSES[:5]
+        and failures == ABBOTT_FAILURES,
+        f"failing implicative classes: {failing}; complex mismatches at sizes {mismatches}; "
+        f"aBE classes passing per size {passing}, failing by check {failures}",
+    )
+
+
 def test_criterion_6_commutativity_corollary(corpus, implicative_models):
     comm = corpus.statement("commutativity")
     violations = [m.size for m in implicative_models if not satisfies(m, comm)[0]]
@@ -441,15 +524,13 @@ def test_criterion_6_commutativity_corollary(corpus, implicative_models):
     )
 
 
-def test_criterion_6b_corollaries_in_the_models(implicative_models):
+def test_criterion_6b_corollaries_in_the_models(implicative_models, abe_classes):
     # each target of a corollary script holds in every implicative-aBE class
     # up to size 8, and fails in the aBE classes pinned in ABE_FAILURES
     merged = corpus_from_json(with_corollaries())
     targets = [merged.statement(sid) for sid in dict.fromkeys(script["target"] for script in COROLLARY_SCRIPTS)]
-    abe = merged.axiom_system("aBE")
-    abe_models = [enumerate_with_stats(abe, n)[0] for n in range(1, 6)]
     violations = [(st.id, m.size) for st in targets for m in implicative_models if not satisfies(m, st)[0]]
-    failures = {st.id: [sum(not satisfies(m, st)[0] for m in models) for models in abe_models] for st in targets}
+    failures = {st.id: [sum(not satisfies(m, st)[0] for m in models) for models in abe_classes] for st in targets}
     ok = not violations and len(implicative_models) == 23 and failures == ABE_FAILURES
     _verdict(
         "6b",

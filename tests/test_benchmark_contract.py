@@ -146,4 +146,10 @@ def test_what_the_parity_gate_reads_exists():
     from abeforge import _speed_py
 
     assert (SRC / "abeforge" / "_speed.c").is_file()
-    assert callable(_speed_py.search_tables)
+    # parity.compare calls search_tables(n, implicative) and compares the triple
+    for n in range(1, 5):
+        for implicative in (False, True):
+            tables, nodes, exceeded = result = _speed_py.search_tables(n, implicative)
+            assert isinstance(tables, list) and type(nodes) is int and exceeded is False
+            assert all(type(t) is tuple and len(t) == n * n for t in tables)
+            assert _speed_py.search_tables(n, implicative) == result

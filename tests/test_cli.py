@@ -187,8 +187,8 @@ class TestEnumerate:
 
     def test_negative_budget_exit_3(self):
         result = run_cli("enumerate", "--axioms", "aBE", "--max-size", "3", "--budget-nodes", "-1")
-        assert result.exit_code == 3
-        assert "--budget-nodes" in result.stderr
+        assert (result.exit_code, result.stdout) == (3, "")
+        assert result.stderr == "error: --budget-nodes must be >= 0\n"
 
     def test_largest_size_with_budget_one_lists_every_size(self):
         result = run_cli(
@@ -417,8 +417,8 @@ class TestSearch:
             "search", "--axioms", "aBE", "--violates", "trans", "--max-size", "3",
             "--budget-nodes", "-1",
         )
-        assert result.exit_code == 3
-        assert "--budget-nodes" in result.stderr
+        assert (result.exit_code, result.stdout) == (3, "")
+        assert result.stderr == "error: --budget-nodes must be >= 0\n"
 
 
 class TestOracle:
@@ -620,6 +620,15 @@ class TestCommandLine:
         result = run_cli(*command, "--axioms", "aBE", "--max-size", max_size, "--budget-nodes", "1")
         assert (result.exit_code, result.stdout) == (3, "")
         assert result.stderr == f"error: --max-size must be {bound}\n"
+
+    @pytest.mark.parametrize("command", [("enumerate",), ("search", "--violates", "trans")], ids=lambda c: c[0])
+    def test_bad_input_is_reported_in_one_order(self, command):
+        # the system first, then --max-size, then --budget-nodes
+        bounds = ("--max-size", "0", "--budget-nodes", "-1")
+        result = run_cli(*command, "--axioms", "nope", *bounds)
+        assert result.stderr == "error: unknown axiom system 'nope'\n"
+        result = run_cli(*command, "--axioms", "aBE", *bounds)
+        assert result.stderr == "error: --max-size must be >= 1\n"
 
     @pytest.mark.parametrize("command", HELP, ids=lambda c: " ".join(c) or "top")
     def test_help_lists_every_option(self, command):

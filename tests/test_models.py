@@ -1,9 +1,10 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from abeforge.corpus import load_corpus
 from abeforge.models import (
     FiniteAlgebra,
     ModelFileError,
@@ -15,6 +16,7 @@ from abeforge.models import (
     model_to_json,
     satisfies,
 )
+from abeforge.search import enumerate_with_stats
 from abeforge.statements import Clause, Identity, Literal, clause_form
 from abeforge.terms import UNIT, Arrow, Const, Var, parse_term
 from conftest import terms
@@ -166,8 +168,6 @@ def wide_term(k):
 class TestCompiledSatisfies:
     @given(random_algebra(st.integers(1, 4)))
     def test_corpus_statements_match_reference(self, model):
-        from abeforge.corpus import load_corpus
-
         for st_ in load_corpus().statements.values():
             assert satisfies(model, st_) == reference_satisfies(model, st_), st_.id
 
@@ -238,6 +238,54 @@ class TestCompiledSatisfies:
         st_ = Unhashable("u", Arrow(Var("x"), Var("x")), UNIT)
         assert satisfies(M2, st_) == (True, None)
         assert satisfies(M2, st_) == (True, None)
+
+
+TRANS = load_corpus().statement("trans")
+COMMUTATIVITY = load_corpus().statement("commutativity")
+SWAP = Identity("swap", Arrow(Var("x"), Var("y")), Arrow(Var("y"), Var("x")))
+
+
+def horn_clauses():
+    """Clauses of 0-2 negated equations and 0-1 positive one, not both
+    none, over terms in x, y, z and 1 with at most 4 leaves."""
+    term = terms(max_leaves=4, names=("x", "y", "z"))
+
+    def literals(positive, most):
+        return st.lists(st.builds(Literal, term, term, st.just(positive)), max_size=most)
+
+    return st.tuples(literals(False, 2), literals(True, 1)).filter(any).map(
+        lambda parts: Clause("horn", (*parts[0], *parts[1]))
+    )
+
+
+@pytest.fixture(scope="module")
+def implicative_classes(corpus):
+    """The implicative-aBE classes of sizes 1..7."""
+    system = corpus.axiom_system("implicative-aBE")
+    return [m for n in range(1, 8) for m in enumerate_with_stats(system, n)[0]]
+
+
+class TestHornAtSizeTwo:
+    """Each implicative aBE algebra embeds in a power of the 2-element one
+    (Abbott), and a Horn clause holds in subalgebras and products of models
+    of it, so it holds at size 2 exactly when it holds in every class.  This
+    stays a test: a command that decided statements at size 2 would assume
+    the theorem that the kernel proves."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(clause=horn_clauses())
+    @example(clause=TRANS)
+    @example(clause=COMMUTATIVITY)
+    @example(clause=SWAP)
+    def test_size_two_decides(self, implicative_classes, clause):
+        two = next(m for m in implicative_classes if m.size == 2)
+        holds = satisfies(two, clause)[0]
+        assert reference_satisfies(two, clause)[0] == holds
+        assert all(satisfies(m, clause)[0] for m in implicative_classes) == holds
+
+    def test_the_examples_verdicts(self, implicative_classes):
+        two = next(m for m in implicative_classes if m.size == 2)
+        assert [satisfies(two, clause)[0] for clause in (TRANS, COMMUTATIVITY, SWAP)] == [True, True, False]
 
 
 class TestIsModel:
