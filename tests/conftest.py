@@ -9,8 +9,10 @@ import hypothesis.strategies as st
 import pytest
 
 from abeforge.cli import main
-from abeforge.corpus import load_corpus
+from abeforge.corpus import Corpus, load_corpus
+from abeforge.kernel import verify_corpus
 from abeforge.terms import UNIT, Arrow, Const, Var
+from mutate_util import mutated_script, mutation_sites
 
 VAR_NAMES = ("x", "y", "z", "t", "w")
 DATA_CORPUS = Path(__file__).resolve().parent.parent / "data" / "corpus.json"
@@ -52,6 +54,20 @@ def child_env() -> dict:
     """This environment with the checkout's src/ first on PYTHONPATH, for a
     child process that imports abeforge."""
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+
+def replay_mutants(corpus, scripts, rng, per_site):
+    """(script id, status) for `per_site` seeded mutants of every mutation
+    site of each script in `scripts` (as JSON): the status `verify_corpus`
+    gives the mutant replayed after the scripts of `corpus` ahead of it."""
+    ids = [s.id for s in corpus.scripts]
+    for script in scripts:
+        before = corpus.scripts[: ids.index(script["id"])]
+        for site in mutation_sites(script):
+            for _ in range(per_site):
+                mutant = mutated_script(script, site, rng)
+                report = verify_corpus(Corpus(corpus.statements, corpus.axiom_systems, (*before, mutant)))
+                yield script["id"], report[-1][1]
 
 
 @pytest.fixture(scope="session")

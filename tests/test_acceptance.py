@@ -12,13 +12,12 @@ import time
 
 import pytest
 
-from abeforge.corpus import corpus_from_json, load_corpus
-from abeforge.kernel import ProofError, replay_proof, verify_corpus
+from abeforge.corpus import corpus_from_json
+from abeforge.kernel import replay_proof, verify_corpus
 from abeforge.models import FiniteAlgebra, canonical_form, from_flat, is_model, relabelings, satisfies
 from abeforge.search import brute_force_models, enumerate_with_stats
-from conftest import run_cli
+from conftest import replay_mutants, run_cli
 from ground_search import ground_search
-from mutate_util import mutated_script, mutation_sites
 from test_canonical import COMPLETE_LABELED, orbit_sum
 from test_corpus import BASIS, COROLLARIES, axiom_closures, with_corollaries
 
@@ -107,11 +106,6 @@ def _verdict(num, name, ok, detail=""):
     suffix = f"  ({detail})" if detail else ""
     print(f"ACCEPTANCE {num} {name}: {status}{suffix}")
     assert ok, f"criterion {num} ({name}) failed: {detail}"
-
-
-@pytest.fixture(scope="module")
-def corpus():
-    return load_corpus()
 
 
 @pytest.fixture(scope="module")
@@ -255,24 +249,10 @@ def perturb(corpus, scripts, seed):
     """Three seeded mutants of every mutable field of every step of each
     script in `scripts` (as JSON), each replayed after the scripts of
     `corpus` that come before it: (mutants, rejected, rejected naming it)."""
-    rng = random.Random(seed)
-    total = rejected = named = 0
-    for script in scripts:
-        for site in mutation_sites(script):
-            for _ in range(3):
-                total += 1
-                bad = mutated_script(script, site, rng)
-                verified = corpus.axioms()
-                try:
-                    for dep in corpus.scripts:
-                        if dep.id == script["id"]:
-                            replay_proof(bad, corpus.statements, verified)
-                            break
-                        replay_proof(dep, corpus.statements, verified)
-                except ProofError as e:
-                    rejected += 1
-                    named += e.script == script["id"]
-    return total, rejected, named
+    report = list(replay_mutants(corpus, scripts, random.Random(seed), 3))
+    rejected = sum(status.startswith("failed: ") for _, status in report)
+    named = sum(status.startswith(f"failed: [{sid}]") for sid, status in report)
+    return len(report), rejected, named
 
 
 def test_criterion_2_perturbation_suite(corpus, corpus_json):

@@ -1,13 +1,16 @@
-"""The names that the benchmark in perfbench/ reads from the package exist.
+"""The names that the benchmark in perfbench/ reads from the package and
+from tests/ exist.
 
 perfbench/tracer.py wraps one function of each layer by its attribute path
 and records what its info function reads from each call's arguments and
 result, perfbench/run.py times a fresh interpreter that runs its
-SETUP_CODE, and perfbench/parity.py builds _speed.c and compares it with
-_speed_py.  A package change that breaks one of these names, or the shape
-of what a hooked function takes or returns, or a command that stops calling
-a hooked function through the name the tracer patches, would otherwise fail
-only in a benchmark run.  The files are read as source, not imported or run."""
+SETUP_CODE, perfbench/parity.py builds _speed.c and compares it with
+_speed_py, and perfbench/workloads.py mutates scripts with the helpers of
+tests/mutate_util.py.  A change to the package or the tests that breaks one
+of these names, or the shape of what a hooked function takes or returns, or
+a command that stops calling a hooked function through the name the tracer
+patches, would otherwise fail only in a benchmark run.  The files are read
+as source, not imported or run."""
 
 import ast
 import importlib
@@ -19,7 +22,8 @@ import pytest
 
 from conftest import SRC, child_env, run_cli
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TESTS = Path(__file__).resolve().parent
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def assigned(path: Path, name: str) -> ast.expr:
@@ -153,3 +157,16 @@ def test_what_the_parity_gate_reads_exists():
             assert isinstance(tables, list) and type(nodes) is int and exceeded is False
             assert all(type(t) is tuple and len(t) == n * n for t in tables)
             assert _speed_py.search_tables(n, implicative) == result
+
+
+def test_what_the_benchmark_imports_from_tests_exists():
+    imported = {
+        (path.name, node.module, alias.name)
+        for path in sorted(PERFBENCH.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module and (TESTS / f"{node.module}.py").is_file()
+        for alias in node.names
+    }
+    assert ("workloads.py", "mutate_util", "mutate") in imported
+    for name, module, attr in imported:
+        assert hasattr(importlib.import_module(module), attr), f"perfbench/{name} imports {attr} from tests/{module}.py"

@@ -19,19 +19,12 @@ import pytest
 from hypothesis import given
 
 from abeforge import _speed_py, search
-from abeforge.models import (
-    FiniteAlgebra,
-    canonical_form,
-    canonicalize,
-    from_flat,
-    is_model,
-    relabeling_table,
-    relabelings,
-)
+from abeforge.models import canonical_form, canonicalize, from_flat, is_model, relabeling_table, relabelings
 from abeforge.search import enumerate_with_stats
 
 from ground_search import ground_search
 from test_corpus import BASIS
+from test_models import random_algebra
 
 # Labeled tables of the complete search, recorded once; the identity below
 # checks every size, these pin the largest.
@@ -110,13 +103,6 @@ def test_relabeling_table_contract(n):
     assert relabeling_table(n) is table
 
 
-@st.composite
-def arbitrary_tables(draw):
-    n = draw(st.integers(1, 5))
-    table = tuple(tuple(draw(st.integers(0, n - 1)) for _ in range(n)) for _ in range(n))
-    return FiniteAlgebra(n, draw(st.integers(0, n - 1)), table)
-
-
 @pytest.mark.parametrize("name, max_size", [("aBE", 4), ("implicative-aBE", 8)])
 def test_agrees_with_scan_on_every_labeled_table(name, max_size):
     implicative = name == "implicative-aBE"
@@ -126,7 +112,7 @@ def test_agrees_with_scan_on_every_labeled_table(name, max_size):
             assert_matches_reference(from_flat(flat, n))
 
 
-@given(arbitrary_tables())
+@given(random_algebra(st.integers(1, 5)))
 def test_agrees_with_scan_on_arbitrary_tables(model):
     # canonical_form and canonicalize take any FiniteAlgebra, so any unit
     # and any entries, models or not.
@@ -178,7 +164,7 @@ def test_orbit_counting_identity(corpus, name, max_size):
 
 
 @pytest.mark.parametrize("name, max_size", [("aBE", 5), ("implicative-aBE", 6)])
-def test_orbit_subtraction_matches_per_table_filter(corpus, name, max_size):
+def test_enumerator_matches_per_table_filter(corpus, name, max_size):
     system = corpus.axiom_system(name)
     for n in range(1, max_size + 1):
         models, _, _ = enumerate_with_stats(system, n)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from abeforge.corpus import corpus_from_json
+from abeforge.corpus import Corpus, _script_from_json, corpus_from_json
 from abeforge.kernel import (
     L2R,
     R2L,
@@ -38,8 +38,7 @@ from abeforge.terms import (
     variables,
 )
 
-from conftest import read_corpus_json, terms
-from mutate_util import mutated_script, mutation_sites
+from conftest import read_corpus_json, replay_mutants, terms
 from reference import positions
 
 
@@ -258,6 +257,14 @@ def failing_at_the_end(script: ProofScript) -> ProofScript:
     return ProofScript(script.id, script.target, steps, script.constants, script.hypotheses, script.depends_on)
 
 
+def with_lem10_reversed(corpus, corpus_json) -> Corpus:
+    """The corpus with lem10's second rewrite turned R2L, which fails."""
+    obj = next(s for s in corpus_json["scripts"] if s["id"] == "lem10")
+    obj["steps"][1]["dir"] = "R2L"
+    scripts = tuple(_script_from_json(obj) if s.id == "lem10" else s for s in corpus.scripts)
+    return Corpus(corpus.statements, corpus.axiom_systems, scripts)
+
+
 class TestVerifiedDict:
     """The kernel's one state is the dict of verified statements: a script
     that replays adds its target to it, one that fails leaves it as it was,
@@ -308,12 +315,7 @@ class TestVerifiedDict:
         assert set(corpus.axioms()) == {"ax1", "ax2", "ax3", "ax4", "ax5", "ax6"}
 
     def test_two_runs_on_a_failing_corpus_give_one_report(self, corpus, corpus_json):
-        from abeforge.corpus import Corpus, _script_from_json
-
-        obj = next(s for s in corpus_json["scripts"] if s["id"] == "lem10")
-        obj["steps"][1]["dir"] = "R2L"
-        scripts = tuple(_script_from_json(obj) if s.id == "lem10" else s for s in corpus.scripts)
-        broken = Corpus(corpus.statements, corpus.axiom_systems, scripts)
+        broken = with_lem10_reversed(corpus, corpus_json)
         report = verify_corpus(broken)
         assert dict(report)["lem10"].startswith("failed")
         assert verify_corpus(broken) == report
@@ -326,8 +328,6 @@ class TestCorpusReplay:
         assert all(status == "verified" for _, status in report)
 
     def test_corrupted_step_reported_with_script_and_step(self, corpus, corpus_json):
-        from abeforge.corpus import _script_from_json
-
         obj = next(s for s in corpus_json["scripts"] if s["id"] == "lem10")
         obj["steps"][1]["subst"]["y"] = "x"
         bad = _script_from_json(obj)
@@ -338,15 +338,7 @@ class TestCorpusReplay:
         assert "does not match" in exc.value.message
 
     def test_failure_halts_and_skips_rest(self, corpus, corpus_json):
-        from abeforge.corpus import Corpus, _script_from_json
-
-        obj = next(s for s in corpus_json["scripts"] if s["id"] == "lem10")
-        obj["steps"][1]["dir"] = "R2L"
-        scripts = tuple(
-            _script_from_json(obj) if s.id == "lem10" else s for s in corpus.scripts
-        )
-        broken = Corpus(corpus.statements, corpus.axiom_systems, scripts)
-        report = dict(verify_corpus(broken))
+        report = dict(verify_corpus(with_lem10_reversed(corpus, corpus_json)))
         assert report["lem8a"] == "verified"
         assert report["lem10"].startswith("failed")
         assert report["lem11"] == "skipped"
@@ -484,32 +476,11 @@ def test_each_failure_location_is_named_once(step, where):
 
 class TestPerturbation:
     def test_seeded_mutations_all_rejected(self, corpus, corpus_json):
-        rejected = 0
-        total = 0
-        messages = []
-        rng = random.Random(20240817)
-        for script in corpus_json["scripts"]:
-            sites = mutation_sites(script)
-            for site in sites:
-                total += 1
-                bad = mutated_script(script, site, rng)
-                verified = corpus.axioms()
-                ok = True
-                try:
-                    for dep in corpus.scripts:
-                        if dep.id == script["id"]:
-                            replay_proof(bad, corpus.statements, verified)
-                            break
-                        replay_proof(dep, corpus.statements, verified)
-                except ProofError as e:
-                    ok = False
-                    assert e.script == script["id"]
-                    messages.append(str(e))
-                if not ok:
-                    rejected += 1
-        assert total == 142
-        assert rejected == total
+        report = list(replay_mutants(corpus, corpus_json["scripts"], random.Random(20240817), 1))
+        assert len(report) == 142
+        assert all(status.startswith(f"failed: [{sid}]") for sid, status in report)
         # every diagnostic, byte for byte
+        messages = [status.removeprefix("failed: ") for _, status in report]
         digest = hashlib.sha256("\n".join(messages).encode()).hexdigest()
         assert digest == "54384c272df63b5062d41fc1828ab4990ba3d45ec75bded45904832564d54ddd"
 
@@ -609,8 +580,6 @@ class TestRefutationCheck:
 
     @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
     def test_thm_with_hypotheses_permuted(self, corpus, corpus_json, order):
-        from abeforge.corpus import _script_from_json
-
         obj = next(s for s in corpus_json["scripts"] if s["id"] == "thm")
         new_index = {old: new for new, old in enumerate(order)}
         obj["hypotheses"] = [obj["hypotheses"][old] for old in order]

@@ -60,38 +60,6 @@ def sweep_propagate(t, n, implicative, trail):
     return True
 
 
-def sweep_search_tables(n, implicative):
-    """Depth-first fill of the free cells in row-major order, re-sweeping the
-    whole table after every assignment; (tables, nodes) as search_tables."""
-    u = n - 1
-    t = _core._prefill(n)
-    free = [i * n + j for i in range(u) for j in range(u) if i != j]
-    results = []
-    nodes = 0
-    trail = []
-    if not sweep_propagate(t, n, implicative, trail):
-        return results, nodes
-
-    def rec():
-        nonlocal nodes
-        cell = next((c for c in free if t[c] < 0), -1)
-        if cell < 0:
-            results.append(tuple(t))
-            return
-        for v in range(n):
-            nodes += 1
-            mark = len(trail)
-            t[cell] = v
-            trail.append(cell)
-            if sweep_propagate(t, n, implicative, trail):
-                rec()
-            while len(trail) > mark:
-                t[trail.pop()] = -1
-
-    rec()
-    return results, nodes
-
-
 @st.composite
 def partial_tables(draw):
     """(n, implicative, prefilled table with some free cells assigned)."""
@@ -157,9 +125,11 @@ def test_same_fixpoint_one_assignment_at_a_time(n, implicative, data):
 
 
 @pytest.mark.parametrize("name, max_size", [("aBE", 5), ("implicative-aBE", 6)])
-def test_search_matches_sweep_search(name, max_size):
+def test_search_matches_sweep_search(name, max_size, monkeypatch):
     implicative = name == "implicative-aBE"
-    for n in range(1, max_size + 1):
-        tables, nodes, exceeded = _speed_py.search_tables(n, implicative)
-        assert not exceeded
-        assert (tables, nodes) == sweep_search_tables(n, implicative), n
+    queued = [_speed_py.search_tables(n, implicative) for n in range(1, max_size + 1)]
+    monkeypatch.setattr(
+        _speed_py, "_propagate", lambda t, n, implicative, trail, queue: sweep_propagate(t, n, implicative, trail)
+    )
+    for n, result in enumerate(queued, 1):
+        assert _speed_py.search_tables(n, implicative) == result, n
