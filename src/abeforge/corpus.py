@@ -31,7 +31,7 @@ from .kernel import (
     Rewrite,
     Split,
 )
-from .statements import AxiomSystem, Clause, Identity, Literal, QuasiIdentity, Statement
+from .statements import AxiomSystem, Literal, Statement
 from .terms import Term, parse_term
 
 __all__ = ["Corpus", "CorpusError", "load_corpus", "corpus_from_json"]
@@ -160,14 +160,20 @@ def _statement_from_json(obj: dict) -> Statement:
         kind = _get(obj, "kind", str)
         sid = _get(obj, "id", str)
         if kind == "identity":
-            return Identity(sid, parse_term(_get(obj, "lhs", str)), parse_term(_get(obj, "rhs", str)))
+            eq = Literal(parse_term(_get(obj, "lhs", str)), parse_term(_get(obj, "rhs", str)))
+            return Statement(sid, "identity", (eq,))
         if kind == "clause":
-            return Clause(sid, _lits_from_json(obj, "literals"))
+            literals = _lits_from_json(obj, "literals")
+            if not literals:
+                raise CorpusError("a clause needs at least one literal")
+            return Statement(sid, "clause", literals)
         if kind == "quasi":
-            return QuasiIdentity(
-                sid, _lits_from_json(obj, "hypotheses"), _lit_from_json(_get(obj, "conclusion", dict))
-            )
-    except ValueError as e:  # CorpusError, TermSyntaxError, or a rejected statement
+            hyps = _lits_from_json(obj, "hypotheses")
+            conclusion = _lit_from_json(_get(obj, "conclusion", dict))
+            if not all(lit.positive for lit in (*hyps, conclusion)):
+                raise CorpusError("quasi-identity parts must be equations")
+            return Statement(sid, "quasi-identity", (conclusion, *(h.negate() for h in hyps)))
+    except ValueError as e:  # CorpusError or TermSyntaxError
         raise CorpusError(f"bad statement object: {e}") from e
     raise CorpusError(f"unknown statement kind {kind!r}")
 

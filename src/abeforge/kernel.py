@@ -13,15 +13,7 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence, Union
 
 from ._record import record
-from .statements import (
-    Identity,
-    Literal,
-    Statement,
-    clause_form,
-    clauses_equal,
-    instantiate,
-    literal_eq,
-)
+from .statements import Literal, Statement, clauses_equal, instantiate, literal_eq
 from .terms import (
     UNIT,
     Arrow,
@@ -216,9 +208,10 @@ def _resolve_equation(
     if just not in verified:
         raise ProofError(script_id, step_no, f"justification {just!r} is not verified")
     st = verified[just]
-    if not isinstance(st, Identity):
+    if st.kind != "identity":
         raise ProofError(script_id, step_no, f"justification {just!r} is not an identity")
-    return st.lhs, st.rhs
+    (eq,) = st.literals
+    return eq.lhs, eq.rhs
 
 
 def verify_rewrite(
@@ -315,7 +308,7 @@ def _replay_clause(script: ProofScript, target: Statement, verified: Mapping[str
         else:
             raise ProofError(script.id, no, f"step kind {type(step).__name__} not allowed in a clause derivation")
 
-    want = clause_form(target).literals
+    want = target.literals
     if not clauses_equal(literals, want):
         got = " or ".join(str(l) for l in literals)
         exp = " or ".join(str(l) for l in want)
@@ -399,7 +392,7 @@ def _close_branch(
 def _check_refutation_matches_target(script: ProofScript, target: Statement, hyps: tuple[Literal, ...]):
     """The assumed literals must be exactly: target hypotheses plus negated conclusion,
     with the target's variables replaced one-to-one by the declared constants."""
-    want = [lit.negate() for lit in clause_form(target).literals]
+    want = [lit.negate() for lit in target.literals]
     if len(want) != len(hyps):
         raise ProofError(
             script.id, None, f"{len(hyps)} hypotheses for a target with {len(want)} clause literals"
@@ -463,10 +456,11 @@ def replay_proof(
         _replay_refutation(script, target, verified)
     elif isinstance(script.steps[0], ClauseInstantiate):
         _replay_clause(script, target, verified)
-    elif isinstance(target, Identity):
-        end = _run_chain(target.lhs, script.steps, verified, (), script.id, None)
-        if end != target.rhs:
-            msg = f"chain ended at {format_term(end)!r}, target rhs is {format_term(target.rhs)!r}"
+    elif target.kind == "identity":
+        (eq,) = target.literals
+        end = _run_chain(eq.lhs, script.steps, verified, (), script.id, None)
+        if end != eq.rhs:
+            msg = f"chain ended at {format_term(end)!r}, target rhs is {format_term(eq.rhs)!r}"
             raise ProofError(script.id, None, msg)
     else:
         raise ProofError(script.id, None, "rewrite chains only prove identities")

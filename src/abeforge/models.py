@@ -12,7 +12,7 @@ import json
 from typing import Iterator, Mapping, Optional, Sequence
 
 from ._record import record
-from .statements import AxiomSystem, Literal, Statement, clause_form
+from .statements import AxiomSystem, Literal, Statement
 from .terms import Const, Term, Unit, Var
 
 __all__ = [
@@ -129,7 +129,7 @@ def _compile(st: Statement):
     if entry is not None and entry[0] is st:
         return entry[1], entry[2]
     names = sorted(st.free_variables())
-    source = _check_source(clause_form(st).literals, names)
+    source = _check_source(st.literals, names)
     namespace: dict = {}
     exec(compile(source, f"<statement {st.id}>", "exec"), namespace)
     check = namespace["check"]

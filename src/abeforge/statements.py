@@ -1,8 +1,10 @@
-"""Identities, clauses, quasi-identities and named axiom systems.
+"""Statements as clauses, and named axiom systems.
 
-A quasi-identity (hypotheses imply conclusion) is kept with its hypotheses as
-display metadata; the kernel and the model checker both work on its clause
-form (negated hypotheses plus the conclusion).
+Each statement is kept as its clause form: a disjunction of literals.  An
+identity is one equation; a quasi-identity (hypotheses imply conclusion) is
+its conclusion followed by its negated hypotheses.  The kind picks how a
+statement prints, and the kernel rewrites only with identities; otherwise
+the kernel and the model checker read the literals alone.
 """
 
 from __future__ import annotations
@@ -15,12 +17,8 @@ from .terms import Substitution, Term, format_term, substitute, variables
 __all__ = [
     "Literal",
     "Statement",
-    "Identity",
-    "Clause",
-    "QuasiIdentity",
     "AxiomSystem",
     "instantiate",
-    "clause_form",
     "literal_eq",
     "clauses_equal",
 ]
@@ -40,61 +38,27 @@ class Literal:
         return f"{format_term(self.lhs)} {op} {format_term(self.rhs)}"
 
 
+@record
 class Statement:
-    """Base for Identity / Clause / QuasiIdentity; all carry a string id,
-    and each class names its kind as `corpus show` prints it."""
+    """A named clause.  `kind` is "identity" (one positive literal),
+    "quasi-identity" (the conclusion, then the negated hypotheses) or
+    "clause", as `corpus show` prints it, and picks how it renders."""
 
-    __slots__ = ()
     id: str
     kind: str
+    literals: tuple[Literal, ...]
 
     def free_variables(self) -> set[str]:
         out: set[str] = set()
-        for lit in clause_form(self).literals:
+        for lit in self.literals:
             out |= variables(lit.lhs) | variables(lit.rhs)
         return out
 
-
-@record
-class Identity(Statement):
-    kind = "identity"
-    id: str
-    lhs: Term
-    rhs: Term
-
     def __str__(self):
-        return f"{format_term(self.lhs)} = {format_term(self.rhs)}"
-
-
-@record
-class Clause(Statement):
-    kind = "clause"
-    id: str
-    literals: tuple[Literal, ...]
-
-    def __post_init__(self):
-        if not self.literals:
-            raise ValueError("a clause needs at least one literal")
-
-    def __str__(self):
+        if self.kind == "quasi-identity":
+            hyps = " and ".join(str(h.negate()) for h in self.literals[1:])
+            return f"{hyps} ==> {self.literals[0]}"
         return " or ".join(str(l) for l in self.literals)
-
-
-@record
-class QuasiIdentity(Statement):
-    kind = "quasi-identity"
-    id: str
-    hypotheses: tuple[Literal, ...]
-    conclusion: Literal
-
-    def __post_init__(self):
-        for lit in (*self.hypotheses, self.conclusion):
-            if not lit.positive:
-                raise ValueError("quasi-identity parts must be equations")
-
-    def __str__(self):
-        hyps = " and ".join(str(h) for h in self.hypotheses)
-        return f"{hyps} ==> {self.conclusion}"
 
 
 @record
@@ -104,22 +68,8 @@ class AxiomSystem:
 
 
 def instantiate(st: Statement, s: Substitution) -> tuple[Literal, ...]:
-    """The literals of the statement's clause form, `s` applied to both sides."""
-    return tuple(
-        Literal(substitute(l.lhs, s), substitute(l.rhs, s), l.positive) for l in clause_form(st).literals
-    )
-
-
-def clause_form(st: Statement) -> Clause:
-    """The equivalent disjunctive clause (conclusion first, negated hypotheses after)."""
-    if isinstance(st, Clause):
-        return st
-    if isinstance(st, Identity):
-        return Clause(st.id, (Literal(st.lhs, st.rhs, True),))
-    if isinstance(st, QuasiIdentity):
-        lits = (st.conclusion,) + tuple(h.negate() for h in st.hypotheses)
-        return Clause(st.id, lits)
-    raise TypeError(f"not a statement: {st!r}")
+    """The statement's literals with `s` applied to both sides."""
+    return tuple(Literal(substitute(l.lhs, s), substitute(l.rhs, s), l.positive) for l in st.literals)
 
 
 def literal_eq(a: Literal, b: Literal) -> bool:
@@ -130,7 +80,7 @@ def literal_eq(a: Literal, b: Literal) -> bool:
 
 
 def clauses_equal(a: Iterable[Literal], b: Iterable[Literal]) -> bool:
-    """Clause equality up to literal order and equation symmetry."""
+    """Equality of two clauses up to literal order and equation symmetry."""
     remaining = list(b)
     for lit in a:
         for i, other in enumerate(remaining):

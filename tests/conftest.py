@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -9,14 +10,27 @@ import hypothesis.strategies as st
 import pytest
 
 from abeforge.cli import main
-from abeforge.corpus import Corpus, load_corpus
+from abeforge.corpus import AXIOM_IDS, Corpus, load_corpus
 from abeforge.kernel import verify_corpus
+from abeforge.models import FiniteAlgebra
 from abeforge.terms import UNIT, Arrow, Const, Var
 from mutate_util import mutated_script, mutation_sites
 
 VAR_NAMES = ("x", "y", "z", "t", "w")
 DATA_CORPUS = Path(__file__).resolve().parent.parent / "data" / "corpus.json"
 SRC = Path(__file__).resolve().parent.parent / "src"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# Statements and scripts for the paper's corollaries, kept out of the
+# built-in corpus
+COROLLARIES = Path(__file__).resolve().parent / "corollaries.json"
+
+# ax1 and ax2 follow from ax3 and ax6 (the scripts ax1-from-ax3-ax6 and
+# ax2-from-ax3-ax6 in tests/corollaries.json)
+BASIS = ("ax3", "ax4", "ax5", "ax6")
+
+# Labeled tables of the complete search, recorded once; the orbit-counting
+# identity in test_canonical checks every size, these pin the largest.
+COMPLETE_LABELED = {("aBE", 5): 5153, ("implicative-aBE", 6): 91, ("implicative-aBE", 7): 631}
 
 
 def terms(max_leaves: int = 12, with_constants: bool = False, names: tuple[str, ...] = VAR_NAMES):
@@ -30,9 +44,63 @@ def terms(max_leaves: int = 12, with_constants: bool = False, names: tuple[str, 
     )
 
 
+def random_algebra(draw_size=st.integers(2, 4)):
+    @st.composite
+    def build(draw):
+        n = draw(draw_size)
+        table = tuple(
+            tuple(draw(st.integers(0, n - 1)) for _ in range(n)) for _ in range(n)
+        )
+        return FiniteAlgebra(n, draw(st.integers(0, n - 1)), table)
+
+    return build()
+
+
 def read_corpus_json() -> dict:
     """A fresh parse of the built-in corpus file, free to edit."""
     return json.loads(DATA_CORPUS.read_text(encoding="utf-8"))
+
+
+def with_corollaries() -> dict:
+    """The parsed built-in corpus file with the corollaries' statements and
+    scripts appended."""
+    obj = read_corpus_json()
+    extra = json.loads(COROLLARIES.read_text(encoding="utf-8"))
+    obj["statements"] += extra["statements"]
+    obj["scripts"] += extra["scripts"]
+    return obj
+
+
+def axiom_closures(corpus, basis=AXIOM_IDS):
+    """{script id: the axioms of `basis` that its declared dependencies lead
+    down to}.  A dependency outside `basis` is read through the first script
+    that proves it."""
+    first = {}
+    for script in corpus.scripts:
+        first.setdefault(script.target, script)
+
+    def closure(script):
+        return set().union(*({dep} if dep in basis else closure(first[dep]) for dep in script.depends_on))
+
+    return {script.id: closure(script) for script in corpus.scripts}
+
+
+def assigned(path: Path, name: str) -> ast.expr:
+    """The expression that the top level of the file assigns to name."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
+            return node.value
+    raise AssertionError(f"{path.name} assigns no {name}")
+
+
+def tracer_hooks() -> list[tuple[tuple, ast.Tuple]]:
+    """((layer, module, attribute path), entry) for each entry of HOOKS in
+    perfbench/tracer.py, read as source; the rest of an entry is code.  A
+    function, so that a broken tracer fails only the tests that read it."""
+    return [
+        (tuple(ast.literal_eval(part) for part in hook.elts[:3]), hook)
+        for hook in assigned(PERFBENCH / "tracer.py", "HOOKS").elts
+    ]
 
 
 class CliResult(NamedTuple):

@@ -10,7 +10,6 @@ it is only for small sizes.
 
 import itertools
 
-from abeforge.statements import clause_form
 from abeforge.terms import Unit, Var
 
 
@@ -35,7 +34,7 @@ def ground_clauses(statements, n):
             out.append(
                 tuple(
                     (_ground(lit.lhs, n, values), _ground(lit.rhs, n, values), lit.positive)
-                    for lit in clause_form(st).literals
+                    for lit in st.literals
                 )
             )
     return out

@@ -3,9 +3,13 @@
 Nothing in the package reads these: `evaluate` is the recursive evaluator
 that `models.satisfies` compiles away, `relabel` applies one bijection to a
 table where `models.relabelings` yields them all at once, and `positions`
-lists the paths that `terms.subterm_at` and `terms.replace_at` accept.
+lists the paths that `terms.subterm_at` and `terms.replace_at` accept, and
+`reference_canonical` tries every relabeling that `models.canonical_form`
+prunes.
 """
 
+import itertools
+import math
 from typing import Mapping, Sequence
 
 from abeforge.models import FiniteAlgebra
@@ -40,3 +44,36 @@ def positions(t: Term) -> list[str]:
         out.extend("L" + p for p in positions(t.left))
         out.extend("R" + p for p in positions(t.right))
     return out
+
+
+def reference_canonical(model):
+    """(lex-least row-major table over the relabelings sending the unit to
+    n-1, number of relabelings that reach it), by trying all (n-1)! of them.
+
+    The relabelings reaching the least table form one coset of the
+    unit-fixing automorphism group, so the count is |Aut(model)|.
+    """
+    n = model.size
+    rest = [i for i in range(n) if i != model.unit]
+    best, count = None, 0
+    for images in itertools.permutations(range(n - 1)):
+        perm = [0] * n
+        perm[model.unit] = n - 1
+        for old, new in zip(rest, images):
+            perm[old] = new
+        order = sorted(range(n), key=perm.__getitem__)
+        flat = tuple(perm[model.table[i][j]] for i in order for j in order)
+        if best is None or flat < best:
+            best, count = flat, 1
+        elif flat == best:
+            count += 1
+    return best, count
+
+
+def orbit_sum(models):
+    """Sum over the classes of (n-1)!/|Aut|: the labeled tables they stand for."""
+    total = 0
+    for model in models:
+        _, automorphisms = reference_canonical(model)
+        total += math.factorial(model.size - 1) // automorphisms
+    return total

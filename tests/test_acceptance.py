@@ -16,10 +16,9 @@ from abeforge.corpus import corpus_from_json
 from abeforge.kernel import replay_proof, verify_corpus
 from abeforge.models import FiniteAlgebra, canonical_form, from_flat, is_model, relabelings, satisfies
 from abeforge.search import brute_force_models, enumerate_with_stats
-from conftest import replay_mutants, run_cli
+from conftest import BASIS, COMPLETE_LABELED, COROLLARIES, axiom_closures, replay_mutants, run_cli, with_corollaries
 from ground_search import ground_search
-from test_canonical import COMPLETE_LABELED, orbit_sum
-from test_corpus import BASIS, COROLLARIES, axiom_closures, with_corollaries
+from reference import orbit_sum
 
 # Labeled implicative-aBE tables of size 8 (unit at 7) that the complete
 # row-major search finds, recorded once (28,725,672 nodes); the classes the
@@ -41,9 +40,8 @@ IMPLICATIVE_CLASSES = [1, 1, 1, 2, 2, 3, 5, 8, 11]
 IMPLICATIVE_LABELED = [1, 1, 1, 4, 13, 91, 631, COMPLETE_LABELED_8]
 
 # {n: the simplicial complexes with n-1 nonempty faces} past the sizes any
-# test searches, recorded once from simplicial_complexes; size 13 (83) is
-# left out, as least_relabeling's brute-force key takes seconds there
-COMPLEX_CLASSES = {10: 18, 11: 29, 12: 49}
+# test searches, recorded once from simplicial_complexes
+COMPLEX_CLASSES = {10: 18, 11: 29, 12: 49, 13: 83}
 
 # The scripts of the paper's corollaries, which the built-in corpus leaves out
 COROLLARY_SCRIPTS = json.loads(COROLLARIES.read_text(encoding="utf-8"))["scripts"]
@@ -145,30 +143,43 @@ def implicative_forms(implicative_runs):
 
 def least_relabeling(complex_):
     """The complex with the m vertices that lie in a face of two or more
-    renamed 0..m-1, so that those faces, sorted, are least; the other
-    vertices are m..k-1.  Equal iff the complexes are isomorphic."""
+    renamed 0..m-1 and the other vertices m..k-1.  Equal iff the complexes
+    are isomorphic.
+
+    The m vertices are ordered by the sorted sizes of the higher faces each
+    lies in, which an isomorphism keeps.  Of the renamings that keep that
+    order, permuting only within blocks of equal order, the one whose
+    higher faces, sorted, are least is taken."""
     k = sum(len(face) == 1 for face in complex_)
     higher = [face for face in complex_ if len(face) > 1]
-    busy = sorted({v for face in higher for v in face})
+    sizes = {}
+    for face in higher:
+        for v in face:
+            sizes.setdefault(v, []).append(len(face))
+    order = sorted(sizes, key=lambda v: sorted(sizes[v]))
+    blocks = [tuple(block) for _, block in itertools.groupby(order, key=lambda v: sorted(sizes[v]))]
     least = min(
-        sorted(tuple(sorted(image[busy.index(v)] for v in face)) for face in higher)
-        for image in itertools.permutations(range(len(busy)))
+        sorted(tuple(sorted(image[v] for v in face)) for face in higher)
+        for image in (
+            {v: i for i, v in enumerate(itertools.chain(*perms))}
+            for perms in itertools.product(*map(itertools.permutations, blocks))
+        )
     )
     return tuple(sorted([(v,) for v in range(k)] + least))
 
 
-def simplicial_complexes(faces):
-    """The abstract simplicial complexes with `faces` nonempty faces, one per
-    class under vertex relabeling.  Each is a sorted tuple of its nonempty
-    faces as sorted vertex tuples, its vertices 0..k-1.
+def simplicial_complexes(most):
+    """[the abstract simplicial complexes with f nonempty faces for f in
+    0..most], one per class under vertex relabeling.  Each is a sorted tuple
+    of its nonempty faces as sorted vertex tuples, its vertices 0..k-1.
 
     They are grown one face at a time: a new vertex, or two or more vertices
     whose facets are all faces.  Removing a maximal face undoes either, so
     each complex grows from one with a face fewer."""
-    level = {()}
-    for _ in range(faces):
+    levels = [[()]]
+    for _ in range(most):
         grown = set()
-        for complex_ in level:
+        for complex_ in levels[-1]:
             present = set(complex_)
             k = sum(len(face) == 1 for face in complex_)
             higher = [
@@ -179,8 +190,15 @@ def simplicial_complexes(faces):
             ]
             for face in [(k,), *higher]:
                 grown.add(least_relabeling(complex_ + (face,)))
-        level = grown
-    return sorted(level)
+        levels.append(sorted(grown))
+    return levels
+
+
+@pytest.fixture(scope="module")
+def complexes():
+    """The complexes with n-1 nonempty faces at index n-1, for n up to the
+    largest size that COMPLEX_CLASSES pins."""
+    return simplicial_complexes(max(COMPLEX_CLASSES) - 1)
 
 
 def complex_algebra(complex_):
@@ -406,7 +424,7 @@ def test_criterion_5_oracle_equivalence(corpus):
     _verdict(5, "oracle equivalence n<=3", not mismatches, f"mismatches: {mismatches}")
 
 
-def test_criterion_5b_simplicial_complex_oracle(implicative_forms):
+def test_criterion_5b_simplicial_complex_oracle(implicative_forms, complexes):
     # The faces of a simplicial complex with x -> y = F_y minus F_x satisfy
     # ax1-ax6, and in a finite implication algebra (Abbott, 1967) each
     # element is known by the set of coatoms above it, so the complexes with
@@ -414,7 +432,7 @@ def test_criterion_5b_simplicial_complex_oracle(implicative_forms):
     # construction shares no code with the search but canonical_form.  Size 9
     # is checked against the enumerator's recorded digest, with no search.
     oracle = {
-        n: sorted(canonical_form(complex_algebra(c)) for c in simplicial_complexes(n - 1)) for n in range(1, 10)
+        n: sorted(canonical_form(complex_algebra(c)) for c in complexes[n - 1]) for n in range(1, 10)
     }
     mismatches = [n for n, forms in implicative_forms.items() if oracle[n] != sorted(forms)]
     if hashlib.sha256(b"".join(oracle[9])).hexdigest() != IMPLICATIVE_9_DIGEST:
@@ -428,14 +446,14 @@ def test_criterion_5b_simplicial_complex_oracle(implicative_forms):
     )
 
 
-def test_criterion_5c_labeled_counts_from_the_complexes(implicative_runs):
+def test_criterion_5c_labeled_counts_from_the_complexes(implicative_runs, complexes):
     # An automorphism of a complex's algebra fixes the unit and the order, so
     # it is a permutation of the vertices that maps faces onto faces, and each
     # class stands for (n-1)!/|Aut| labeled tables.  Sizes 6 and 7 are checked
     # against the complete search, and size 8 against the enumerator's
     # classes.  The count shares no code with the package.
     labeled = [
-        sum(math.factorial(n - 1) // automorphism_count(c) for c in simplicial_complexes(n - 1)) for n in range(1, 9)
+        sum(math.factorial(n - 1) // automorphism_count(c) for c in complexes[n - 1]) for n in range(1, 9)
     ]
     searched = [COMPLETE_LABELED["implicative-aBE", 6], COMPLETE_LABELED["implicative-aBE", 7],
                 orbit_sum(implicative_runs[8][0])]
@@ -447,25 +465,25 @@ def test_criterion_5c_labeled_counts_from_the_complexes(implicative_runs):
     )
 
 
-def test_criterion_5d_complexes_past_the_search(corpus):
+def test_criterion_5d_complexes_past_the_search(corpus, complexes):
     # Every complex's algebra up to size 9 is an implicative aBE algebra, and
-    # commutative, and the complexes are counted to size 12, with no search.
+    # commutative, and the complexes are counted to size 13, with no search.
     system = corpus.axiom_system("implicative-aBE")
     commutativity = corpus.statement("commutativity")
-    algebras = [complex_algebra(c) for n in range(1, 10) for c in simplicial_complexes(n - 1)]
+    algebras = [complex_algebra(c) for n in range(1, 10) for c in complexes[n - 1]]
     failing = [
         m.table for m in algebras if not (is_model(m, system, corpus.statements)[0] and satisfies(m, commutativity)[0])
     ]
-    counts = {n: len(simplicial_complexes(n - 1)) for n in COMPLEX_CLASSES}
+    counts = {n: len(complexes[n - 1]) for n in COMPLEX_CLASSES}
     _verdict(
         "5d",
-        "the complexes are commutative implicative-aBE models, counted to n=12",
+        "the complexes are commutative implicative-aBE models, counted to n=13",
         len(algebras) == sum(IMPLICATIVE_CLASSES) and not failing and counts == COMPLEX_CLASSES,
-        f"{len(algebras)} algebras, failing: {failing}; classes at sizes 10-12 {counts}",
+        f"{len(algebras)} algebras, failing: {failing}; classes at sizes 10-13 {counts}",
     )
 
 
-def test_criterion_5e_abbott_map_for_each_class(implicative_runs, abe_classes):
+def test_criterion_5e_abbott_map_for_each_class(implicative_runs, abe_classes, complexes):
     # Abbott (1967): a finite implication algebra is the family of sets of
     # coatoms above its elements, closed under subsets, with x -> y read as
     # set difference.  So each implicative-aBE class has its own complex,
@@ -474,8 +492,8 @@ def test_criterion_5e_abbott_map_for_each_class(implicative_runs, abe_classes):
     failing, mismatches = [], []
     for n, (models, _, _) in implicative_runs.items():
         failing += [(n, m.table) for m in models if abbott_failure(m) or coatom_map(m)[m.unit]]
-        complexes = [abbott_complex(m) for m in models]
-        if len(set(complexes)) != len(complexes) or sorted(complexes) != simplicial_complexes(n - 1):
+        found = [abbott_complex(m) for m in models]
+        if len(set(found)) != len(found) or sorted(found) != complexes[n - 1]:
             mismatches.append(n)
     # 1 -> c = c for a coatom c, so the unit maps to the empty set in aBE
     unit_empty = all(not coatom_map(m)[m.unit] for models in abe_classes for m in models)

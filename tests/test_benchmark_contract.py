@@ -20,23 +20,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import SRC, child_env, run_cli
+from conftest import PERFBENCH, SRC, assigned, child_env, run_cli, tracer_hooks
 
 TESTS = Path(__file__).resolve().parent
-PERFBENCH = TESTS.parent / "perfbench"
-
-
-def assigned(path: Path, name: str) -> ast.expr:
-    """The expression that the top level of the file assigns to name."""
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
-            return node.value
-    raise AssertionError(f"{path.name} assigns no {name}")
-
-
-HOOK_NODES = assigned(PERFBENCH / "tracer.py", "HOOKS").elts
-# (layer, module, attribute path) of each hook; the rest of a hook is code
-HOOKS = [tuple(ast.literal_eval(part) for part in hook.elts[:3]) for hook in HOOK_NODES]
+TRACER_HOOKS = tracer_hooks()
+# (layer, module, attribute path) of each hook
+HOOKS = [hook for hook, _ in TRACER_HOOKS]
 
 
 def resolve(module: str, path: str):
@@ -55,7 +44,7 @@ def test_every_hooked_function_resolves(layer, module, path):
 # the expressions that tracer.py writes for them
 INFO = {
     hook[1:]: tuple(eval(compile(ast.Expression(expr), "tracer.py", "eval"), {}) for expr in node.elts[3:5])
-    for hook, node in zip(HOOKS, HOOK_NODES)
+    for hook, node in TRACER_HOOKS
 }
 
 

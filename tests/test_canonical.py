@@ -10,7 +10,6 @@ identity shows that it missed no class.  At small sizes the complete search
 and the enumerator are checked in turn against ground_search, a search
 written from the axioms' clause forms alone."""
 
-import itertools
 import math
 from collections import Counter
 
@@ -22,37 +21,9 @@ from abeforge import _speed_py, search
 from abeforge.models import canonical_form, canonicalize, from_flat, is_model, relabeling_table, relabelings
 from abeforge.search import enumerate_with_stats
 
+from conftest import BASIS, COMPLETE_LABELED, random_algebra
 from ground_search import ground_search
-from test_corpus import BASIS
-from test_models import random_algebra
-
-# Labeled tables of the complete search, recorded once; the identity below
-# checks every size, these pin the largest.
-COMPLETE_LABELED = {("aBE", 5): 5153, ("implicative-aBE", 6): 91, ("implicative-aBE", 7): 631}
-
-
-def reference_canonical(model):
-    """(lex-least row-major table over the relabelings sending the unit to
-    n-1, number of relabelings that reach it), by trying all (n-1)! of them.
-
-    The relabelings reaching the least table form one coset of the
-    unit-fixing automorphism group, so the count is |Aut(model)|.
-    """
-    n = model.size
-    rest = [i for i in range(n) if i != model.unit]
-    best, count = None, 0
-    for images in itertools.permutations(range(n - 1)):
-        perm = [0] * n
-        perm[model.unit] = n - 1
-        for old, new in zip(rest, images):
-            perm[old] = new
-        order = sorted(range(n), key=perm.__getitem__)
-        flat = tuple(perm[model.table[i][j]] for i in order for j in order)
-        if best is None or flat < best:
-            best, count = flat, 1
-        elif flat == best:
-            count += 1
-    return best, count
+from reference import orbit_sum, reference_canonical
 
 
 def reference_enumerate(system, n):
@@ -117,15 +88,6 @@ def test_agrees_with_scan_on_arbitrary_tables(model):
     # canonical_form and canonicalize take any FiniteAlgebra, so any unit
     # and any entries, models or not.
     assert_matches_reference(model)
-
-
-def orbit_sum(models):
-    """Sum over the classes of (n-1)!/|Aut|: the labeled tables they stand for."""
-    total = 0
-    for model in models:
-        _, automorphisms = reference_canonical(model)
-        total += math.factorial(model.size - 1) // automorphisms
-    return total
 
 
 @pytest.mark.parametrize(

@@ -66,7 +66,9 @@ GOLDEN = {
     ("oracle", "--axioms", "aBE", "--size", "3"): "39fc11cf240c62b316dc02be170d055620df9ee4e348ce51a329e25b488219bf",
     ("oracle", "--axioms", "aBE", "--size", "3", "--emit", "json"): "cfb1f9c47e3c9bcea5299fac316bc75e8b7237db8e669a27b9e32c21cf64bf06",
     ("oracle", "--axioms", "aBE", "--size", "4"): "c6f23057a27a1b9bf5b93b5b5c54c5e2b6851a36660e32d93973cc4cde70bb17",
+    ("corpus", "show", "ax4"): "b653d2bb1abb0bfd48558f04dd12d2d0228be1b6126f5120b74108e4df6005a2",
     ("corpus", "show", "ax5"): "fff1227a66b4d962be5054e508a2d4e409fd6283e421e761aa6dfeef834897f3",
+    ("corpus", "show", "trans"): "22c15cd5bf4f4c24ac4d7f22e43d375cbc4676a1b2123888974612dcff40f757",
     ("corpus", "show", "lem18"): "e608176d5fd709a7075201d195152d6f01d7fff4530c4e6ffbb0a1558c8cb116",
     ("corpus", "show", "ax5-clause"): "6e600299e0bb5ab4a2115aa508bfd81f7048433785115c9ed479611395f44f16",
     ("corpus", "show", "lem99"): "743816db8aa783d0de4ce4a68e8ae7e63866779e5ab757fdebdbea09dd587c2a",

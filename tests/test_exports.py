@@ -12,8 +12,7 @@ import pkgutil
 import pytest
 
 import abeforge
-from conftest import SRC
-from test_benchmark_contract import HOOKS, PERFBENCH, assigned
+from conftest import PERFBENCH, SRC, assigned, tracer_hooks
 
 MODULES = [info.name for info in pkgutil.iter_modules(abeforge.__path__, "abeforge.")]
 
@@ -49,7 +48,7 @@ def read_names(node: ast.AST) -> set[str]:
 def benchmark_names() -> set[str]:
     """Each part of a hooked attribute path, and each name SETUP_CODE imports."""
     setup = ast.parse(ast.literal_eval(assigned(PERFBENCH / "run.py", "SETUP_CODE")))
-    return {part for _, _, path in HOOKS for part in path.split(".")} | read_names(setup)
+    return {part for (_, _, path), _ in tracer_hooks() for part in path.split(".")} | read_names(setup)
 
 
 def test_every_exported_name_is_read_by_the_package_or_the_benchmark():

@@ -26,7 +26,7 @@ from abeforge.kernel import (
     verify_corpus,
     verify_rewrite,
 )
-from abeforge.statements import Clause, Literal, clause_form
+from abeforge.statements import Literal, Statement
 from abeforge.terms import (
     UNIT,
     Arrow,
@@ -155,15 +155,16 @@ class TestReplayShapes:
         # closes by rewriting its lhs to its rhs, the equation branch conflicts
         # a hypothesis directly
         statements = dict(corpus.statements)
-        statements["em"] = Clause(
+        statements["em"] = Statement(
             "em",
+            "clause",
             (
                 Literal(parse_term("x -> x"), parse_term("1"), False),
                 Literal(parse_term("x"), parse_term("x"), True),
             ),
         )
-        statements["selfneq"] = Clause(
-            "selfneq", (Literal(parse_term("x"), parse_term("x"), True),)
+        statements["selfneq"] = Statement(
+            "selfneq", "clause", (Literal(parse_term("x"), parse_term("x"), True),)
         )
         verified = {sid: statements[sid] for sid in ("ax1", "ax2", "ax3", "ax4", "ax5", "ax6", "em")}
         script = ProofScript(
@@ -210,8 +211,9 @@ class TestReplayShapes:
         # ax5 with y := 1 -> z, then 1 -> z collapsed to z on the rhs of literal 0
         # (x = 1 -> z); a first selector other than L or R names no side
         statements = dict(corpus.statements)
-        statements["ax5z"] = Clause(
+        statements["ax5z"] = Statement(
             "ax5z",
+            "clause",
             (
                 Literal(parse_term("x"), parse_term("z")),
                 Literal(parse_term("x -> (1 -> z)"), UNIT, False),
@@ -502,7 +504,7 @@ def reference_refutation_check(constants, target, hyps):
     """The message the refutation check should raise, or None: the first
     ordering of hyps, by position, that instantiates the negated target
     literal by literal under one binding, then the two constant checks."""
-    want = [lit.negate() for lit in clause_form(target).literals]
+    want = [lit.negate() for lit in target.literals]
     if len(want) != len(hyps):
         return f"{len(hyps)} hypotheses for a target with {len(want)} clause literals"
     for order in itertools.permutations(range(len(hyps))):
@@ -540,7 +542,7 @@ def random_refutation(rng):
         Literal(random_term(rng, leaves), random_term(rng, leaves), rng.random() < 0.5)
         for _ in range(rng.randint(1, 4))
     )
-    target = Clause("target", lits)
+    target = Statement("target", "clause", lits)
     images = {}
     for v in sorted(set().union(*(variables(l.lhs) | variables(l.rhs) for l in lits))):
         if rng.random() < 0.1:

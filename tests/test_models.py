@@ -17,25 +17,13 @@ from abeforge.models import (
     satisfies,
 )
 from abeforge.search import enumerate_with_stats
-from abeforge.statements import Clause, Identity, Literal, clause_form
+from abeforge.statements import Literal, Statement
 from abeforge.terms import UNIT, Arrow, Const, Var, parse_term
-from conftest import terms
+from conftest import random_algebra, terms
 from reference import evaluate, relabel
 
 M2 = FiniteAlgebra(2, 1, ((1, 1), (0, 1)))
 TRIVIAL = FiniteAlgebra(1, 0, ((0,),))
-
-
-def random_algebra(draw_size=st.integers(2, 4)):
-    @st.composite
-    def build(draw):
-        n = draw(draw_size)
-        table = tuple(
-            tuple(draw(st.integers(0, n - 1)) for _ in range(n)) for _ in range(n)
-        )
-        return FiniteAlgebra(n, draw(st.integers(0, n - 1)), table)
-
-    return build()
 
 
 def permutations_of(model):
@@ -97,8 +85,7 @@ class TestSatisfies:
             ok, witness = satisfies(bad, corpus.statement(sid))
             if ok:
                 continue
-            clause = clause_form(corpus.statement(sid))
-            for lit, (lv, rv) in zip(clause.literals, witness.literal_values):
+            for lit, (lv, rv) in zip(corpus.statement(sid).literals, witness.literal_values):
                 assert evaluate(bad, lit.lhs, witness.assignment) == lv
                 assert evaluate(bad, lit.rhs, witness.assignment) == rv
                 assert (lv == rv) != lit.positive
@@ -120,13 +107,12 @@ class TestSatisfies:
 def reference_satisfies(model, st_):
     """The uncompiled loop: a fresh assignment dict per assignment and a
     recursive evaluate per literal side."""
-    clause = clause_form(st_)
     names = sorted(st_.free_variables())
     for values in itertools.product(range(model.size), repeat=len(names)):
         assignment = dict(zip(names, values))
         evals = []
         ok = False
-        for lit in clause.literals:
+        for lit in st_.literals:
             lv = evaluate(model, lit.lhs, assignment)
             rv = evaluate(model, lit.rhs, assignment)
             evals.append((lv, rv))
@@ -138,10 +124,14 @@ def reference_satisfies(model, st_):
     return True, None
 
 
+def identity(sid, lhs, rhs):
+    return Statement(sid, "identity", (Literal(lhs, rhs),))
+
+
 def drawn_clauses():
     literal = st.builds(Literal, terms(max_leaves=5), terms(max_leaves=5), st.booleans())
     return st.lists(literal, min_size=1, max_size=3).map(
-        lambda lits: Clause("drawn", tuple(lits))
+        lambda lits: Statement("drawn", "clause", tuple(lits))
     )
 
 
@@ -151,7 +141,7 @@ def deep_identity(depth=300):
     for i in range(depth):
         lhs = Arrow(lhs, Var("y") if i % 3 else UNIT)
         rhs = Arrow(Var("x"), rhs)
-    return Identity("deep", lhs, rhs)
+    return identity("deep", lhs, rhs)
 
 
 DEEP = deep_identity()
@@ -185,26 +175,27 @@ class TestCompiledSatisfies:
     @given(random_algebra(st.integers(1, 4)))
     def test_ground_statement(self, model):
         for ground in (
-            Identity("g", Arrow(UNIT, UNIT), UNIT),
-            Clause("h", (Literal(Arrow(UNIT, UNIT), UNIT, False), Literal(UNIT, Arrow(UNIT, UNIT)))),
+            identity("g", Arrow(UNIT, UNIT), UNIT),
+            Statement("h", "clause", (Literal(Arrow(UNIT, UNIT), UNIT, False), Literal(UNIT, Arrow(UNIT, UNIT)))),
         ):
             assert satisfies(model, ground) == reference_satisfies(model, ground)
         broken = FiniteAlgebra(2, 1, ((1, 1), (0, 0)))  # 1 -> 1 = 0
-        assert satisfies(broken, Identity("g", Arrow(UNIT, UNIT), UNIT)) == (
+        assert satisfies(broken, identity("g", Arrow(UNIT, UNIT), UNIT)) == (
             False,
             Witness("g", {}, ((0, 1),)),
         )
 
     def test_constants_are_refused(self):
         # the second literal is never reached, as the first always holds
-        behind_true = Clause(
+        behind_true = Statement(
             "c",
+            "clause",
             (
                 Literal(Arrow(Var("x"), Var("y")), Arrow(Var("x"), Var("y"))),
                 Literal(Arrow(Const("a"), Var("x")), Var("y")),
             ),
         )
-        for st_ in (Identity("c", Arrow(Const("a"), Var("x")), Var("x")), behind_true):
+        for st_ in (identity("c", Arrow(Const("a"), Var("x")), Var("x")), behind_true):
             for model in (TRIVIAL, M2):
                 with pytest.raises(ValueError, match="constant 'a'"):
                     satisfies(model, st_)
@@ -213,36 +204,36 @@ class TestCompiledSatisfies:
         # CPython compiles at most 20 nested blocks into one function
         term = wide_term(20)
         # M2 fails these at the first and third assignment
-        for wide in (Identity("wide", term, Var("x00")), Identity("wide", term, UNIT)):
+        for wide in (identity("wide", term, Var("x00")), identity("wide", term, UNIT)):
             for model in (TRIVIAL, M2):
                 assert satisfies(model, wide) == reference_satisfies(model, wide)
 
     def test_more_variables_than_nested_blocks_are_refused(self):
         term = wide_term(21)
         with pytest.raises(ValueError, match="over 21 variables"):
-            satisfies(TRIVIAL, Identity("wide", term, term))
+            satisfies(TRIVIAL, identity("wide", term, term))
 
     def test_statements_sharing_an_id_do_not_share_a_closure(self):
-        holds = Identity("p", Arrow(Var("x"), Var("x")), UNIT)
-        fails = Identity("p", Var("x"), Arrow(Var("x"), Var("x")))
+        holds = identity("p", Arrow(Var("x"), Var("x")), UNIT)
+        fails = identity("p", Var("x"), Arrow(Var("x"), Var("x")))
         assert satisfies(M2, holds) == (True, None)
         assert satisfies(M2, fails) == (False, Witness("p", {"x": 0}, ((0, 1),)))
         assert satisfies(M2, holds) == (True, None)
 
     def test_lookup_does_not_hash_the_statement(self):
         # hashing a frozen statement walks its term tree
-        class Unhashable(Identity):
+        class Unhashable(Statement):
             def __hash__(self):
                 raise AssertionError("the statement was hashed")
 
-        st_ = Unhashable("u", Arrow(Var("x"), Var("x")), UNIT)
+        st_ = Unhashable("u", "identity", (Literal(Arrow(Var("x"), Var("x")), UNIT),))
         assert satisfies(M2, st_) == (True, None)
         assert satisfies(M2, st_) == (True, None)
 
 
 TRANS = load_corpus().statement("trans")
 COMMUTATIVITY = load_corpus().statement("commutativity")
-SWAP = Identity("swap", Arrow(Var("x"), Var("y")), Arrow(Var("y"), Var("x")))
+SWAP = identity("swap", Arrow(Var("x"), Var("y")), Arrow(Var("y"), Var("x")))
 
 
 def horn_clauses():
@@ -254,7 +245,7 @@ def horn_clauses():
         return st.lists(st.builds(Literal, term, term, st.just(positive)), max_size=most)
 
     return st.tuples(literals(False, 2), literals(True, 1)).filter(any).map(
-        lambda parts: Clause("horn", (*parts[0], *parts[1]))
+        lambda parts: Statement("horn", "clause", (*parts[0], *parts[1]))
     )
 
 

@@ -1,6 +1,6 @@
 """The record contract, on the package's own classes: what their methods do
-that no other test relies on directly.  (A clause without literals is
-refused in test_statements.)"""
+that no other test relies on directly.  (The corpus reader's refusal of a
+clause without literals is in test_statements.)"""
 
 import importlib
 import inspect
@@ -13,7 +13,7 @@ from abeforge._record import record
 from abeforge.corpus import load_corpus
 from abeforge.kernel import L2R, ProofScript, Rewrite
 from abeforge.models import FiniteAlgebra, Witness
-from abeforge.statements import AxiomSystem, Clause, Literal
+from abeforge.statements import AxiomSystem, Literal, Statement
 from abeforge.terms import UNIT, Arrow, Const, Var
 
 
@@ -88,10 +88,20 @@ def test_repr_names_the_fields_unless_the_class_has_its_own():
 
 
 def test_fields_are_the_annotations_of_the_class_body():
-    # Statement annotates `id` for its subclasses, and Clause annotates it again
-    assert Clause.__slots__ == ("id", "literals")
+    class Named:
+        __slots__ = ()
+        id: str
+
+    @record
+    class Labeled(Named):
+        id: str
+        label: str
+
+    # the base's annotation is not a field; the body's own one is
+    assert Labeled.__slots__ == ("id", "label")
+    assert Statement.__slots__ == ("id", "kind", "literals")
     with pytest.raises(TypeError):
-        Clause("c", (Literal(UNIT, UNIT),), "extra")
+        Statement("c", "clause", (Literal(UNIT, UNIT),), "extra")
 
 
 def _package_records():
@@ -109,7 +119,7 @@ def _package_records():
 
 def test_every_record_is_slotted_with_its_fields():
     records = _package_records()
-    assert len(records) == 20, sorted(records)
+    assert len(records) == 18, sorted(records)
     for cls in records.values():
         assert cls.__slots__ == tuple(cls.__dict__.get("__annotations__", ())), cls
         assert not hasattr(cls.__new__(cls), "__dict__"), cls
