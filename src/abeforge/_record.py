@@ -10,15 +10,14 @@ use:
 - ``__init__`` with plain defaults, and a call to ``__post_init__`` if the
   class has one;
 - ``__eq__`` between instances of the same class, comparing the field tuples;
-- ``__hash__`` of the field tuple, and assignment or deletion of an attribute
-  raises AttributeError;
+- ``__hash__`` of the field values (of the value itself for one field), and
+  assignment or deletion of an attribute raises AttributeError;
 - ``ClassName(field=value, ...)`` as ``__repr__`` unless the class defines one.
 
 There are no options: every record is a frozen value with slots.
 
 Only the annotations in the class body are fields; those of base classes are
-not.  The methods match the ones dataclasses would generate, hash values
-included.
+not.
 """
 
 from __future__ import annotations
@@ -39,8 +38,7 @@ def record(cls):
     cls = type(cls)(cls.__name__, cls.__bases__, body)
     cls.__qualname__ = qualname
 
-    # attrgetter returns the value itself for one field: __eq__ compares
-    # that, and __hash__ hashes the 1-tuple, as dataclasses does.
+    # attrgetter returns the value itself for one field, a tuple for more
     values = attrgetter(*names) if names else lambda self: ()
 
     def __eq__(self, other):
@@ -50,10 +48,7 @@ def record(cls):
 
     cls.__init__ = _init(cls, names, defaults)
     cls.__eq__ = __eq__
-    if len(names) == 1:
-        cls.__hash__ = lambda self: hash((values(self),))
-    else:
-        cls.__hash__ = lambda self: hash(values(self))
+    cls.__hash__ = lambda self: hash(values(self))
     cls.__setattr__ = _refuse_setattr
     cls.__delattr__ = _refuse_delattr
     if "__repr__" not in own:

@@ -147,13 +147,13 @@ def enumerate_cmd(axioms_name, max_size, property_ids, budget_nodes, timings):
 
 def check(model_path, axioms_name, property_id):
     """Check a model file against an axiom system and optional property."""
-    from .models import ModelFileError, is_model, load_model, satisfies
+    from .models import is_model, load_model, satisfies
 
     corpus = load_corpus(None)
     system = corpus.axiom_system(axioms_name)
     try:
         model = load_model(model_path)
-    except ModelFileError as e:
+    except ValueError as e:
         raise _InputError(e) from None
     prop = None if property_id is None else corpus.statement(property_id)
     ok, witness = is_model(model, system, corpus.statements)

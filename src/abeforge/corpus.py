@@ -76,7 +76,9 @@ def load_corpus(path: str | None = None) -> Corpus:
     try:
         with open(BUILTIN_PATH if path is None else path, "r", encoding="utf-8") as fh:
             return corpus_from_json(json.load(fh))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+    except CorpusError:
+        raise
+    except (OSError, ValueError) as e:  # a ValueError: bad UTF-8, bad JSON, an over-long integer
         raise CorpusError(f"cannot read corpus file: {e}") from e
     except RecursionError as e:
         # the JSON decoder and the term parser recurse once per level
@@ -173,7 +175,7 @@ def _statement_from_json(obj: dict) -> Statement:
             if not all(lit.positive for lit in (*hyps, conclusion)):
                 raise CorpusError("quasi-identity parts must be equations")
             return Statement(sid, "quasi-identity", (conclusion, *(h.negate() for h in hyps)))
-    except ValueError as e:  # CorpusError or TermSyntaxError
+    except ValueError as e:  # CorpusError or a bad term
         raise CorpusError(f"bad statement object: {e}") from e
     raise CorpusError(f"unknown statement kind {kind!r}")
 
@@ -190,7 +192,7 @@ def _steps_from_json(steps: list, consts) -> tuple:
 
 
 def _step_from_json(obj: dict, consts=()):
-    """One step; raises CorpusError, or TermSyntaxError on a bad term."""
+    """One step; raises CorpusError, or ValueError on a bad term."""
     rule = _get(_typed(obj, dict, "a step"), "rule", str)
     if rule == "rewrite":
         return Rewrite(
@@ -236,7 +238,7 @@ def _script_from_json(obj: dict) -> ProofScript:
             depends_on=_strings(obj, "depends_on"),
             comment=_get(obj, "comment", str, ""),
         )
-    except ValueError as e:  # CorpusError, TermSyntaxError, or a reserved constant
+    except ValueError as e:  # CorpusError, a bad term, or a reserved constant
         raise CorpusError(f"bad script object: {e}") from e
 
 

@@ -18,7 +18,6 @@ from .terms import (
     UNIT,
     Arrow,
     Const,
-    PositionError,
     Term,
     format_term,
     match_pattern,
@@ -232,7 +231,7 @@ def verify_rewrite(
     dst = substitute(dst, step.substitution)
     try:
         found = subterm_at(current, step.position)
-    except PositionError as e:
+    except ValueError as e:
         raise ProofError(script_id, step_no, f"invalid position {step.position!r}: {e}") from e
     if found != src:
         raise ProofError(

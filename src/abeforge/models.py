@@ -18,7 +18,6 @@ from .terms import Const, Term, Unit, Var
 __all__ = [
     "FiniteAlgebra",
     "Witness",
-    "ModelFileError",
     "satisfies",
     "is_model",
     "relabelings",
@@ -55,10 +54,6 @@ class Witness:
     statement_id: str
     assignment: dict[str, int]
     literal_values: tuple[tuple[int, int], ...]  # (lhs value, rhs value) per literal
-
-
-class ModelFileError(ValueError):
-    pass
 
 
 # CPython compiles at most 20 statically nested blocks into one function.
@@ -230,19 +225,19 @@ def model_to_json(model: FiniteAlgebra) -> dict:
 
 def _json_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):  # bool is an int subclass
-        raise ModelFileError(f"bad model file: {what} must be an integer, not {type(value).__name__}")
+        raise ValueError(f"bad model file: {what} must be an integer, not {type(value).__name__}")
     return value
 
 
 def model_from_json(obj) -> FiniteAlgebra:
     if not isinstance(obj, dict):
-        raise ModelFileError("model file must be a JSON object")
+        raise ValueError("model file must be a JSON object")
     try:
         size, unit, rows = obj["size"], obj["unit"], obj["table"]
     except KeyError as e:
-        raise ModelFileError(f"bad model file: missing {e}") from e
+        raise ValueError(f"bad model file: missing {e}") from e
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise ModelFileError("bad model file: table must be a list of rows")
+        raise ValueError("bad model file: table must be a list of rows")
     table = tuple(
         tuple(_json_int(v, f"table[{i}][{j}]") for j, v in enumerate(row))
         for i, row in enumerate(rows)
@@ -251,15 +246,15 @@ def model_from_json(obj) -> FiniteAlgebra:
     try:
         return FiniteAlgebra(size, unit, table)
     except ValueError as e:
-        raise ModelFileError(f"bad model file: {e}") from e
+        raise ValueError(f"bad model file: {e}") from e
 
 
 def load_model(path: str) -> FiniteAlgebra:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ModelFileError(f"cannot read model file: {e}") from e
+    except (OSError, ValueError) as e:  # a ValueError: bad UTF-8, bad JSON, an over-long integer
+        raise ValueError(f"cannot read model file: {e}") from e
     except RecursionError as e:
-        raise ModelFileError("model file is nested too deeply") from e
+        raise ValueError("model file is nested too deeply") from e
     return model_from_json(obj)

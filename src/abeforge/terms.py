@@ -19,8 +19,6 @@ __all__ = [
     "Unit",
     "UNIT",
     "Arrow",
-    "TermSyntaxError",
-    "PositionError",
     "parse_term",
     "format_term",
     "substitute",
@@ -83,22 +81,6 @@ class Arrow(Term):
         return f"Arrow({self.left!r}, {self.right!r})"
 
 
-class TermSyntaxError(ValueError):
-    """Raised on malformed concrete syntax; carries the byte offset."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at offset {offset})")
-        self.offset = offset
-
-
-class PositionError(ValueError):
-    """Raised when a position does not descend through Arrow nodes."""
-
-    def __init__(self, message: str, index: int):
-        super().__init__(f"{message} (selector index {index})")
-        self.index = index
-
-
 _TOKEN_RE = re.compile(r"\s*(->|\(|\)|[A-Za-z_][A-Za-z0-9_]*|1|\S)")
 
 
@@ -111,7 +93,7 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
             break
         tok = m.group(1)
         if tok not in ("->", "(", ")", "1") and not _IDENT_RE.fullmatch(tok):
-            raise TermSyntaxError(f"unexpected character {tok!r}", m.start(1))
+            raise ValueError(f"unexpected character {tok!r} (at offset {m.start(1)})")
         tokens.append((tok, m.start(1)))
         pos = m.end()
     return tokens
@@ -142,13 +124,14 @@ def parse_term(text: str, constants: Iterable[str] = ()) -> Term:
     def parse_atom() -> Term:
         nonlocal idx
         if idx >= len(tokens):
-            raise TermSyntaxError("unexpected end of input", len(text))
+            raise ValueError(f"unexpected end of input (at offset {len(text)})")
         tok, off = tokens[idx]
         if tok == "(":
             idx += 1
             inner = parse_expr()
             if peek() != ")":
-                raise TermSyntaxError("expected ')'", tokens[idx][1] if idx < len(tokens) else len(text))
+                off = tokens[idx][1] if idx < len(tokens) else len(text)
+                raise ValueError(f"expected ')' (at offset {off})")
             idx += 1
             return inner
         if tok == "1":
@@ -157,11 +140,11 @@ def parse_term(text: str, constants: Iterable[str] = ()) -> Term:
         if _IDENT_RE.fullmatch(tok):
             idx += 1
             return Const(tok) if tok in const_set else Var(tok)
-        raise TermSyntaxError(f"unexpected token {tok!r}", off)
+        raise ValueError(f"unexpected token {tok!r} (at offset {off})")
 
     result = parse_expr()
     if idx < len(tokens):
-        raise TermSyntaxError(f"trailing input {tokens[idx][0]!r}", tokens[idx][1])
+        raise ValueError(f"trailing input {tokens[idx][0]!r} (at offset {tokens[idx][1]})")
     return result
 
 
@@ -216,7 +199,7 @@ def match_pattern(pattern: Term, subject: Term) -> Optional[dict[str, Term]]:
 def _check_position(path: str):
     for i, sel in enumerate(path):
         if sel not in "LR":
-            raise PositionError(f"bad selector {sel!r}", i)
+            raise ValueError(f"bad selector {sel!r} (selector index {i})")
 
 
 def subterm_at(t: Term, path: str) -> Term:
@@ -225,7 +208,7 @@ def subterm_at(t: Term, path: str) -> Term:
     cur = t
     for i, sel in enumerate(path):
         if not isinstance(cur, Arrow):
-            raise PositionError(f"cannot descend {sel!r} into {format_term(cur)!r}", i)
+            raise ValueError(f"cannot descend {sel!r} into {format_term(cur)!r} (selector index {i})")
         cur = cur.left if sel == "L" else cur.right
     return cur
 
@@ -238,7 +221,7 @@ def replace_at(t: Term, path: str, replacement: Term) -> Term:
         if i == len(path):
             return replacement
         if not isinstance(cur, Arrow):
-            raise PositionError(f"cannot descend {path[i]!r} into {format_term(cur)!r}", i)
+            raise ValueError(f"cannot descend {path[i]!r} into {format_term(cur)!r} (selector index {i})")
         if path[i] == "L":
             return Arrow(go(cur.left, i + 1), cur.right)
         return Arrow(cur.left, go(cur.right, i + 1))

@@ -14,7 +14,7 @@ import pytest
 
 from abeforge.corpus import corpus_from_json
 from abeforge.kernel import replay_proof, verify_corpus
-from abeforge.models import FiniteAlgebra, canonical_form, from_flat, is_model, relabelings, satisfies
+from abeforge.models import FiniteAlgebra, Witness, canonical_form, from_flat, is_model, relabelings, satisfies
 from abeforge.search import brute_force_models, enumerate_with_stats
 from conftest import BASIS, COMPLETE_LABELED, COROLLARIES, axiom_closures, replay_mutants, run_cli, with_corollaries
 from ground_search import ground_search
@@ -60,6 +60,9 @@ ABE_FAILURES = {
     "ax1": [0, 0, 0, 0, 0],
     "ax2": [0, 0, 0, 0, 0],
 }
+
+# The three-element Lukasiewicz chain, x -> y = min(2, 2 - x + y) with unit 2
+LUKASIEWICZ_3 = FiniteAlgebra(3, 2, ((2, 2, 2), (1, 2, 2), (0, 1, 2)))
 
 # {n: the aBE classes of size n that Abbott's coatom map fails for, counted
 # by the first check each fails: injectivity, closure under subsets, then
@@ -536,6 +539,40 @@ def test_criterion_6b_corollaries_in_the_models(implicative_models, abe_classes)
         ok,
         f"{len(targets)} statements x {len(implicative_models)} models, violations: {violations}; "
         f"aBE classes failing at sizes 1-5: {failures}",
+    )
+
+
+def test_criterion_6c_commutative_bck_is_not_implicative():
+    # commutative BCK is not inside implicative aBE, and size 3 is the least
+    # that shows it: the three-element Lukasiewicz chain satisfies ax1-ax5,
+    # BCK's axioms and commutativity but not ax6, and it is the only class of
+    # size at most 3 that does.  The other separation, aBE not inside BCK,
+    # first shows at size 4: criterion 6b's ABE_FAILURES["bck1"].
+    merged = corpus_from_json(with_corollaries())
+    holds = [merged.statement(sid) for sid in ("ax1", "ax2", "ax3", "ax4", "ax5", "bck1", "bck2", "commutativity")]
+    ax6 = merged.statement("ax6")
+
+    def in_commutative_bck(m):
+        return all(satisfies(m, st)[0] for st in holds)
+
+    def separating_classes(n):
+        tables = (from_flat(flat, n) for flat in itertools.product(range(n), repeat=n * n))
+        return {canonical_form(m) for m in tables if in_commutative_bck(m) and not satisfies(m, ax6)[0]}
+
+    separating = {n: separating_classes(n) for n in (1, 2, 3)}
+    chain_holds = in_commutative_bck(LUKASIEWICZ_3)
+    witness = satisfies(LUKASIEWICZ_3, ax6)[1]
+    ok = (
+        chain_holds
+        and witness == Witness("ax6", {"x": 1, "y": 0}, ((2, 1),))
+        and separating == {1: set(), 2: set(), 3: {canonical_form(LUKASIEWICZ_3)}}
+    )
+    _verdict(
+        "6c",
+        "commutative BCK is not implicative aBE, least at size 3",
+        ok,
+        f"chain satisfies the commutative BCK axioms: {chain_holds}; ax6 witness: {witness}; "
+        f"separating classes per size: { {n: len(forms) for n, forms in separating.items()} }",
     )
 
 

@@ -125,6 +125,20 @@ def test_orbit_counting_identity(corpus, name, max_size):
             assert len(tables) == COMPLETE_LABELED[name, n]
 
 
+# {n: the labeled aBE tables of the complete search, unit n-1, with
+# 0 -> 1 = 1, 1 -> 2 = 1 and 0 -> 2 != 1, so that x, y, z = 0, 1, 2 falsify
+# trans}: what a search that pins those cells (ROADMAP item 9(b)) must find
+TRANS_WITNESSES_PINNED = {4: 3, 5: 178}
+
+
+@pytest.mark.parametrize("n", sorted(TRANS_WITNESSES_PINNED))
+def test_labeled_tables_with_trans_witnesses_pinned(n):
+    tables, _, _ = _speed_py.search_tables(n, False)
+    u = n - 1
+    pinned = [t for t in tables if t[1] == u and t[n + 2] == u and t[2] != u]
+    assert len(pinned) == TRANS_WITNESSES_PINNED[n]
+
+
 @pytest.mark.parametrize("name, max_size", [("aBE", 5), ("implicative-aBE", 6)])
 def test_enumerator_matches_per_table_filter(corpus, name, max_size):
     system = corpus.axiom_system(name)

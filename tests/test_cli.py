@@ -27,6 +27,7 @@ BAD_AX2 = {"size": 2, "unit": 1, "table": [[0, 0], [0, 1]]}
 UNREADABLE = {
     "non-utf8": b"\xff\xfe{",
     "deep-array": b"[" * 100_000 + b"]" * 100_000,
+    "over-long-integer": b'{"size": ' + b"1" * 5000 + b"}",
 }
 
 

@@ -3,9 +3,11 @@
 A stale `__all__` entry breaks only `from abeforge.<module> import *`, which
 nothing else in the tests runs.  A public name that nothing in the package
 reads is a second implementation or a helper that belongs in tests/; the
-benchmark's names count as read, since perfbench/ reads them by path."""
+benchmark's names count as read, since perfbench/ reads them by path.  An
+exception class of the package must be named by one of its `except` clauses."""
 
 import ast
+import builtins
 import importlib
 import pkgutil
 
@@ -75,3 +77,26 @@ def test_every_exported_name_is_read_by_the_package_or_the_benchmark():
         if (module, name) not in read and name not in benchmark_names()
     )
     assert not unread, f"exported, but read only outside the package and the benchmark: {unread}"
+
+
+def test_every_exception_class_is_caught_by_name():
+    # an exception class that no `except` names is told apart from a plain
+    # ValueError by no caller: its message can say the same
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted((SRC / "abeforge").glob("*.py"))]
+    classes = {node.name: node for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)}
+
+    def is_exception(name: str) -> bool:
+        if name in classes:
+            return any(isinstance(base, ast.Name) and is_exception(base.id) for base in classes[name].bases)
+        builtin = getattr(builtins, name, None)
+        return isinstance(builtin, type) and issubclass(builtin, BaseException)
+
+    caught = {
+        name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        for name in read_names(node.type)
+    }
+    uncaught = sorted(name for name in classes if is_exception(name) and name not in caught)
+    assert not uncaught, f"exception classes that no except clause of the package names: {uncaught}"

@@ -5,8 +5,6 @@ from abeforge.terms import (
     UNIT,
     Arrow,
     Const,
-    PositionError,
-    TermSyntaxError,
     Var,
     format_term,
     match_pattern,
@@ -43,21 +41,19 @@ class TestParse:
         assert parse_term("  x -> y  ") == parse_term("x -> y")
 
     def test_syntax_error_carries_offset(self):
-        with pytest.raises(TermSyntaxError) as exc:
+        with pytest.raises(ValueError, match=r"^unexpected character '@' \(at offset 5\)$"):
             parse_term("x -> @")
-        assert exc.value.offset == 5
 
     def test_unexpected_token_named_with_its_offset(self):
-        with pytest.raises(TermSyntaxError, match=r"^unexpected token '\)' \(at offset 5\)$") as exc:
+        with pytest.raises(ValueError, match=r"^unexpected token '\)' \(at offset 5\)$"):
             parse_term("x -> )")
-        assert exc.value.offset == 5
 
     def test_trailing_input_rejected(self):
-        with pytest.raises(TermSyntaxError):
+        with pytest.raises(ValueError, match=r"^trailing input 'y' \(at offset 2\)$"):
             parse_term("x y")
 
     def test_unbalanced_paren(self):
-        with pytest.raises(TermSyntaxError):
+        with pytest.raises(ValueError, match=r"^expected '\)' \(at offset 7\)$"):
             parse_term("(x -> y")
 
     def test_reserved_unit_name(self):
@@ -131,17 +127,16 @@ class TestPositions:
         assert subterm_at(t, "") == t
 
     def test_invalid_position_names_selector(self):
-        with pytest.raises(PositionError) as exc:
+        with pytest.raises(ValueError, match=r"^cannot descend 'L' into 'x' \(selector index 1\)$"):
             subterm_at(parse_term("x -> y"), "LL")
-        assert exc.value.index == 1
 
     def test_replace_below_a_leaf_names_the_selector(self):
-        with pytest.raises(PositionError) as exc:
+        with pytest.raises(ValueError) as exc:
             replace_at(UNIT, "L", UNIT)
         assert str(exc.value) == "cannot descend 'L' into '1' (selector index 0)"
 
     def test_bad_selector_letter(self):
-        with pytest.raises(PositionError):
+        with pytest.raises(ValueError, match=r"^bad selector 'Q' \(selector index 0\)$"):
             subterm_at(parse_term("x -> y"), "Q")
 
     @given(terms())
