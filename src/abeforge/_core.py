@@ -6,7 +6,8 @@ exhaustive generation", 1998), its only symmetry breaking.
 search_tables() returns, for every model over a fixed unit, exactly one
 table isomorphic to it, with the number of nodes it tried.  Propagation
 rechecks only the axiom instances of the cells assigned since the last
-fixpoint; _speed_py runs the same propagator without symmetry breaking.
+fixpoint.  _fill is the one depth-first fill: _speed_py runs it in
+row-major order with no relabelings, the complete search.
 The prefix test reads the unit-fixing relabelings from
 models.relabeling_table, the one table that the canonical form relabels by.
 """
@@ -141,28 +142,14 @@ def _least_so_far(
     return below
 
 
-def search_tables(
-    n: int,
-    implicative: bool,
-    node_budget: int = 0,
+def _fill(
+    n: int, implicative: bool, free: list[int], tied: list[tuple[bytes, bytes, int]], node_budget: int = 0
 ) -> tuple[list[bytes], int, bool]:
-    """Depth-first fill of the free cells in (max(i, j), row-major) order.
-
-    A decision on a cell tries every label in ascending order.  After every
-    assignment that propagates, the partial table is compared with each
-    unit-fixing relabeling of itself in the same cell order, and cut when one
-    is smaller on the filled prefix (orderly generation).  So the search
-    reaches exactly one table of every model: the least of its class in cell
-    order.
-
-    Returns (one complete table per isomorphism class, as flat row-major
-    bytes, nodes tried, budget exceeded).  A node is one attempted cell
-    assignment.  node_budget 0 means unlimited.
+    """search_tables over its own cell order `free` and relabelings `tied`,
+    each a _least_so_far entry.  With no relabelings it cuts nothing and
+    returns every labeled table.
     """
-    u = n - 1
     t = _prefill(n)
-    free = [i * n + j for i in range(u) for j in range(u) if i != j]
-    free.sort(key=lambda c: (max(divmod(c, n)), c))
     results: list[bytes] = []
     nodes = 0
     exceeded = False
@@ -199,7 +186,32 @@ def search_tables(
             if exceeded:
                 break
 
+    rec(0, tied)
+    return results, nodes, exceeded
+
+
+def search_tables(
+    n: int,
+    implicative: bool,
+    node_budget: int = 0,
+) -> tuple[list[bytes], int, bool]:
+    """Depth-first fill of the free cells in (max(i, j), row-major) order.
+
+    A decision on a cell tries every label in ascending order.  After every
+    assignment that propagates, the partial table is compared with each
+    unit-fixing relabeling of itself in the same cell order, and cut when one
+    is smaller on the filled prefix (orderly generation).  So the search
+    reaches exactly one table of every model: the least of its class in cell
+    order.
+
+    Returns (one complete table per isomorphism class, as flat row-major
+    bytes, nodes tried, budget exceeded).  A node is one attempted cell
+    assignment.  node_budget 0 means unlimited.
+    """
+    u = n - 1
+    free = [i * n + j for i in range(u) for j in range(u) if i != j]
+    free.sort(key=lambda c: (max(divmod(c, n)), c))
     # every relabeling but the identity, each from the first cell: the
     # propagated prefill is fixed by all of them, so none is smaller yet
-    rec(0, [(label, cells, 0) for label, cells in relabeling_table(n)[1:]])
-    return results, nodes, exceeded
+    tied = [(label, cells, 0) for label, cells in relabeling_table(n)[1:]]
+    return _fill(n, implicative, free, tied, node_budget)

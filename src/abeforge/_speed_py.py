@@ -1,5 +1,5 @@
-"""The complete search: depth-first fill of the free cells in row-major
-order over the propagator of _core, without symmetry breaking.
+"""The complete search: the depth-first fill of _core over the free cells
+in row-major order, with no relabelings to cut by.
 
 It returns every labeled table over the fixed unit, a set closed under the
 relabelings that fix the unit.  The package does not run it: it is the
@@ -10,7 +10,7 @@ ROADMAP item 1(b) moves it into tests/.
 
 from __future__ import annotations
 
-from ._core import _prefill, _propagate
+from ._core import _fill
 
 
 def search_tables(n: int, implicative: bool) -> tuple[list[tuple[int, ...]], int, bool]:
@@ -21,34 +21,6 @@ def search_tables(n: int, implicative: bool) -> tuple[list[tuple[int, ...]], int
     attempted cell assignment.
     """
     u = n - 1
-    t = _prefill(n)
     free = [i * n + j for i in range(u) for j in range(u) if i != j]
-    results: list[tuple[int, ...]] = []
-    nodes = 0
-
-    trail: list[int] = []
-    if not _propagate(t, n, implicative, trail, [c for c, v in enumerate(t) if v >= 0]):
-        return results, nodes, False
-
-    def rec(k: int):
-        # free[:k] are all assigned, and stay so below this frame
-        nonlocal nodes
-        for k in range(k, len(free)):
-            cell = free[k]
-            if t[cell] < 0:
-                break
-        else:
-            results.append(tuple(t))
-            return
-        for v in range(n):
-            nodes += 1
-            mark = len(trail)
-            t[cell] = v
-            trail.append(cell)
-            if _propagate(t, n, implicative, trail, [cell]):
-                rec(k + 1)
-            while len(trail) > mark:
-                t[trail.pop()] = -1
-
-    rec(0)
-    return results, nodes, False
+    tables, nodes, _ = _fill(n, implicative, free, [])
+    return [tuple(t) for t in tables], nodes, False

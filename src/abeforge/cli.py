@@ -112,8 +112,8 @@ def enumerate_cmd(axioms_name, max_size, property_ids, budget_nodes, timings):
 
     corpus = load_corpus(None)
     system = corpus.axiom_system(axioms_name)
-    _check_bounds(max_size, budget_nodes)
     props = [corpus.statement(pid) for pid in property_ids]
+    _check_bounds(max_size, budget_nodes)
     sizes, properties, models = [], [], []
     lines = [
         f"axiom system: {system.name}",

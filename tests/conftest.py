@@ -62,27 +62,37 @@ def read_corpus_json() -> dict:
 
 
 def with_corollaries() -> dict:
-    """The parsed built-in corpus file with the corollaries' statements and
-    scripts appended."""
+    """The parsed built-in corpus file with the corollaries' axiom systems,
+    statements and scripts added."""
     obj = read_corpus_json()
     extra = json.loads(COROLLARIES.read_text(encoding="utf-8"))
+    obj["axiom_systems"].update(extra["axiom_systems"])
     obj["statements"] += extra["statements"]
     obj["scripts"] += extra["scripts"]
     return obj
 
 
 def axiom_closures(corpus, basis=AXIOM_IDS):
-    """{script id: the axioms of `basis` that its declared dependencies lead
-    down to}.  A dependency outside `basis` is read through the first script
-    that proves it."""
+    """{script id: the statements of `basis` that its declared dependencies
+    lead down to}.  A dependency outside `basis` is read through the first
+    script that proves it without citing it, such as ax5-from-tarski for ax5
+    (ax5-clause cites ax5).  Raises ValueError when the proofs read that way
+    go round in a circle, so that no basis recurses without end."""
     first = {}
     for script in corpus.scripts:
-        first.setdefault(script.target, script)
+        if script.target not in script.depends_on:
+            first.setdefault(script.target, script)
 
-    def closure(script):
-        return set().union(*({dep} if dep in basis else closure(first[dep]) for dep in script.depends_on))
+    def closure(script, path):
+        # path: the dependencies being read through, outermost first
+        above = [dep for dep in script.depends_on if dep not in basis]
+        if set(above) & set(path):
+            raise ValueError(f"the proofs of {' -> '.join(path)} go round")
+        return {dep for dep in script.depends_on if dep in basis}.union(
+            *(closure(first[dep], (*path, dep)) for dep in above)
+        )
 
-    return {script.id: closure(script) for script in corpus.scripts}
+    return {script.id: closure(script, ()) for script in corpus.scripts}
 
 
 def assigned(path: Path, name: str) -> ast.expr:

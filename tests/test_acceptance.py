@@ -49,7 +49,8 @@ COROLLARY_SCRIPTS = json.loads(COROLLARIES.read_text(encoding="utf-8"))["scripts
 # {target of a corollary script: the aBE classes it fails in at sizes 1..5,
 # of 1, 1, 3, 19 and 241}; commutativity and the join lemma first fail at
 # size 3, BCK's first axiom and transitivity at size 4, and BCK's other two
-# axioms hold in all 265
+# axioms hold in all 265, as do the aBE axioms that ax1-from-ax3-ax6,
+# ax2-from-ax3-ax6 and ax5-from-tarski prove
 ABE_FAILURES = {
     "commutativity": [0, 0, 1, 14, 230],
     "join": [0, 0, 1, 14, 230],
@@ -59,7 +60,13 @@ ABE_FAILURES = {
     "bck2": [0, 0, 0, 0, 0],
     "ax1": [0, 0, 0, 0, 0],
     "ax2": [0, 0, 0, 0, 0],
+    "ax5": [0, 0, 0, 0, 0],
 }
+
+# {the first of Tarski's axioms (Abbott's ax3, ax4, ax6 and commutativity)
+# that an aBE class fails: the classes failing it at sizes 1..5}; the others,
+# 1, 1, 1, 2 and 2, are the implicative classes
+TARSKI_FAILURES = {"ax6": [0, 0, 2, 17, 239]}
 
 # The three-element Lukasiewicz chain, x -> y = min(2, 2 - x + y) with unit 2
 LUKASIEWICZ_3 = FiniteAlgebra(3, 2, ((2, 2, 2), (1, 2, 2), (0, 1, 2)))
@@ -285,7 +292,7 @@ def test_criterion_2_perturbation_suite(corpus, corpus_json):
 def test_criterion_2b_perturbation_of_the_corollary_scripts():
     merged = corpus_from_json(with_corollaries())
     total, rejected, named = perturb(merged, COROLLARY_SCRIPTS, 1736)
-    ok = total == 393 and rejected == named == total
+    ok = total == 462 and rejected == named == total
     _verdict("2b", "perturbation of the corollary scripts", ok, f"{rejected}/{total} mutations rejected")
 
 
@@ -573,6 +580,38 @@ def test_criterion_6c_commutative_bck_is_not_implicative():
         ok,
         f"chain satisfies the commutative BCK axioms: {chain_holds}; ax6 witness: {witness}; "
         f"separating classes per size: { {n: len(forms) for n, forms in separating.items()} }",
+    )
+
+
+def test_criterion_6d_implicative_abe_is_tarski(abe_classes):
+    # Kernel half: read through the corollary scripts, every result, ax5 and
+    # thm included, rests on Tarski's four axioms (ax5 by ax5-from-tarski).
+    # The other direction is the commutativity script, whose closure in
+    # ax3-ax6 test_axioms_each_result_rests_on pins.  Model half: an aBE
+    # class of size at most 5 is a Tarski model exactly when it is an
+    # implicative-aBE model.
+    merged = corpus_from_json(with_corollaries())
+    tarski = merged.axiom_system("Tarski").members
+    closures = axiom_closures(merged, tarski)
+    outside = {sid: axioms for sid, axioms in closures.items() if not axioms <= set(tarski)}
+    ax6 = merged.statement("ax6")
+    passing, failures, mismatches = [], {}, []
+    for n, models in enumerate(abe_classes, 1):
+        first = [next((sid for sid in tarski if not satisfies(m, merged.statement(sid))[0]), None) for m in models]
+        mismatches += [(n, m.table) for m, sid in zip(models, first) if (sid is None) != satisfies(m, ax6)[0]]
+        passing.append(first.count(None))
+        for sid in filter(None, first):
+            failures.setdefault(sid, [0] * len(abe_classes))[n - 1] += 1
+    ok = (
+        len(closures) == 22 and not outside and not mismatches
+        and passing == IMPLICATIVE_CLASSES[:5] and failures == TARSKI_FAILURES
+    )
+    _verdict(
+        "6d",
+        "implicative aBE is Tarski's implication algebras",
+        ok,
+        f"{len(closures)} scripts, resting outside {tarski}: {outside}; aBE classes that are Tarski models "
+        f"per size {passing}, first failures {failures}, mismatches with implicative aBE: {mismatches}",
     )
 
 

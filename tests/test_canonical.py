@@ -6,9 +6,10 @@ search at sizes the brute-force oracle cannot reach.
 
 The complete search (_speed_py) is the reference: the core that runs breaks
 symmetry, so its tables are not closed under relabeling and only the
-identity shows that it missed no class.  At small sizes the complete search
-and the enumerator are checked in turn against ground_search, a search
-written from the axioms' clause forms alone."""
+identity shows that it missed no class.  Both run the same depth-first
+fill, _core._fill, so at small sizes each is checked in turn against
+ground_search, a search written from the axioms' clause forms alone that
+shares no code with the fill."""
 
 import math
 from collections import Counter

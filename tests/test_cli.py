@@ -622,13 +622,17 @@ class TestCommandLine:
         assert (result.exit_code, result.stdout) == (3, "")
         assert result.stderr == f"error: --max-size must be {bound}\n"
 
-    @pytest.mark.parametrize("command", [("enumerate",), ("search", "--violates", "trans")], ids=lambda c: c[0])
-    def test_bad_input_is_reported_in_one_order(self, command):
-        # the system first, then --max-size, then --budget-nodes
+    @pytest.mark.parametrize("command, option", [("enumerate", "--property"), ("search", "--violates")],
+                             ids=["enumerate", "search"])
+    def test_bad_input_is_reported_in_one_order(self, command, option):
+        # the system first, then the property ids, then --max-size, then
+        # --budget-nodes
         bounds = ("--max-size", "0", "--budget-nodes", "-1")
-        result = run_cli(*command, "--axioms", "nope", *bounds)
+        result = run_cli(command, option, "nope", "--axioms", "nope", *bounds)
         assert result.stderr == "error: unknown axiom system 'nope'\n"
-        result = run_cli(*command, "--axioms", "aBE", *bounds)
+        result = run_cli(command, option, "nope", "--axioms", "aBE", *bounds)
+        assert (result.exit_code, result.stderr) == (3, "error: unknown statement id 'nope'\n")
+        result = run_cli(command, option, "trans", "--axioms", "aBE", *bounds)
         assert result.stderr == "error: --max-size must be >= 1\n"
 
     @pytest.mark.parametrize("command", HELP, ids=lambda c: " ".join(c) or "top")

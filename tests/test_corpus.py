@@ -107,7 +107,8 @@ def test_corollaries_replay(tmp_path):
     # the join lemma, (y -> z) -> z = (((y -> z) -> z) -> y) -> y; BCK's
     # first axiom, (x -> y) -> (y -> z) -> x -> z = 1, from the join lemma;
     # transitivity again, from BCK's first axiom and ax1; BCK's x -> y -> x = 1
-    # and x -> (x -> y) -> y = 1; and ax1 and ax2 from ax3 and ax6
+    # and x -> (x -> y) -> y = 1; ax1 and ax2 from ax3 and ax6; and ax5 from
+    # ax1 and commutativity
     path = tmp_path / "corpus.json"
     path.write_text(json.dumps(with_corollaries()), encoding="utf-8")
     argv = [sys.executable, "-m", "abeforge.cli", "replay", "--script", str(path)]
@@ -115,7 +116,8 @@ def test_corollaries_replay(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.endswith(
         "commutativity: verified\njoin: verified\nbck1: verified\ntrans-bck1: verified\nk: verified\n"
-        "bck2: verified\nax1-from-ax3-ax6: verified\nax2-from-ax3-ax6: verified\n21/21 verified\n"
+        "bck2: verified\nax1-from-ax3-ax6: verified\nax2-from-ax3-ax6: verified\nax5-from-tarski: verified\n"
+        "22/22 verified\n"
     )
 
 
@@ -162,6 +164,7 @@ def test_axioms_each_result_rests_on():
         "bck2": (ax(3, 4), ax(3, 4)),
         "ax1-from-ax3-ax6": (ax(3, 6), ax(3, 6)),
         "ax2-from-ax3-ax6": (ax(3, 6), ax(3, 6)),
+        "ax5-from-tarski": (ax(1, 2, 3, 4, 5, 6), ax(3, 4, 5, 6)),
     }
 
 

@@ -1,7 +1,8 @@
 """The queue-driven propagator of the search core against the fixpoint sweep
 it replaced, kept here as the reference: same verdict and same fixpoint on
 arbitrary partial tables, and the same search result, tables and node
-counts, when the sweep drives the complete row-major depth-first search."""
+counts, when the sweep drives the depth-first fill of the complete search
+and of the core."""
 
 import hypothesis.strategies as st
 import pytest
@@ -124,12 +125,14 @@ def test_same_fixpoint_one_assignment_at_a_time(n, implicative, data):
             ok = True
 
 
+@pytest.mark.parametrize("search", [_speed_py.search_tables, _core.search_tables], ids=["complete", "core"])
 @pytest.mark.parametrize("name, max_size", [("aBE", 5), ("implicative-aBE", 6)])
-def test_search_matches_sweep_search(name, max_size, monkeypatch):
+def test_search_matches_sweep_search(search, name, max_size, monkeypatch):
+    # both searches run _core._fill, which looks _propagate up in _core
     implicative = name == "implicative-aBE"
-    queued = [_speed_py.search_tables(n, implicative) for n in range(1, max_size + 1)]
+    queued = [search(n, implicative) for n in range(1, max_size + 1)]
     monkeypatch.setattr(
-        _speed_py, "_propagate", lambda t, n, implicative, trail, queue: sweep_propagate(t, n, implicative, trail)
+        _core, "_propagate", lambda t, n, implicative, trail, queue: sweep_propagate(t, n, implicative, trail)
     )
     for n, result in enumerate(queued, 1):
-        assert _speed_py.search_tables(n, implicative) == result, n
+        assert search(n, implicative) == result, n
