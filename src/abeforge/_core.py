@@ -6,8 +6,8 @@ exhaustive generation", 1998), its only symmetry breaking.
 search_tables() returns, for every model over a fixed unit, exactly one
 table isomorphic to it, with the number of nodes it tried.  Propagation
 rechecks only the axiom instances of the cells assigned since the last
-fixpoint.  _fill is the one depth-first fill: _speed_py runs it in
-row-major order with no relabelings, the complete search.
+fixpoint.  _fill, the one depth-first fill, finds its open cells and builds
+its prefix-test entries; _speed_py runs it row-major with no relabelings.
 The prefix test reads the unit-fixing relabelings from
 models.relabeling_table, the one table that the canonical form relabels by.
 """
@@ -143,11 +143,12 @@ def _least_so_far(
 
 
 def _fill(
-    n: int, implicative: bool, free: list[int], tied: list[tuple[bytes, bytes, int]], node_budget: int = 0
+    n: int, implicative: bool, order: list[int] | range, relabelings: tuple[tuple[bytes, bytes], ...],
+    node_budget: int = 0,
 ) -> tuple[list[bytes], int, bool]:
-    """search_tables over its own cell order `free` and relabelings `tied`,
-    each a _least_so_far entry.  With no relabelings it cuts nothing and
-    returns every labeled table.
+    """search_tables over its own order of all n*n cells and relabelings,
+    (label map, cell map) pairs.  It fills the cells that root propagation
+    leaves open.  With no relabelings it returns every labeled table.
     """
     t = _prefill(n)
     results: list[bytes] = []
@@ -157,6 +158,7 @@ def _fill(
     trail: list[int] = []
     if not _propagate(t, n, implicative, trail, [c for c, v in enumerate(t) if v >= 0]):
         return results, nodes, exceeded
+    free = [c for c in order if t[c] < 0]
 
     def rec(k: int, tied: list[tuple[bytes, bytes, int]]):
         # free[:k] are all assigned, and stay so below this frame; every
@@ -186,7 +188,8 @@ def _fill(
             if exceeded:
                 break
 
-    rec(0, tied)
+    # each relabeling fixes the propagated prefill, so all start tied at the first open cell
+    rec(0, [(label, cells, 0) for label, cells in relabelings])
     return results, nodes, exceeded
 
 
@@ -195,7 +198,7 @@ def search_tables(
     implicative: bool,
     node_budget: int = 0,
 ) -> tuple[list[bytes], int, bool]:
-    """Depth-first fill of the free cells in (max(i, j), row-major) order.
+    """Depth-first fill of the open cells in (max(i, j), row-major) order.
 
     A decision on a cell tries every label in ascending order.  After every
     assignment that propagates, the partial table is compared with each
@@ -208,10 +211,5 @@ def search_tables(
     bytes, nodes tried, budget exceeded).  A node is one attempted cell
     assignment.  node_budget 0 means unlimited.
     """
-    u = n - 1
-    free = [i * n + j for i in range(u) for j in range(u) if i != j]
-    free.sort(key=lambda c: (max(divmod(c, n)), c))
-    # every relabeling but the identity, each from the first cell: the
-    # propagated prefill is fixed by all of them, so none is smaller yet
-    tied = [(label, cells, 0) for label, cells in relabeling_table(n)[1:]]
-    return _fill(n, implicative, free, tied, node_budget)
+    order = sorted(range(n * n), key=lambda c: (max(divmod(c, n)), c))
+    return _fill(n, implicative, order, relabeling_table(n)[1:], node_budget)

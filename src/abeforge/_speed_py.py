@@ -1,5 +1,5 @@
-"""The complete search: the depth-first fill of _core over the free cells
-in row-major order, with no relabelings to cut by.
+"""The complete search: the depth-first fill of _core in row-major order,
+with no relabelings to cut by; the fill finds the open cells itself.
 
 It returns every labeled table over the fixed unit, a set closed under the
 relabelings that fix the unit.  The package does not run it: it is the
@@ -14,13 +14,11 @@ from ._core import _fill
 
 
 def search_tables(n: int, implicative: bool) -> tuple[list[tuple[int, ...]], int, bool]:
-    """Depth-first fill of the free cells in row-major order.
+    """Depth-first fill of the open cells in row-major order.
 
     Returns (complete tables satisfying all axioms, nodes tried, False), the
     triple of the compiled core's search_tables with no budget.  A node is one
     attempted cell assignment.
     """
-    u = n - 1
-    free = [i * n + j for i in range(u) for j in range(u) if i != j]
-    tables, nodes, _ = _fill(n, implicative, free, [])
+    tables, nodes, _ = _fill(n, implicative, range(n * n), ())
     return [tuple(t) for t in tables], nodes, False

@@ -92,7 +92,11 @@ def replay(script_path, show_id, emit):
             st = corpus.statement(show_id)
             return EXIT_OK, None, [f"{st.id}: {st}"]
         return EXIT_OK, None, script.show(corpus.statement(script.target))
-    report = verify_corpus(corpus)
+    try:
+        report = verify_corpus(corpus)
+    except RecursionError:
+        # the parser takes terms deeper than the kernel's comparisons can recurse
+        raise _InputError("corpus file is nested too deeply") from None
     verified = sum(1 for _, status in report if status == "verified")
     scripts = [{"id": sid, "status": status} for sid, status in report]
     out = {"scripts": scripts, "verified": verified, "total": len(report)}

@@ -122,6 +122,30 @@ def test_every_hook_sees_cli_traffic(monkeypatch):
     assert [key for key, n in calls.items() if n == 0] == []
 
 
+# the two tiny enumerations of TINY_ENUM in perfbench/test_perfbench.py,
+# whose self-test needs the core, iso, sat and driver hooks to fire on each
+ABE_PROPERTIES = (
+    "ax1", "ax2", "ax3", "ax4", "ax5", "ax6", "trans", "lem8a", "lem8b", "lem10", "lem11", "lem12", "lem13",
+    "lem14", "lem15", "lem16", "lem17", "lem18", "commutativity",
+)
+TINY_ENUM = {
+    "enum-implicative": ("implicative-aBE", "4", ("trans", "commutativity")),
+    "enum-abe": ("aBE", "3", ABE_PROPERTIES),
+}
+
+
+@pytest.mark.parametrize("workload", TINY_ENUM)
+def test_each_tiny_enumeration_reaches_the_hooks(monkeypatch, workload):
+    system, max_size, properties = TINY_ENUM[workload]
+    calls = count_hook_calls(monkeypatch)
+    args = ["enumerate", "--axioms", system, "--max-size", max_size, "--emit", "json"]
+    for prop in properties:
+        args += ["--property", prop]
+    assert run_cli(*args).exit_code == 0
+    fired = {path for (_, path), n in calls.items() if n}
+    assert {"_core.search_tables", "canonicalize", "satisfies", "enumerate_with_stats"} <= fired
+
+
 def test_search_reaches_the_hooks(monkeypatch):
     calls = count_hook_calls(monkeypatch)
     assert run_cli("search", "--axioms", "aBE", "--violates", "trans", "--max-size", "4").exit_code == 4

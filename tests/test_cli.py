@@ -53,6 +53,19 @@ def without_ax6(obj) -> dict:
     return obj
 
 
+def write_deep_corpus(tmp_path, obj, arrows) -> str:
+    """`obj` plus an identity `1 -> t = t`, t nesting `arrows` arrows, and its
+    one-step script by ax1, written to a file."""
+    t = "x -> " * arrows + "x"
+    obj["statements"].append({"id": "deep", "kind": "identity", "lhs": f"1 -> {t}", "rhs": t})
+    step = {"rule": "rewrite", "by": "ax1", "dir": "L2R", "at": "", "subst": {"x": t}}
+    obj["scripts"].append({"id": "deep", "target": "deep", "depends_on": ["ax1"], "constants": [],
+                           "hypotheses": [], "steps": [step]})
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
 class TestReplay:
     def test_full_corpus(self):
         result = run_cli("replay")
@@ -106,6 +119,19 @@ class TestReplay:
         path = tmp_path / "corpus.json"
         path.write_bytes(UNREADABLE[kind])
         assert_input_error(run_cli("replay", "--script", str(path)))
+
+    # at 600 arrows the parser reads the term and the kernel's comparisons
+    # run out of stack; at 2,000 the parser refuses it
+    @pytest.mark.parametrize("arrows, emit", [(600, "text"), (600, "json"), (2000, "text")])
+    def test_too_deep_a_term_exits_3(self, tmp_path, corpus_json, arrows, emit):
+        result = run_cli("replay", "--script", write_deep_corpus(tmp_path, corpus_json, arrows), "--emit", emit)
+        assert_input_error(result)
+        assert result.stderr == "error: corpus file is nested too deeply\n"
+
+    def test_show_reads_a_term_too_deep_to_replay(self, tmp_path, corpus_json):
+        result = run_cli("replay", "--script", write_deep_corpus(tmp_path, corpus_json, 600), "--show", "deep")
+        assert result.exit_code == 0
+        assert result.stdout.startswith("script deep  (target deep: 1 -> x -> ")
 
     def test_wrong_typed_field_exits_3(self, tmp_path, corpus_json):
         corpus_json["scripts"][3]["steps"][0]["at"] = ["L"]

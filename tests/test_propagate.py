@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from abeforge import _core, _speed_py
+from abeforge.models import MAX_SIZE
 
 
 def sweep_propagate(t, n, implicative, trail):
@@ -123,6 +124,17 @@ def test_same_fixpoint_one_assignment_at_a_time(n, implicative, data):
                 t[c] = -1
             assert t == before
             ok = True
+
+
+@pytest.mark.parametrize("implicative", [False, True], ids=["aBE", "implicative-aBE"])
+def test_root_propagation_opens_the_off_diagonal_cells_off_the_unit(implicative):
+    # _core._fill fills the cells that the propagated prefill leaves open:
+    # (i, j) with i, j < n - 1 and i != j, for every size the search takes
+    for n in range(1, MAX_SIZE + 1):
+        t = _core._prefill(n)
+        assert _core._propagate(t, n, implicative, [], assigned(t))
+        u = n - 1
+        assert [c for c, v in enumerate(t) if v < 0] == [i * n + j for i in range(u) for j in range(u) if i != j]
 
 
 @pytest.mark.parametrize("search", [_speed_py.search_tables, _core.search_tables], ids=["complete", "core"])
