@@ -160,7 +160,7 @@ def check(model_path, axioms_name, property_id):
     except ValueError as e:
         raise _InputError(e) from None
     prop = None if property_id is None else corpus.statement(property_id)
-    ok, witness = is_model(model, system, corpus.statements)
+    ok, witness = is_model(model, system)
     if not ok:
         out = {"model": "no", "axioms": axioms_name, "failed_axiom": witness.statement_id,
                "witness": _witness_json(witness)}
@@ -217,7 +217,7 @@ def oracle(axioms_name, size):
     corpus = load_corpus(None)
     system = corpus.axiom_system(axioms_name)
     try:
-        labeled, classes = brute_force_models(system, size, corpus.statements)
+        labeled, classes = brute_force_models(system, size)
     except ValueError as e:
         raise _InputError(e) from None
     out = {"axioms": axioms_name, "size": size, "labeled": labeled, "classes": classes}

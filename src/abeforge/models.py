@@ -9,10 +9,10 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from ._record import record
-from .statements import AxiomSystem, Literal, Statement
+from .statements import AxiomSystem, Literal, Statement, clauses_equal, instantiate
 from .terms import Const, Term, Unit, Var
 
 __all__ = [
@@ -60,6 +60,20 @@ class Witness:
 _MAX_LOOPS = 20
 
 
+def _value(t: Term, names: Mapping[str, str], arrow: Callable[[str, str], str]) -> str:
+    """The expression for t's value: "unit", its variable's name in `names`,
+    or what arrow(x, y) makes of an arrow from its operands' expressions,
+    called left operand first, so once per arrow in post-order.  A constant,
+    which no assignment binds, raises ValueError."""
+    if isinstance(t, Unit):
+        return "unit"
+    if isinstance(t, Const):
+        raise ValueError(f"constant {t.name!r} cannot be checked in a model")
+    if isinstance(t, Var):
+        return names[t.name]
+    return arrow(_value(t.left, names, arrow), _value(t.right, names, arrow))
+
+
 def _check_source(literals: Sequence[Literal], names: Sequence[str]) -> str:
     """Source of check(tab, unit, r): one loop per sorted variable name, each
     taking the values in r, that returns the first assignment falsifying the
@@ -75,19 +89,12 @@ def _check_source(literals: Sequence[Literal], names: Sequence[str]) -> str:
     k = len(names)
     if k > _MAX_LOOPS:
         raise ValueError(f"a statement over {k} variables; at most {_MAX_LOOPS} can be checked")
-    index = {name: i for i, name in enumerate(names)}
+    index = {name: f"v{i}" for i, name in enumerate(names)}
     body: list[str] = []
     arrows = 0
 
-    def value(t: Term) -> str:
+    def arrow(x: str, y: str) -> str:
         nonlocal arrows
-        if isinstance(t, Unit):
-            return "unit"
-        if isinstance(t, Const):
-            raise ValueError(f"constant {t.name!r} cannot be checked in a model")
-        if isinstance(t, Var):
-            return f"v{index[t.name]}"
-        x, y = value(t.left), value(t.right)
         arrows += 1
         body.append(f"a{arrows} = tab[{x}][{y}]")
         return f"a{arrows}"
@@ -95,7 +102,7 @@ def _check_source(literals: Sequence[Literal], names: Sequence[str]) -> str:
     nxt = "continue" if k else "return None"
     sides = []
     for lit in literals:
-        x, y = value(lit.lhs), value(lit.rhs)
+        x, y = _value(lit.lhs, index, arrow), _value(lit.rhs, index, arrow)
         body.append(f"if {x} {'==' if lit.positive else '!='} {y}: {nxt}")
         sides.append(f"({x}, {y}), ")
     # reached only when every literal was tested and found false
@@ -134,6 +141,179 @@ def _compile(st: Statement):
     return names, check
 
 
+def _clause(st: Statement):
+    """(variables, arrows, literals, triggers): st's clause form over its
+    variables renamed v0, v1, ... in sorted order and its distinct arrows
+    named a0, a1, ... in post-order, mapped to their operands.  The triggers
+    are the arrows that propagate runs a block for: not one that a swap of
+    two variables mapping the clause onto itself sends to an earlier one,
+    nor the root of an identity side whose other side reads no cell, which
+    the blocks of its inner cells, or with none root(n), settle."""
+    names = sorted(st.free_variables())
+    index = {name: f"v{i}" for i, name in enumerate(names)}
+    pairs: dict[tuple[str, str], str] = {}
+
+    def arrow(x: str, y: str) -> str:
+        return pairs.setdefault((x, y), f"a{len(pairs)}")
+
+    literals = [(_value(lit.lhs, index, arrow), _value(lit.rhs, index, arrow), lit.positive) for lit in st.literals]
+    arrows = {name: pair for pair, name in pairs.items()}
+    triggers = list(arrows)
+    for i, j in itertools.combinations(range(len(names)), 2):
+        if clauses_equal(instantiate(st, {names[i]: Var(names[j]), names[j]: Var(names[i])}), st.literals):
+            image = {f"v{i}": f"v{j}", f"v{j}": f"v{i}"}
+            for name, (x, y) in arrows.items():  # operands before the arrows they build
+                image[name] = pairs[image.get(x, x), image.get(y, y)]
+            triggers = [name for name in triggers if int(image[name][1:]) >= int(name[1:])]
+    if len(literals) == 1 and literals[0][2] and not set(literals[0][:2]) <= arrows.keys():
+        triggers = [name for name in triggers if name not in literals[0][:2]]
+    return list(index.values()), arrows, literals, triggers
+
+
+def _unit_rule(variables: list[str], arrows: dict, literals: list, trigger: Optional[str]) -> tuple[list[str], int]:
+    """(lines, loops): source that applies the unit rule to the instances in
+    which the arrow `trigger` reads the cell (a, b) = v, or to all of them
+    for None, and the loops it nests.  The trigger's operands are bound to
+    a and b; a compound one is matched by looping over its variables, right
+    operand first, where its column holds the value.  The other variables
+    are looped over next, one read only as a row operand over its row's
+    first cell.  An inner cell is read as soon as its operands are bound,
+    and an open one skips the instance.  Root cells are read last, where
+    the literals are decided in order."""
+    inner = {x for pair in arrows.values() for x in pair if x in arrows}
+    values = {y for _, y in arrows.values()} | {z for lit in literals for z in lit[:2]}  # not rows only
+    roots = values & arrows.keys() - inner - {trigger}
+    env = {"unit": "unit", trigger: "v"}  # operand -> its expression, once bound
+    rows = {"a": "an"}  # expression -> the same times n, where the code has it
+    targets: dict[str, str] = {}  # compound operand of the trigger -> its value
+    lines, order, loops = [], [], 0
+
+    def emit(text: str):
+        lines.append("    " * loops + text)
+
+    def skip(condition: str, indent: str = ""):
+        emit(f"{indent}if {condition}: {'continue' if loops else 'break'}")
+
+    def leaves(x: str) -> list[str]:
+        return leaves(arrows[x][1]) + leaves(arrows[x][0]) if x in arrows else [x]
+
+    for operand, target in zip(arrows.get(trigger, ()), "ab"):
+        if operand in env or operand in targets:
+            skip(f"{env.get(operand) or targets[operand]} != {target}")
+        elif operand in arrows:
+            targets[operand], order = target, order + leaves(operand)
+        else:
+            env[operand] = target
+    columns = dict(targets)  # column tests not yet made
+
+    def bind():
+        for name, (x, y) in arrows.items():
+            if name not in env and x in env and y in env:
+                cell = f"{rows.get(env[x], env[x] + ' * n')} + {env[y]}"
+                env[name] = targets.get(name) or (name if name in inner else cell)
+                if name in targets:
+                    skip(f"t[{cell}] != {targets[name]}")
+                elif name in inner:
+                    emit(f"{name} = t[{cell}]")
+                    skip(f"{name} < 0")
+        for name in [x for x in columns if arrows[x][1] in env]:
+            if arrows[name][0] not in env:
+                skip(f"{columns[name]} not in t[{env[arrows[name][1]]}::n]")
+            del columns[name]
+
+    bind()
+    for x in dict.fromkeys(order + variables):
+        if x not in env:
+            emit(f"for {x} in r:" if x in values else f"for {x}n in rows:")
+            rows.update({} if x in values else {x: f"{x}n"})
+            env[x], loops = x, loops + 1
+            bind()
+    # a true literal, a disequation not yet false or a second literal waiting
+    # on a cell skips the instance; w, wv: the cell one waits on, its value
+    nxt, waits, fail = "continue" if loops else "break", False, "return False" if trigger else "return None"
+
+    def assign(cell: str, value: str) -> str:
+        return f"t[{cell}] = {value}; {f'record({cell}); ' if trigger else ''}push({cell})"
+
+    for k, (lhs, rhs, positive) in enumerate(literals):
+        unread = [z for z in (lhs, rhs) if z in roots]
+        for z in unread:
+            emit(f"c{z} = {env[z]}; {z} = t[c{z}]" if positive else f"{z} = t[{env[z]}]")
+        x, y = (z if z in roots else env[z] for z in (lhs, rhs))
+        if not positive or not unread:
+            skip(" or ".join([f"{z} < 0" for z in unread] + [f"{x} != {y}"]) if not positive else f"{x} == {y}")
+            continue
+        if not waits and len(unread) == 1 and k == len(literals) - 1:  # the one literal left, no cell to remember
+            z, known = (x, y) if x in unread else (y, x)
+            emit(f"if {z} < 0: {assign('c' + z, known)}")
+            emit(f"elif {z} != {known}: {fail}")
+            fail = ""
+            break
+        if not waits:
+            emit("w = -1")
+        emit(f"if {' and '.join(f'{z} >= 0' for z in unread)}:")
+        skip(f"{x} == {y}", "    ")
+        if waits:
+            emit(f"elif w >= 0: {nxt}")
+        for z, known in ((y, x), (x, y)):
+            if z in unread:
+                emit(f"elif {known} >= 0: w = c{z}; wv = {known}" if known in unread else f"else: w = c{z}; wv = {known}")
+        if len(unread) == 2:
+            emit(f"else: {nxt}")
+        waits = True
+    if waits:
+        emit(f"if w < 0: {fail}")
+        emit(assign("w", "wv"))
+    elif fail:
+        emit(fail)
+    if any(line.endswith("break") for line in lines):  # a skip outside every loop
+        lines = ["while 1:", *("    " + line for line in lines), "    break"]
+    return lines, loops
+
+
+def _propagator_source(statements: Sequence[Statement]) -> str:
+    """Source of propagate(t, n, trail, queue) and root(n): the unit rule over
+    the ground instances of the statements' clause forms, on a flat
+    row-major table t with -1 for an open cell and the unit at n - 1.  An
+    instance whose literals are all false is a contradiction; one whose only
+    undecided literal is an equation with one side known and the other
+    waiting on its own root cell (operands known, cell open) assigns that
+    cell.  The rule is monotone, so the fixpoint does not depend on the
+    order of the work.  propagate takes each cell (a, b) = v off the queue
+    and runs the block of each trigger reading it, fewest loops first; it
+    trails and queues what it assigns and returns False on contradiction.
+    root(n) applies the rule to every instance of the clauses that read no
+    inner cell, as no other instance can fire before a cell is assigned,
+    then propagates: the table, or None.  A constant, or more than
+    _MAX_LOOPS - 2 nested loops in a block, raise ValueError."""
+    blocks, first = [], []  # (loops, lines) for propagate and for root
+    for st in statements:
+        variables, arrows, literals, triggers = _clause(st)
+        flat = not any(x in arrows for pair in arrows.values() for x in pair)
+        for trigger in triggers + [None] * flat:
+            lines, loops = _unit_rule(variables, arrows, literals, trigger)
+            if loops + 2 > _MAX_LOOPS:  # the queue's loop and a block's wrapper
+                raise ValueError(f"statement {st.id!r} needs more than {_MAX_LOOPS - 2} nested loops to propagate")
+            (blocks if trigger else first).append((loops, lines))
+    blocks.sort(key=lambda block: block[0])
+    prologue = ["    unit = n - 1", "    r = range(n)", "    rows = range(0, n * n, n)", "    push = queue.append"]
+    return "\n".join([
+        "def propagate(t, n, trail, queue):", *prologue, "    record = trail.append", "    while queue:",
+        "        c = queue.pop()", "        a, b = divmod(c, n)", "        an = a * n", "        v = t[c]",
+        *("        " + line for _, lines in blocks for line in lines), "    return True", "", "",
+        "def root(n):", "    queue = []", *prologue, "    t = [-1] * (n * n)",
+        *("    " + line for _, lines in first for line in lines), "    return t if propagate(t, n, [], queue) else None", "",
+    ])
+
+
+@functools.lru_cache(maxsize=16)
+def _propagator(statements: tuple[Statement, ...]):
+    """(propagate, root), compiled from _propagator_source once per tuple."""
+    namespace: dict = {}
+    exec(compile(_propagator_source(statements), "<propagator>", "exec"), namespace)
+    return namespace["propagate"], namespace["root"]
+
+
 def satisfies(model: FiniteAlgebra, st: Statement) -> tuple[bool, Optional[Witness]]:
     """Universal satisfaction of the statement's clause form.
 
@@ -150,12 +330,10 @@ def satisfies(model: FiniteAlgebra, st: Statement) -> tuple[bool, Optional[Witne
     return False, Witness(st.id, dict(zip(names, values)), sides)
 
 
-def is_model(
-    model: FiniteAlgebra, system: AxiomSystem, statements: Mapping[str, Statement]
-) -> tuple[bool, Optional[Witness]]:
+def is_model(model: FiniteAlgebra, system: AxiomSystem) -> tuple[bool, Optional[Witness]]:
     """Check every axiom in order; report the first failure."""
-    for sid in system.members:
-        ok, witness = satisfies(model, statements[sid])
+    for st in system.members:
+        ok, witness = satisfies(model, st)
         if not ok:
             return False, witness
     return True, None

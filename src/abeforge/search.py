@@ -2,7 +2,8 @@
 
 The hot inner loop, the search over partial tables with constraint
 propagation and orderly generation, lives in _core and returns one labeled
-table per isomorphism class; this module canonicalizes and sorts them and
+table per isomorphism class; it propagates the system's own statements, so
+any system searches.  This module canonicalizes and sorts the tables and
 checks properties over them.
 """
 
@@ -42,14 +43,6 @@ def core_name() -> str:
     return "python"
 
 
-def _implicative_flag(system: AxiomSystem) -> bool:
-    if system.name == "aBE":
-        return False
-    if system.name == "implicative-aBE":
-        return True
-    raise ValueError(f"the search core only knows 'aBE' and 'implicative-aBE', not {system.name!r}")
-
-
 def enumerate_with_stats(
     system: AxiomSystem,
     n: int,
@@ -69,7 +62,7 @@ def enumerate_with_stats(
         raise ValueError(f"size must be <= {MAX_SIZE}")
     if node_budget < 0:
         raise ValueError("node budget must be >= 0")
-    tables, nodes, exceeded = _core.search_tables(n, _implicative_flag(system), node_budget)
+    tables, nodes, exceeded = _core.search_tables(n, system.members, node_budget)
     if exceeded:
         return [], nodes, exceeded
     models = [canonicalize(from_flat(flat, n)) for flat in tables]
@@ -77,9 +70,7 @@ def enumerate_with_stats(
     return models, nodes, exceeded
 
 
-def brute_force_models(
-    system: AxiomSystem, n: int, statements
-) -> tuple[int, int]:
+def brute_force_models(system: AxiomSystem, n: int) -> tuple[int, int]:
     """Independent oracle: every table over a fixed unit n-1, filtered by the
     generic satisfaction checker.  Returns (labeled count, iso-class count)."""
     if n < 1:
@@ -90,7 +81,7 @@ def brute_force_models(
     classes: set[bytes] = set()
     for flat in itertools.product(range(n), repeat=n * n):
         model = from_flat(flat, n)
-        ok, _ = is_model(model, system, statements)
+        ok, _ = is_model(model, system)
         if ok:
             labeled += 1
             classes.add(canonical_form(model))

@@ -64,7 +64,7 @@ class Statement:
 @record
 class AxiomSystem:
     name: str
-    members: tuple[str, ...]
+    members: tuple[Statement, ...]  # the axioms, resolved from their ids as the corpus loads
 
 
 def instantiate(st: Statement, s: Substitution) -> tuple[Literal, ...]:

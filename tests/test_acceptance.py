@@ -425,7 +425,7 @@ def test_criterion_5_oracle_equivalence(corpus):
     for name in ("aBE", "implicative-aBE"):
         system = corpus.axiom_system(name)
         for n in (1, 2, 3):
-            _, classes = brute_force_models(system, n, corpus.statements)
+            _, classes = brute_force_models(system, n)
             enumerated = len(enumerate_with_stats(system, n)[0])
             if classes != enumerated:
                 mismatches.append((name, n, classes, enumerated))
@@ -482,7 +482,7 @@ def test_criterion_5d_complexes_past_the_search(corpus, complexes):
     commutativity = corpus.statement("commutativity")
     algebras = [complex_algebra(c) for n in range(1, 10) for c in complexes[n - 1]]
     failing = [
-        m.table for m in algebras if not (is_model(m, system, corpus.statements)[0] and satisfies(m, commutativity)[0])
+        m.table for m in algebras if not (is_model(m, system)[0] and satisfies(m, commutativity)[0])
     ]
     counts = {n: len(complexes[n - 1]) for n in COMPLEX_CLASSES}
     _verdict(
@@ -591,7 +591,7 @@ def test_criterion_6d_implicative_abe_is_tarski(abe_classes):
     # class of size at most 5 is a Tarski model exactly when it is an
     # implicative-aBE model.
     merged = corpus_from_json(with_corollaries())
-    tarski = merged.axiom_system("Tarski").members
+    tarski = tuple(st.id for st in merged.axiom_system("Tarski").members)
     closures = axiom_closures(merged, tarski)
     outside = {sid: axioms for sid, axioms in closures.items() if not axioms <= set(tarski)}
     ax6 = merged.statement("ax6")

@@ -68,8 +68,9 @@ def test_info_functions_read_real_calls(corpus):
 
     # an aBE model that is not commutative
     model = FiniteAlgebra(3, 2, ((2, 1, 2), (2, 2, 2), (0, 1, 2)))
-    nodes = search._core.search_tables(4, True)[1]
-    assert info("abeforge.search", "_core.search_tables", 4, True) == [nodes, 2]
+    axioms = corpus.axiom_system("implicative-aBE").members
+    nodes = search._core.search_tables(4, axioms)[1]
+    assert info("abeforge.search", "_core.search_tables", 4, axioms) == [nodes, 2]
     assert info("abeforge.search", "canonical_form", model) == 3
     assert info("abeforge.search", "canonicalize", model) == 3
     assert info("abeforge.search", "satisfies", model, corpus.statement("ax1")) == 0

@@ -30,7 +30,7 @@ from reference import orbit_sum, reference_canonical
 def reference_enumerate(system, n):
     """The per-table filter: every labeled table of the complete search that
     equals its canonical form, ascending."""
-    tables, _, _ = _speed_py.search_tables(n, search._implicative_flag(system))
+    tables, _, _ = _speed_py.search_tables(n, system.name == "implicative-aBE")
     survivors = []
     for flat in tables:
         model = from_flat(flat, n)
@@ -76,10 +76,10 @@ def test_relabeling_table_contract(n):
 
 
 @pytest.mark.parametrize("name, max_size", [("aBE", 4), ("implicative-aBE", 8)])
-def test_agrees_with_scan_on_every_labeled_table(name, max_size):
-    implicative = name == "implicative-aBE"
+def test_agrees_with_scan_on_every_labeled_table(corpus, name, max_size):
+    axioms = corpus.axiom_system(name).members
     for n in range(1, max_size + 1):
-        tables, _, _ = search._core.search_tables(n, implicative)
+        tables, _, _ = search._core.search_tables(n, axioms)
         for flat in tables:
             assert_matches_reference(from_flat(flat, n))
 
@@ -104,11 +104,11 @@ def test_independent_search_agrees(corpus, name, max_size, axioms):
     # that ax1 and ax2 follow from, give the complete search's labeled
     # tables, and their classes are the enumerator's.
     system = corpus.axiom_system(name)
-    statements = [corpus.statement(sid) for sid in axioms or system.members]
+    statements = tuple(map(corpus.statement, axioms)) if axioms else system.members
     for n in range(1, max_size + 1):
         tables = ground_search(statements, n)
         assert len(set(tables)) == len(tables), n
-        assert set(tables) == set(_speed_py.search_tables(n, search._implicative_flag(system))[0]), n
+        assert set(tables) == set(_speed_py.search_tables(n, system.name == "implicative-aBE")[0]), n
         classes = {canonical_form(from_flat(t, n)) for t in tables}
         assert classes == {canonical_form(m) for m in enumerate_with_stats(system, n)[0]}, n
 
@@ -119,7 +119,7 @@ def test_orbit_counting_identity(corpus, name, max_size):
     # complete search.
     system = corpus.axiom_system(name)
     for n in range(1, max_size + 1):
-        tables, _, _ = _speed_py.search_tables(n, search._implicative_flag(system))
+        tables, _, _ = _speed_py.search_tables(n, system.name == "implicative-aBE")
         models, _, _ = enumerate_with_stats(system, n)
         assert orbit_sum(models) == len(tables), n
         if (name, n) in COMPLETE_LABELED:
@@ -151,7 +151,7 @@ def test_enumerator_matches_per_table_filter(corpus, name, max_size):
 def test_orbit_counting_identity_catches_a_lost_class(corpus, monkeypatch):
     n = 4
     core_search = search._core.search_tables
-    tables, _, _ = core_search(n, False)
+    tables, _, _ = core_search(n, corpus.axiom_system("aBE").members)
     # a table that no other table of the core's output is isomorphic to, so
     # that dropping it drops its class
     classes = Counter(canonical_form(from_flat(t, n)) for t in tables)
@@ -180,12 +180,12 @@ def test_core_returns_distinct_models(corpus, name, max_size):
     # its orbit in the order the core fills the cells
     system = corpus.axiom_system(name)
     for n in range(1, max_size + 1):
-        tables, _, _ = search._core.search_tables(n, search._implicative_flag(system))
+        tables, _, _ = search._core.search_tables(n, system.members)
         assert len(set(tables)) == len(tables), n
         assert len({canonical_form(from_flat(flat, n)) for flat in tables}) == len(tables), n
         for flat in tables:
             model = from_flat(flat, n)
-            ok, _ = is_model(model, system, corpus.statements)
+            ok, _ = is_model(model, system)
             assert ok, (n, flat)
             least = min(cell_order_key(table, n) for table in relabelings(model))
             assert cell_order_key(flat, n) == least, (n, flat)

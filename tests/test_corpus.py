@@ -28,9 +28,9 @@ def test_registry_counts(corpus):
 
 
 def test_axiom_systems(corpus):
-    assert corpus.axiom_system("aBE").members == ("ax1", "ax2", "ax3", "ax4", "ax5")
-    assert corpus.axiom_system("implicative-aBE").members == (
-        "ax1", "ax2", "ax3", "ax4", "ax5", "ax6",
+    assert corpus.axiom_system("aBE").members == tuple(map(corpus.statement, ("ax1", "ax2", "ax3", "ax4", "ax5")))
+    assert corpus.axiom_system("implicative-aBE").members == tuple(
+        map(corpus.statement, ("ax1", "ax2", "ax3", "ax4", "ax5", "ax6"))
     )
     with pytest.raises(CorpusError):
         corpus.axiom_system("nosuch")
@@ -60,7 +60,7 @@ def test_every_script_reference_resolves(corpus):
 
 
 def test_dependency_order(corpus):
-    proved = set(corpus.axiom_system("implicative-aBE").members)
+    proved = {st.id for st in corpus.axiom_system("implicative-aBE").members}
     for script in corpus.scripts:
         assert set(script.depends_on) <= proved | {script.target}
         proved.add(script.target)

@@ -280,17 +280,17 @@ class TestHornAtSizeTwo:
 
 class TestIsModel:
     def test_m2_is_implicative_abe(self, corpus):
-        ok, _ = is_model(M2, corpus.axiom_system("implicative-aBE"), corpus.statements)
+        ok, _ = is_model(M2, corpus.axiom_system("implicative-aBE"))
         assert ok
 
     def test_broken_unit_row_fails_at_ax1(self, corpus):
         broken = FiniteAlgebra(2, 1, ((1, 1), (1, 1)))
-        ok, witness = is_model(broken, corpus.axiom_system("aBE"), corpus.statements)
+        ok, witness = is_model(broken, corpus.axiom_system("aBE"))
         assert not ok
         assert witness.statement_id == "ax1"
 
     def test_trivial_algebra(self, corpus):
-        ok, _ = is_model(TRIVIAL, corpus.axiom_system("implicative-aBE"), corpus.statements)
+        ok, _ = is_model(TRIVIAL, corpus.axiom_system("implicative-aBE"))
         assert ok
 
 

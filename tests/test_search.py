@@ -1,8 +1,9 @@
-import re
+import ast
 
 import pytest
 
-from abeforge import search
+from abeforge import _core, models, search
+from abeforge.corpus import corpus_from_json
 from abeforge.models import MAX_SIZE, canonical_form, canonicalize, is_model
 from abeforge.search import (
     brute_force_models,
@@ -12,6 +13,9 @@ from abeforge.search import (
     first_counterexample,
 )
 from abeforge.statements import AxiomSystem
+from conftest import BASIS, SRC, with_corollaries
+
+TARSKI = ("ax3", "ax4", "ax6", "commutativity")
 
 # Counts pinned by the brute-force oracle (n <= 3) and by double-run
 # reproducibility (n >= 4); see the acceptance suite for the cross-checks.
@@ -28,6 +32,11 @@ CORE_NODES = {
     "implicative-aBE": {1: 0, 2: 0, 3: 6, 4: 32, 5: 155, 6: 456, 7: 1211, 8: 3280},
     "aBE": {1: 0, 2: 0, 3: 9, 4: 208, 5: 4985},
 }
+
+
+@pytest.fixture(scope="module")
+def merged():
+    return corpus_from_json(with_corollaries())
 
 
 class TestEnumerate:
@@ -53,7 +62,7 @@ class TestEnumerate:
         seen = set()
         for n in (3, 4):
             for model in enumerate_with_stats(system, n)[0]:
-                ok, _ = is_model(model, system, corpus.statements)
+                ok, _ = is_model(model, system)
                 assert ok
                 assert canonicalize(model) == model
                 key = canonical_form(model)
@@ -70,11 +79,6 @@ class TestEnumerate:
         a = enumerate_with_stats(system, 5)[0]
         b = enumerate_with_stats(system, 5)[0]
         assert a == b
-
-    def test_unknown_system_rejected(self, corpus):
-        message = "the search core only knows 'aBE' and 'implicative-aBE', not 'weird'"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            enumerate_with_stats(AxiomSystem("weird", ("ax1",)), 2)
 
     def test_budget_exceeded_flag(self, corpus):
         system = corpus.axiom_system("aBE")
@@ -99,10 +103,57 @@ class TestCoreTwins:
 
 class TestCoreNodes:
     @pytest.mark.parametrize("name", ["aBE", "implicative-aBE"])
-    def test_node_counts(self, name):
-        implicative = name == "implicative-aBE"
-        got = {n: search._core.search_tables(n, implicative)[1] for n in CORE_NODES[name]}
+    def test_node_counts(self, corpus, name):
+        axioms = corpus.axiom_system(name).members
+        got = {n: search._core.search_tables(n, axioms)[1] for n in CORE_NODES[name]}
         assert got == CORE_NODES[name]
+
+
+class TestAnySystem:
+    """The core propagates whatever statements a system holds."""
+
+    @pytest.mark.parametrize("system", [TARSKI, BASIS], ids=["Tarski", "basis"])
+    def test_the_chain_through_the_core(self, merged, system):
+        # every implicative aBE algebra is a Tarski algebra, and the basis
+        # {ax3, ax4, ax5, ax6} defines the same class: the same canonical
+        # classes at every size
+        implicative = merged.axiom_system("implicative-aBE")
+        axioms = AxiomSystem("", tuple(map(merged.statement, system)))
+        for n in range(1, 9):
+            assert enumerate_with_stats(axioms, n)[0] == enumerate_with_stats(implicative, n)[0], n
+
+    @pytest.mark.parametrize("system", [("ax1",), TARSKI, BASIS], ids=["ax1", "Tarski", "basis"])
+    def test_counts_equal_the_oracle(self, merged, system):
+        axioms = AxiomSystem("", tuple(map(merged.statement, system)))
+        for n in (1, 2, 3):
+            labeled, classes = brute_force_models(axioms, n)
+            assert len(_core._fill(n, axioms.members, range(n * n), ())[0]) == labeled, n
+            assert len(enumerate_with_stats(axioms, n)[0]) == classes, n
+            if system == ("ax1",) and n == 3:
+                assert (labeled, classes) == (729, 378)
+
+    def test_the_propagator_is_compiled_once_per_axiom_tuple(self, corpus, monkeypatch):
+        compiled = []
+        source = models._propagator_source
+        monkeypatch.setattr(models, "_propagator_source", lambda statements: compiled.append(statements) or source(statements))
+        models._propagator.cache_clear()
+        system = corpus.axiom_system("implicative-aBE")
+        for _ in enumerate_sizes(system, 7, 0):
+            pass
+        assert compiled == [system.members]
+
+    def test_only_the_complete_search_names_a_system(self, merged):
+        # the package reads a system's axioms from its statements; only
+        # _speed_py maps its flag to a built-in system
+        names = set(merged.axiom_systems)
+        found = [
+            (path.name, node.value)
+            for path in sorted((SRC / "abeforge").glob("*.py"))
+            if path.name != "_speed_py.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Constant) and node.value in names
+        ]
+        assert names >= {"aBE", "implicative-aBE", "Tarski"} and found == []
 
 
 class TestBruteForce:
@@ -110,13 +161,13 @@ class TestBruteForce:
     def test_labeled_and_class_counts(self, corpus, name):
         system = corpus.axiom_system(name)
         for n in (1, 2, 3):
-            labeled, classes = brute_force_models(system, n, corpus.statements)
+            labeled, classes = brute_force_models(system, n)
             assert labeled == GOLDEN_LABELED[name][n]
             assert classes == GOLDEN_CLASSES[name][n]
 
     def test_size_bound_refusal(self, corpus):
         with pytest.raises(ValueError, match="brute force is capped at size 3, got 4"):
-            brute_force_models(corpus.axiom_system("aBE"), 4, corpus.statements)
+            brute_force_models(corpus.axiom_system("aBE"), 4)
 
 
 class TestReport:
