@@ -86,9 +86,6 @@ def load_corpus(path: str | None = None) -> Corpus:
 
 
 def _validate(corpus: Corpus):
-    for sid in AXIOM_IDS:
-        if sid not in corpus.statements:
-            raise CorpusError(f"missing axiom {sid!r}")
     seen: set[str] = set(AXIOM_IDS)
     script_ids: set[str] = set()
     for script in corpus.scripts:
@@ -238,13 +235,6 @@ def _script_from_json(obj: dict) -> ProofScript:
         raise CorpusError(f"bad script object: {e}") from e
 
 
-def _members(statements: Mapping[str, Statement], name: str, ids: tuple[str, ...]) -> tuple[Statement, ...]:
-    for sid in ids:
-        if sid not in statements:
-            raise CorpusError(f"axiom system {name!r} references unknown id {sid!r}")
-    return tuple(statements[sid] for sid in ids)
-
-
 def corpus_from_json(obj: dict) -> Corpus:
     """The corpus a parsed file describes.  Every field is type-checked here,
     so a corpus that loads replays to a verdict; anything else raises
@@ -257,8 +247,17 @@ def corpus_from_json(obj: dict) -> Corpus:
             raise CorpusError(f"duplicate statement id {st.id!r}")
         statements[st.id] = st
     members = _get(obj, "axiom_systems", dict, {})
-    systems = {name: AxiomSystem(name, _members(statements, name, _strings(members, name))) for name in members}
-    corpus = Corpus(statements, systems, tuple(_script_from_json(s) for s in _objects(obj, "scripts", [])))
+    ids = {name: _strings(members, name) for name in members}
+    scripts = tuple(_script_from_json(s) for s in _objects(obj, "scripts", []))
+    for sid in AXIOM_IDS:
+        if sid not in statements:
+            raise CorpusError(f"missing axiom {sid!r}")
+    for name, sids in ids.items():
+        for sid in sids:
+            if sid not in statements:
+                raise CorpusError(f"axiom system {name!r} references unknown id {sid!r}")
+    systems = {name: AxiomSystem(name, tuple(statements[sid] for sid in sids)) for name, sids in ids.items()}
+    corpus = Corpus(statements, systems, scripts)
     _validate(corpus)
     return corpus
 

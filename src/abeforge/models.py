@@ -141,14 +141,20 @@ def _compile(st: Statement):
     return names, check
 
 
-def _clause(st: Statement):
-    """(variables, arrows, literals, triggers): st's clause form over its
-    variables renamed v0, v1, ... in sorted order and its distinct arrows
-    named a0, a1, ... in post-order, mapped to their operands.  The triggers
-    are the arrows that propagate runs a block for: not one that a swap of
-    two variables mapping the clause onto itself sends to an earlier one,
-    nor the root of an identity side whose other side reads no cell, which
-    the blocks of its inner cells, or with none root(n), settle."""
+def _blocks(st: Statement) -> Iterator[tuple[Optional[str], int, list[str]]]:
+    """(trigger, loops, lines) per block that applies the unit rule to the
+    instances of st's clause form in which the arrow `trigger` reads the
+    cell (a, b) = v, and, if st reads no inner cell, with trigger None to
+    all of them.  Variables are v0, v1, ... in sorted order and distinct
+    arrows a0, a1, ... in post-order.  A compound trigger operand is
+    matched by looping over its variables, right operand first, where its
+    column holds the value; a variable read only as a row is looped over
+    its rows' first cells.  An open inner cell skips the instance; root
+    cells are read as the literals are decided.  No block runs for an arrow
+    that a variable swap mapping the clause onto itself sends to an earlier
+    one, nor for the root of an identity side whose other side reads no
+    cell, which the blocks of its inner cells, or the one with trigger
+    None, settle."""
     names = sorted(st.free_variables())
     index = {name: f"v{i}" for i, name in enumerate(names)}
     pairs: dict[tuple[str, str], str] = {}
@@ -158,6 +164,8 @@ def _clause(st: Statement):
 
     literals = [(_value(lit.lhs, index, arrow), _value(lit.rhs, index, arrow), lit.positive) for lit in st.literals]
     arrows = {name: pair for pair, name in pairs.items()}
+    inner = {x for pair in arrows.values() for x in pair if x in arrows}
+    values = {y for _, y in arrows.values()} | {z for lit in literals for z in lit[:2]}  # not rows only
     triggers = list(arrows)
     for i, j in itertools.combinations(range(len(names)), 2):
         if clauses_equal(instantiate(st, {names[i]: Var(names[j]), names[j]: Var(names[i])}), st.literals):
@@ -167,143 +175,102 @@ def _clause(st: Statement):
             triggers = [name for name in triggers if int(image[name][1:]) >= int(name[1:])]
     if len(literals) == 1 and literals[0][2] and not set(literals[0][:2]) <= arrows.keys():
         triggers = [name for name in triggers if name not in literals[0][:2]]
-    return list(index.values()), arrows, literals, triggers
+    for trigger in triggers + [None] * (not inner):
+        roots = arrows.keys() - inner - {trigger}
+        env = {"unit": "unit", trigger: "v"}  # operand -> its expression, once bound
+        rows = {"a": "an"}  # expression -> the same times n, where the code has it
+        targets: dict[str, str] = {}  # compound operand of the trigger -> its value
+        lines, order, loops = [], [], 0
 
+        def emit(text: str):
+            lines.append("    " * loops + text)
 
-def _unit_rule(variables: list[str], arrows: dict, literals: list, trigger: Optional[str]) -> tuple[list[str], int]:
-    """(lines, loops): source that applies the unit rule to the instances in
-    which the arrow `trigger` reads the cell (a, b) = v, or to all of them
-    for None, and the loops it nests.  The trigger's operands are bound to
-    a and b; a compound one is matched by looping over its variables, right
-    operand first, where its column holds the value.  The other variables
-    are looped over next, one read only as a row operand over its row's
-    first cell.  An inner cell is read as soon as its operands are bound,
-    and an open one skips the instance.  Root cells are read last, where
-    the literals are decided in order."""
-    inner = {x for pair in arrows.values() for x in pair if x in arrows}
-    values = {y for _, y in arrows.values()} | {z for lit in literals for z in lit[:2]}  # not rows only
-    roots = values & arrows.keys() - inner - {trigger}
-    env = {"unit": "unit", trigger: "v"}  # operand -> its expression, once bound
-    rows = {"a": "an"}  # expression -> the same times n, where the code has it
-    targets: dict[str, str] = {}  # compound operand of the trigger -> its value
-    lines, order, loops = [], [], 0
+        def skip(condition: str):
+            emit(f"if {condition}: {'continue' if loops else 'break'}")
 
-    def emit(text: str):
-        lines.append("    " * loops + text)
+        def leaves(x: str) -> list[str]:
+            return leaves(arrows[x][1]) + leaves(arrows[x][0]) if x in arrows else [x]
 
-    def skip(condition: str, indent: str = ""):
-        emit(f"{indent}if {condition}: {'continue' if loops else 'break'}")
+        def bind():
+            for name, (x, y) in arrows.items():
+                if name not in env and x in env and y in env:
+                    cell = f"{rows.get(env[x], env[x] + ' * n')} + {env[y]}"
+                    env[name] = targets.get(name) or (name if name in inner else cell)
+                    if name in targets:
+                        skip(f"t[{cell}] != {targets[name]}")
+                    elif name in inner:
+                        skip(f"({name} := t[{cell}]) < 0")
+            for name in [x for x in columns if arrows[x][1] in env]:
+                if arrows[name][0] not in env:
+                    skip(f"{columns[name]} not in t[{env[arrows[name][1]]}::n]")
+                del columns[name]
 
-    def leaves(x: str) -> list[str]:
-        return leaves(arrows[x][1]) + leaves(arrows[x][0]) if x in arrows else [x]
-
-    for operand, target in zip(arrows.get(trigger, ()), "ab"):
-        if operand in env or operand in targets:
-            skip(f"{env.get(operand) or targets[operand]} != {target}")
-        elif operand in arrows:
-            targets[operand], order = target, order + leaves(operand)
-        else:
-            env[operand] = target
-    columns = dict(targets)  # column tests not yet made
-
-    def bind():
-        for name, (x, y) in arrows.items():
-            if name not in env and x in env and y in env:
-                cell = f"{rows.get(env[x], env[x] + ' * n')} + {env[y]}"
-                env[name] = targets.get(name) or (name if name in inner else cell)
-                if name in targets:
-                    skip(f"t[{cell}] != {targets[name]}")
-                elif name in inner:
-                    emit(f"{name} = t[{cell}]")
-                    skip(f"{name} < 0")
-        for name in [x for x in columns if arrows[x][1] in env]:
-            if arrows[name][0] not in env:
-                skip(f"{columns[name]} not in t[{env[arrows[name][1]]}::n]")
-            del columns[name]
-
-    bind()
-    for x in dict.fromkeys(order + variables):
-        if x not in env:
-            emit(f"for {x} in r:" if x in values else f"for {x}n in rows:")
-            rows.update({} if x in values else {x: f"{x}n"})
-            env[x], loops = x, loops + 1
-            bind()
-    # a true literal, a disequation not yet false or a second literal waiting
-    # on a cell skips the instance; w, wv: the cell one waits on, its value
-    nxt, waits, fail = "continue" if loops else "break", False, "return False" if trigger else "return None"
-
-    def assign(cell: str, value: str) -> str:
-        return f"t[{cell}] = {value}; {f'record({cell}); ' if trigger else ''}push({cell})"
-
-    for k, (lhs, rhs, positive) in enumerate(literals):
-        unread = [z for z in (lhs, rhs) if z in roots]
-        for z in unread:
-            emit(f"c{z} = {env[z]}; {z} = t[c{z}]" if positive else f"{z} = t[{env[z]}]")
-        x, y = (z if z in roots else env[z] for z in (lhs, rhs))
-        if not positive or not unread:
+        for operand, target in zip(arrows.get(trigger, ()), "ab"):
+            if operand in env or operand in targets:
+                skip(f"{env.get(operand) or targets[operand]} != {target}")
+            elif operand in arrows:
+                targets[operand], order = target, order + leaves(operand)
+            else:
+                env[operand] = target
+        columns = dict(targets)  # column tests not yet made
+        bind()
+        for x in dict.fromkeys([*order, *index.values()]):
+            if x not in env:
+                emit(f"for {x} in r:" if x in values else f"for {x}n in rows:")
+                rows.update({} if x in values else {x: f"{x}n"})
+                env[x], loops = x, loops + 1
+                bind()
+        if loops + 2 > _MAX_LOOPS:  # the queue's loop and a block's wrapper
+            raise ValueError(f"statement {st.id!r} needs more than {_MAX_LOOPS - 2} nested loops to propagate")
+        # a disequation not yet false, a true equation, one with both sides
+        # open or a second one waiting on a cell skips the instance; w, wv:
+        # the cell an equation waits on and its value
+        waits = False
+        for lhs, rhs, positive in literals:
+            unread = [z for z in (lhs, rhs) if z in roots]
+            for z in unread:
+                emit(f"c{z} = {env[z]}; {z} = t[c{z}]" if positive else f"{z} = t[{env[z]}]")
+            x, y = (z if z in roots else env[z] for z in (lhs, rhs))
             skip(" or ".join([f"{z} < 0" for z in unread] + [f"{x} != {y}"]) if not positive else f"{x} == {y}")
-            continue
-        if not waits and len(unread) == 1 and k == len(literals) - 1:  # the one literal left, no cell to remember
-            z, known = (x, y) if x in unread else (y, x)
-            emit(f"if {z} < 0: {assign('c' + z, known)}")
-            emit(f"elif {z} != {known}: {fail}")
-            fail = ""
-            break
-        if not waits:
-            emit("w = -1")
-        emit(f"if {' and '.join(f'{z} >= 0' for z in unread)}:")
-        skip(f"{x} == {y}", "    ")
+            if positive and unread:
+                if waits:
+                    skip(f"w >= 0 and ({' or '.join(f'{z} < 0' for z in unread)})")
+                else:
+                    emit("w = -1")
+                for i, z in enumerate(unread):
+                    emit(f"{'elif' if i else 'if'} {z} < 0: w = c{z}; wv = {y if z == x else x}")
+                waits = True
+        fail = "return False" if trigger else "return None"
         if waits:
-            emit(f"elif w >= 0: {nxt}")
-        for z, known in ((y, x), (x, y)):
-            if z in unread:
-                emit(f"elif {known} >= 0: w = c{z}; wv = {known}" if known in unread else f"else: w = c{z}; wv = {known}")
-        if len(unread) == 2:
-            emit(f"else: {nxt}")
-        waits = True
-    if waits:
-        emit(f"if w < 0: {fail}")
-        emit(assign("w", "wv"))
-    elif fail:
-        emit(fail)
-    if any(line.endswith("break") for line in lines):  # a skip outside every loop
-        lines = ["while 1:", *("    " + line for line in lines), "    break"]
-    return lines, loops
+            emit(f"if w < 0: {fail}")
+            emit("t[w] = wv; record(w); push(w)")
+        else:
+            emit(fail)
+        if any(line.endswith("break") for line in lines):  # a skip outside every loop
+            lines = ["while 1:", *("    " + line for line in lines), "    break"]
+        yield trigger, loops, lines
 
 
 def _propagator_source(statements: Sequence[Statement]) -> str:
     """Source of propagate(t, n, trail, queue) and root(n): the unit rule over
-    the ground instances of the statements' clause forms, on a flat
-    row-major table t with -1 for an open cell and the unit at n - 1.  An
-    instance whose literals are all false is a contradiction; one whose only
-    undecided literal is an equation with one side known and the other
-    waiting on its own root cell (operands known, cell open) assigns that
-    cell.  The rule is monotone, so the fixpoint does not depend on the
-    order of the work.  propagate takes each cell (a, b) = v off the queue
-    and runs the block of each trigger reading it, fewest loops first; it
-    trails and queues what it assigns and returns False on contradiction.
-    root(n) applies the rule to every instance of the clauses that read no
-    inner cell, as no other instance can fire before a cell is assigned,
-    then propagates: the table, or None.  A constant, or more than
-    _MAX_LOOPS - 2 nested loops in a block, raise ValueError."""
-    blocks, first = [], []  # (loops, lines) for propagate and for root
-    for st in statements:
-        variables, arrows, literals, triggers = _clause(st)
-        flat = not any(x in arrows for pair in arrows.values() for x in pair)
-        for trigger in triggers + [None] * flat:
-            lines, loops = _unit_rule(variables, arrows, literals, trigger)
-            if loops + 2 > _MAX_LOOPS:  # the queue's loop and a block's wrapper
-                raise ValueError(f"statement {st.id!r} needs more than {_MAX_LOOPS - 2} nested loops to propagate")
-            (blocks if trigger else first).append((loops, lines))
-    blocks.sort(key=lambda block: block[0])
-    prologue = ["    unit = n - 1", "    r = range(n)", "    rows = range(0, n * n, n)", "    push = queue.append"]
-    return "\n".join([
-        "def propagate(t, n, trail, queue):", *prologue, "    record = trail.append", "    while queue:",
-        "        c = queue.pop()", "        a, b = divmod(c, n)", "        an = a * n", "        v = t[c]",
-        *("        " + line for _, lines in blocks for line in lines), "    return True", "", "",
-        "def root(n):", "    queue = []", *prologue, "    t = [-1] * (n * n)",
-        *("    " + line for _, lines in first for line in lines), "    return t if propagate(t, n, [], queue) else None", "",
-    ])
+    the ground instances of the statements' clause forms on a flat row-major
+    table t, -1 for an open cell, unit n - 1.  An instance whose literals are
+    all false is a contradiction; one whose only undecided literal is an
+    equation with one side known and the other waiting on its own root cell
+    (operands known, cell open) assigns that cell.  The rule is monotone, so
+    the order of the work does not change the fixpoint.  propagate runs the
+    blocks reading each cell off the queue, fewest loops first, trails and
+    queues what it assigns, and returns False on contradiction.  root(n)
+    applies the rule to every instance of the statements that read no inner
+    cell, as no other can fire on an empty table, then propagates: the
+    table, or None."""
+    blocks = sorted((block for st in statements for block in _blocks(st)), key=lambda block: block[1])
+    prologue = ["unit = n - 1", "r = range(n)", "rows = range(0, n * n, n)", "push = queue.append", "record = trail.append"]
+    head = ["while queue:", "    c = queue.pop()", "    a, b = divmod(c, n)", "    an = a * n", "    v = t[c]"]
+    propagate = [*prologue, *head, *("    " + x for a, _, lines in blocks if a for x in lines), "return True"]
+    root = ["queue, trail = [], []", *prologue, "t = [-1] * (n * n)", *(x for a, _, lines in blocks if not a for x in lines)]
+    root.append("return t if propagate(t, n, trail, queue) else None")
+    return "def propagate(t, n, trail, queue):\n    " + "\n    ".join(propagate) + "\n\n\ndef root(n):\n    " + "\n    ".join(root) + "\n"
 
 
 @functools.lru_cache(maxsize=16)

@@ -139,9 +139,12 @@ class TestReplay:
         path.write_text(json.dumps(corpus_json))
         assert_input_error(run_cli("replay", "--script", str(path)))
 
-    @pytest.mark.parametrize("case", ["empty", "no-ax6"])
+    @pytest.mark.parametrize("case", ["empty", "no-ax6", "ax6-still-a-member"])
     def test_file_missing_an_axiom_exits_3(self, tmp_path, corpus_json, case):
-        obj, missing = ({}, "ax1") if case == "empty" else (without_ax6(corpus_json), "ax6")
+        # a system that still lists the missing axiom does not change the message
+        obj, missing = ({}, "ax1") if case == "empty" else (without_ax6(copy.deepcopy(corpus_json)), "ax6")
+        if case == "ax6-still-a-member":
+            obj["axiom_systems"] = corpus_json["axiom_systems"]
         path = tmp_path / "corpus.json"
         path.write_text(json.dumps(obj))
         result = run_cli("replay", "--script", str(path))
