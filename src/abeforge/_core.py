@@ -8,8 +8,9 @@ fixed unit, exactly one table isomorphic to it, with the number of nodes it
 tried.  Propagation is the unit rule over the statements' ground instances,
 compiled by models._propagator; it rechecks only the instances of the
 cells assigned since the last fixpoint.  _fill, the one depth-first fill,
-finds its open cells and builds its prefix-test entries; _speed_py runs it
-row-major with no relabelings.
+finds its open cells and builds its prefix-test entries.  Run row-major
+with no relabelings it is the complete search, which the tests check
+against tests/ground_search.py: the same tables, in order, and node counts.
 The prefix test reads the unit-fixing relabelings from
 models.relabeling_table, the one table that the canonical form relabels by.
 """

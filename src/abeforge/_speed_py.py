@@ -2,11 +2,11 @@
 with no relabelings to cut by; the fill finds the open cells itself.
 
 It returns every labeled table over the fixed unit, a set closed under the
-relabelings that fix the unit.  The package does not run it: it is the
-reference that the tests (the orbit-counting identity, the per-table filter,
-the propagator's sweep reference) and the benchmark's parity gate use, until
-ROADMAP item 1(b) moves it into tests/.  Its flag is the one place that
-picks a system by name.
+relabelings that fix the unit.  The package does not run it, and of the
+tests only the benchmark's contract imports it: the benchmark's parity gate
+compares it with the compiled core.  The tests take labeled tables from
+tests/ground_search.py, so ROADMAP item 1(b) deletes this file.  Its flag
+is the one place that picks a system by name.
 """
 
 from __future__ import annotations

@@ -95,7 +95,8 @@ def replay(script_path, show_id, emit):
     try:
         report = verify_corpus(corpus)
     except RecursionError:
-        # the parser takes terms deeper than the kernel's comparisons can recurse
+        # a script's substitutions can nest terms deeper than the parser takes
+        # and the kernel's comparisons can recurse
         raise _InputError("corpus file is nested too deeply") from None
     verified = sum(1 for _, status in report if status == "verified")
     scripts = [{"id": sid, "status": status} for sid, status in report]

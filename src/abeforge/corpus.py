@@ -81,7 +81,8 @@ def load_corpus(path: str | None = None) -> Corpus:
     except (OSError, ValueError) as e:  # a ValueError: bad UTF-8, bad JSON, an over-long integer
         raise CorpusError(f"cannot read corpus file: {e}") from e
     except RecursionError as e:
-        # the JSON decoder and the term parser recurse once per level
+        # the JSON decoder recurses once per level; the term parser refuses
+        # a term past terms.MAX_DEPTH the same way
         raise CorpusError("corpus file is nested too deeply") from e
 
 

@@ -30,6 +30,10 @@ __all__ = [
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
+# The deepest nest of arrows and parentheses parse_term takes: one the
+# kernel's recursive comparisons replay with room to spare.
+MAX_DEPTH = 256
+
 Substitution = Mapping[str, "Term"]
 
 
@@ -103,6 +107,8 @@ def parse_term(text: str, constants: Iterable[str] = ()) -> Term:
     """Parse the concrete syntax.  '->' is right-associative.
 
     Names listed in `constants` parse to Const nodes; everything else to Var.
+    A term nesting arrows and parentheses deeper than MAX_DEPTH raises
+    RecursionError, as the kernel would on replaying it.
     """
     const_set = frozenset(constants)
     if "1" in const_set:
@@ -113,22 +119,25 @@ def parse_term(text: str, constants: Iterable[str] = ()) -> Term:
     def peek():
         return tokens[idx][0] if idx < len(tokens) else None
 
-    def parse_expr() -> Term:
+    def parse_expr(depth: int) -> Term:
         nonlocal idx
-        left = parse_atom()
+        if depth > MAX_DEPTH:
+            # the refusal that a deeper recursion would end in, only sooner
+            raise RecursionError(f"a term nests deeper than {MAX_DEPTH}")
+        left = parse_atom(depth)
         if peek() == "->":
             idx += 1
-            return Arrow(left, parse_expr())
+            return Arrow(left, parse_expr(depth + 1))
         return left
 
-    def parse_atom() -> Term:
+    def parse_atom(depth: int) -> Term:
         nonlocal idx
         if idx >= len(tokens):
             raise ValueError(f"unexpected end of input (at offset {len(text)})")
         tok, off = tokens[idx]
         if tok == "(":
             idx += 1
-            inner = parse_expr()
+            inner = parse_expr(depth + 1)
             if peek() != ")":
                 off = tokens[idx][1] if idx < len(tokens) else len(text)
                 raise ValueError(f"expected ')' (at offset {off})")
@@ -142,7 +151,7 @@ def parse_term(text: str, constants: Iterable[str] = ()) -> Term:
             return Const(tok) if tok in const_set else Var(tok)
         raise ValueError(f"unexpected token {tok!r} (at offset {off})")
 
-    result = parse_expr()
+    result = parse_expr(0)
     if idx < len(tokens):
         raise ValueError(f"trailing input {tokens[idx][0]!r} (at offset {tokens[idx][1]})")
     return result

@@ -1,11 +1,17 @@
 """An independent reference search, written from the statements alone.
 
-It shares no code with abeforge._core or abeforge._speed_py.  Each
-statement's clause form is grounded over range(n), with the unit 1 read as
-n - 1.  The search fills all n * n cells in row-major order, trying every
-value of a cell in ascending order, and rechecks an open ground clause only
-when the first cell that blocks it is assigned.  It does not propagate, so
-it is only for small sizes.
+It shares no code with abeforge._core or the propagator that models
+compiles, yet applies the same unit rule to the ground instances of each
+statement's clause form over range(n), 1 read as n - 1, as SEM (Zhang and
+Zhang, IJCAI 1995) and Mace4 (McCune, ANL/MCS-TM-264, 2003) do: an
+instance whose literals are all false fails, and one whose only undecided
+literal is an equation with one side known and the other waiting on its
+own root cell (operands known, cell open) assigns that cell.
+
+An instance is rechecked when a cell it watches is assigned: the cells that
+block up to two of its undecided sides, for while both stay open it can
+neither fail nor assign.  Watches are only ever added, so under depth-first
+backtracking a stale watch costs one recheck and never misses a firing.
 """
 
 import itertools
@@ -31,77 +37,119 @@ def ground_clauses(statements, n):
         names = sorted(st.free_variables())
         for image in itertools.product(range(n), repeat=len(names)):
             values = dict(zip(names, image))
-            out.append(
-                tuple(
-                    (_ground(lit.lhs, n, values), _ground(lit.rhs, n, values), lit.positive)
-                    for lit in st.literals
-                )
-            )
+            out.append(tuple((_ground(lit.lhs, n, values), _ground(lit.rhs, n, values), lit.positive) for lit in st.literals))
     return out
 
 
-def _value(g, table, n):
-    """(the value of the ground term g, None), or (None, the first
-    unassigned cell that it reads), left operand before right."""
+def _value(g, t, n):
+    """(v, c) for the ground term g in the table t: its value and c = -1;
+    v = -1 and c its own root cell, open with both operands known; or
+    v = -2 and c the first open cell that an operand reads, left first."""
     if isinstance(g, int):
-        return g, None
-    x, blocked = _value(g[0], table, n)
-    if blocked is None:
-        y, blocked = _value(g[1], table, n)
-    if blocked is not None:
-        return None, blocked
-    v = table[x * n + y]
-    return (v, None) if v >= 0 else (None, x * n + y)
+        return g, -1
+    x, c = _value(g[0], t, n)
+    if c < 0:
+        y, c = _value(g[1], t, n)
+        if c < 0:
+            c = x * n + y
+            v = t[c]
+            return (v, -1) if v >= 0 else (-1, c)
+    return -2, c
 
 
-def _status(clause, table, n):
-    """True if a literal holds, False if every literal fails, otherwise the
-    first cell, in literal order, that blocks the clause."""
-    for lhs, rhs, positive in clause:
-        x, blocked = _value(lhs, table, n)
-        if blocked is None:
-            y, blocked = _value(rhs, table, n)
-        if blocked is not None:
-            return blocked
-        if (x == y) == positive:
-            return True
-    return False
+class Ground:
+    """The unit rule over the ground instances of `statements`: root and
+    propagate are the pair that models._propagator compiles, with each
+    instance watched on the cells that say when to recheck it."""
+
+    def __init__(self, statements):
+        self.statements = statements
+
+    def root(self, n, t=None):
+        """Ground the statements at size n, examine every instance once on
+        t, by default the empty table, and propagate: the fixpoint t, or
+        None on contradiction."""
+        self.n = n
+        self.clauses = ground_clauses(self.statements, n)
+        self.watches = [set() for _ in range(n * n)]
+        t = [-1] * (n * n) if t is None else t
+        trail, queue = [], []
+        examined = all(self.examine(i, t, trail, queue) for i in range(len(self.clauses)))
+        return t if examined and self.propagate(t, n, trail, queue) else None
+
+    def examine(self, i, t, trail, queue):
+        """Apply the unit rule to instance i of the table t: False if every
+        literal is false; else assign, trail and queue the cell it waits on,
+        or watch it on the cells that block up to two undecided sides."""
+        blocked = []  # the open cells that block the undecided sides
+        waiting = None  # (cell, value) when an undecided equation can assign
+        for lhs, rhs, positive in self.clauses[i]:
+            x, cx = _value(lhs, t, self.n)
+            y, cy = _value(rhs, t, self.n)
+            if cx < 0 and cy < 0:
+                if (x == y) == positive:
+                    return True
+                continue
+            for v, c, other in ((x, cx, y), (y, cy, x)):
+                if c >= 0:
+                    blocked.append(c)
+                    if positive and v == -1 and other >= 0:
+                        waiting = c, other
+        if not blocked:
+            return False
+        if len(blocked) == 1 and waiting:
+            c, v = waiting
+            t[c] = v
+            trail.append(c)
+            queue.append(c)
+        else:
+            for c in blocked[:2]:
+                self.watches[c].add(i)
+        return True
+
+    def propagate(self, t, n, trail, queue):
+        """Recheck the instances watched on each queued cell of t, a table
+        that root(n) began, until the queue is empty; False on
+        contradiction."""
+        while queue:
+            for i in self.watches[queue.pop()]:
+                if not self.examine(i, t, trail, queue):
+                    return False
+        return True
+
+
+def propagator(statements):
+    """(propagate, root), as models._propagator gives them."""
+    ground = Ground(statements)
+    return ground.propagate, ground.root
 
 
 def ground_search(statements, n):
-    """Every n x n table, as a row-major tuple, in which each statement holds
-    with 1 read as n - 1."""
-    table = [-1] * (n * n)
-    # watches[c]: the open clauses that cell c is the first to block
-    watches = [[] for _ in table]
-    for clause in ground_clauses(statements, n):
-        status = _status(clause, table, n)
-        if status is False:
-            return []
-        if status is not True:
-            watches[status].append(clause)
-    results = []
+    """(every n x n table, as row-major bytes, in which each statement holds
+    with 1 read as n - 1, nodes tried).  The fill assigns the first open
+    cell in row-major order, tries its values in ascending order and
+    propagates after each; a node is one attempted assignment."""
+    ground = Ground(statements)
+    t = ground.root(n)
+    tables, nodes = [], 0
+    if t is None:
+        return tables, nodes
 
     def fill(c):
-        if c == len(table):
-            results.append(tuple(table))
+        nonlocal nodes
+        while c < len(t) and t[c] >= 0:
+            c += 1
+        if c == len(t):
+            tables.append(bytes(t))
             return
         for v in range(n):
-            table[c] = v
-            moved = []
-            for clause in watches[c]:
-                status = _status(clause, table, n)
-                if status is False:
-                    break
-                if status is not True:
-                    # a later cell, since every cell up to c is assigned
-                    watches[status].append(clause)
-                    moved.append(status)
-            else:
+            nodes += 1
+            t[c] = v
+            trail = [c]
+            if ground.propagate(t, n, trail, [c]):
                 fill(c + 1)
-            for cell in moved:
-                watches[cell].pop()
-        table[c] = -1
+            for cell in trail:
+                t[cell] = -1
 
     fill(0)
-    return results
+    return tables, nodes

@@ -349,7 +349,7 @@ def test_criterion_4b_each_result_in_the_models_of_its_axioms():
 
     def models(axioms, n):
         if (axioms, n) not in cache:
-            tables = ground_search([merged.statement(ax) for ax in sorted(axioms)], n)
+            tables, _ = ground_search([merged.statement(ax) for ax in sorted(axioms)], n)
             cache[axioms, n] = [from_flat(t, n) for t in tables]
         return cache[axioms, n]
 
@@ -386,7 +386,7 @@ def _least_falsifier(others, target, dropped, size, flat):
     smaller = [
         (n, table)
         for n in range(1, size)
-        for table in ground_search(others, n)
+        for table in ground_search(others, n)[0]
         if not satisfies(from_flat(table, n), target)[0]
     ]
     model = from_flat(flat, size)

@@ -4,13 +4,15 @@ filter, the core's one table per class, and the orbit-counting identity
 that ties the enumerator's classes to the labeled tables of the complete
 search at sizes the brute-force oracle cannot reach.
 
-The complete search (_speed_py) is the reference: the core that runs breaks
-symmetry, so its tables are not closed under relabeling and only the
-identity shows that it missed no class.  Both run the same depth-first
-fill, _core._fill, so at small sizes each is checked in turn against
-ground_search, a search written from the axioms' clause forms alone that
-shares no code with the fill."""
+The labeled tables come from ground_search, a search written from the
+axioms' clause forms alone that shares no code with the core: the core that
+runs breaks symmetry, so its tables are not closed under relabeling and only
+the identity shows that it missed no class.  Past ground_search's sizes, at
+implicative-aBE n = 7, the identity reads the core's own fill in row-major
+order with no relabelings, which test_propagate checks against
+ground_search at the smaller sizes."""
 
+import functools
 import math
 from collections import Counter
 
@@ -18,7 +20,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from abeforge import _speed_py, search
+from abeforge import search
 from abeforge.models import canonical_form, canonicalize, from_flat, is_model, relabeling_table, relabelings
 from abeforge.search import enumerate_with_stats
 
@@ -27,17 +29,17 @@ from ground_search import ground_search
 from reference import orbit_sum, reference_canonical
 
 
+@functools.lru_cache(maxsize=None)
+def labeled(statements, n):
+    """ground_search's labeled tables, row-major, in ascending order."""
+    return ground_search(statements, n)[0]
+
+
 def reference_enumerate(system, n):
-    """The per-table filter: every labeled table of the complete search that
-    equals its canonical form, ascending."""
-    tables, _, _ = _speed_py.search_tables(n, system.name == "implicative-aBE")
-    survivors = []
-    for flat in tables:
-        model = from_flat(flat, n)
-        if canonicalize(model) == model:
-            survivors.append((bytes(flat), model))
-    survivors.sort(key=lambda kv: kv[0])
-    return [m for _, m in survivors]
+    """The per-table filter: every labeled table that equals its canonical
+    form, ascending as ground_search finds them."""
+    models = (from_flat(flat, n) for flat in labeled(system.members, n))
+    return [m for m in models if canonicalize(m) == m]
 
 
 def assert_matches_reference(model):
@@ -91,35 +93,22 @@ def test_agrees_with_scan_on_arbitrary_tables(model):
     assert_matches_reference(model)
 
 
-@pytest.mark.parametrize(
-    "name, max_size, axioms",
-    [
-        pytest.param("aBE", 4, None, id="aBE-4"),
-        pytest.param("implicative-aBE", 5, None, id="implicative-aBE-5"),
-        pytest.param("implicative-aBE", 5, BASIS, id="basis-5"),
-    ],
-)
-def test_independent_search_agrees(corpus, name, max_size, axioms):
-    # The grounded axioms, the system's own or the basis {ax3, ax4, ax5, ax6}
-    # that ax1 and ax2 follow from, give the complete search's labeled
-    # tables, and their classes are the enumerator's.
-    system = corpus.axiom_system(name)
-    statements = tuple(map(corpus.statement, axioms)) if axioms else system.members
-    for n in range(1, max_size + 1):
-        tables = ground_search(statements, n)
+def test_basis_has_the_labeled_tables_of_implicative_abe(corpus):
+    # ax1 and ax2 follow from the basis {ax3, ax4, ax5, ax6}
+    basis = tuple(map(corpus.statement, BASIS))
+    for n in range(1, 7):
+        tables = labeled(basis, n)
         assert len(set(tables)) == len(tables), n
-        assert set(tables) == set(_speed_py.search_tables(n, system.name == "implicative-aBE")[0]), n
-        classes = {canonical_form(from_flat(t, n)) for t in tables}
-        assert classes == {canonical_form(m) for m in enumerate_with_stats(system, n)[0]}, n
+        assert tables == labeled(corpus.axiom_system("implicative-aBE").members, n), n
 
 
 @pytest.mark.parametrize("name, max_size", [("aBE", 5), ("implicative-aBE", 7)])
 def test_orbit_counting_identity(corpus, name, max_size):
     # The emitted classes must stand for exactly the labeled tables of the
-    # complete search.
+    # complete search: ground_search's to n = 6, then the core's row-major fill.
     system = corpus.axiom_system(name)
     for n in range(1, max_size + 1):
-        tables, _, _ = _speed_py.search_tables(n, system.name == "implicative-aBE")
+        tables = labeled(system.members, n) if n <= 6 else search._core._fill(n, system.members, range(n * n), ())[0]
         models, _, _ = enumerate_with_stats(system, n)
         assert orbit_sum(models) == len(tables), n
         if (name, n) in COMPLETE_LABELED:
@@ -133,10 +122,9 @@ TRANS_WITNESSES_PINNED = {4: 3, 5: 178}
 
 
 @pytest.mark.parametrize("n", sorted(TRANS_WITNESSES_PINNED))
-def test_labeled_tables_with_trans_witnesses_pinned(n):
-    tables, _, _ = _speed_py.search_tables(n, False)
+def test_labeled_tables_with_trans_witnesses_pinned(corpus, n):
     u = n - 1
-    pinned = [t for t in tables if t[1] == u and t[n + 2] == u and t[2] != u]
+    pinned = [t for t in labeled(corpus.axiom_system("aBE").members, n) if t[1] == u and t[n + 2] == u and t[2] != u]
     assert len(pinned) == TRANS_WITNESSES_PINNED[n]
 
 
@@ -163,9 +151,8 @@ def test_orbit_counting_identity_catches_a_lost_class(corpus, monkeypatch):
 
     monkeypatch.setattr(search._core, "search_tables", lossy_search)
     models, _, _ = enumerate_with_stats(corpus.axiom_system("aBE"), n)
-    complete, _, _ = _speed_py.search_tables(n, False)
     assert len(models) == len(classes) - 1
-    assert orbit_sum(models) < len(complete)
+    assert orbit_sum(models) < len(labeled(corpus.axiom_system("aBE").members, n))
 
 
 def cell_order_key(flat, n):

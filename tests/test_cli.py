@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from abeforge.cli import BUDGET_HELP
+from abeforge.terms import MAX_DEPTH
 from conftest import DATA_CORPUS, child_env, run_cli
 
 
@@ -120,18 +121,23 @@ class TestReplay:
         path.write_bytes(UNREADABLE[kind])
         assert_input_error(run_cli("replay", "--script", str(path)))
 
-    # at 600 arrows the parser reads the term and the kernel's comparisons
-    # run out of stack; at 2,000 the parser refuses it
+    # at 600 and 2,000 arrows the parser refuses the term
     @pytest.mark.parametrize("arrows, emit", [(600, "text"), (600, "json"), (2000, "text")])
     def test_too_deep_a_term_exits_3(self, tmp_path, corpus_json, arrows, emit):
         result = run_cli("replay", "--script", write_deep_corpus(tmp_path, corpus_json, arrows), "--emit", emit)
         assert_input_error(result)
         assert result.stderr == "error: corpus file is nested too deeply\n"
 
-    def test_show_reads_a_term_too_deep_to_replay(self, tmp_path, corpus_json):
-        result = run_cli("replay", "--script", write_deep_corpus(tmp_path, corpus_json, 600), "--show", "deep")
+    @pytest.mark.parametrize("show", [[], ["--show", "deep"]], ids=["replay", "show"])
+    def test_the_parser_takes_only_terms_the_kernel_replays(self, tmp_path, corpus_json, show):
+        # the file's deepest term, 1 -> t, nests one arrow more than t
+        at_cap = write_deep_corpus(tmp_path, copy.deepcopy(corpus_json), MAX_DEPTH - 1)
+        result = run_cli("replay", "--script", at_cap, *show)
         assert result.exit_code == 0
-        assert result.stdout.startswith("script deep  (target deep: 1 -> x -> ")
+        assert ("script deep  (target deep: 1 -> x -> " if show else "\ndeep: verified\n") in result.stdout
+        past = run_cli("replay", "--script", write_deep_corpus(tmp_path, corpus_json, MAX_DEPTH), *show)
+        assert_input_error(past)
+        assert past.stderr == "error: corpus file is nested too deeply\n"
 
     def test_wrong_typed_field_exits_3(self, tmp_path, corpus_json):
         corpus_json["scripts"][3]["steps"][0]["at"] = ["L"]

@@ -1,4 +1,5 @@
-"""Every module-level import is read in its own file.
+"""Every module-level import is read in its own file, and only the
+benchmark's contract imports the complete search.
 
 A name imported and never read is a dead import: it costs start-up time
 in the package, and in tests it hides what a file really uses.  A name
@@ -48,3 +49,17 @@ def test_no_module_level_import_is_dead():
     files = sorted((SRC / "abeforge").glob("*.py")) + sorted(TESTS.glob("*.py"))
     dead = [f"{path.parent.name}/{path.name}: {name}" for path in files for name in dead_imports(path)]
     assert not dead, f"imported at module level but never read: {dead}"
+
+
+def test_only_the_benchmark_contract_imports_the_complete_search():
+    # the tests read ground_search; only the benchmark's parity gate reads
+    # abeforge._speed_py, so deleting it touches one test file
+    readers = {
+        path.name
+        for path in TESTS.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if "abeforge._speed_py" in f"{getattr(node, 'module', '')}.{alias.name}"
+    }
+    assert readers == {"test_benchmark_contract.py"}

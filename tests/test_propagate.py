@@ -1,8 +1,9 @@
-"""The propagator that models compiles from a system's statements against an
-interpreted sweep over the ground instances of the same statements, kept
-here as the reference: same verdict and same fixpoint on arbitrary partial
-tables, and the same search result, tables and node counts, when the sweep
-drives the depth-first fill of the complete search and of the core."""
+"""The propagator that models compiles from a system's statements against
+ground_search, which applies the same unit rule to the ground instances of
+the same statements: the same verdict and the same fixpoint on arbitrary
+partial tables; the same tables and node counts when its propagator drives
+the core's search; and its own row-major fill against the core's fill in
+that order with no relabelings, the complete search."""
 
 import functools
 
@@ -17,7 +18,7 @@ from abeforge.statements import Literal, Statement
 from abeforge.terms import Arrow, Const, Var, parse_term
 
 from conftest import BASIS, with_corollaries
-from ground_search import ground_clauses
+from ground_search import Ground, ground_search, propagator
 
 
 def clause(sid, *literals):
@@ -46,71 +47,6 @@ def axioms(name):
     return tuple(statements[sid] for sid in SYSTEMS[name])
 
 
-@functools.lru_cache(maxsize=None)
-def grounded(name, n):
-    return ground_clauses(axioms(name), n)
-
-
-def evaluate(g, t, n):
-    """The value of the ground term g in t, or -1 if it reads an open cell."""
-    if isinstance(g, int):
-        return g
-    x, y = evaluate(g[0], t, n), evaluate(g[1], t, n)
-    return -1 if x < 0 or y < 0 else t[x * n + y]
-
-
-def waiting_cell(g, t, n):
-    """The open cell that g reads last, when its operands are known, or None."""
-    if isinstance(g, int):
-        return None
-    x, y = evaluate(g[0], t, n), evaluate(g[1], t, n)
-    return x * n + y if x >= 0 and y >= 0 and t[x * n + y] < 0 else None
-
-
-def sweep_propagate(clauses, t, n, trail):
-    """Re-sweep every ground clause until nothing changes: one whose literals
-    are all false is a contradiction, and one whose only undecided literal
-    is an equation with one side known and the other waiting on its own
-    open cell assigns that cell.  Returns False on contradiction."""
-    changed = True
-    while changed:
-        changed = False
-        for clause in clauses:
-            undecided = []
-            for lhs, rhs, positive in clause:
-                x, y = evaluate(lhs, t, n), evaluate(rhs, t, n)
-                if x < 0 or y < 0:
-                    undecided.append((lhs, rhs, positive, x, y))
-                elif (x == y) == positive:
-                    break
-            else:
-                if not undecided:
-                    return False
-                if len(undecided) == 1 and undecided[0][2]:
-                    lhs, rhs, _, x, y = undecided[0]
-                    for known, side in ((x, rhs), (y, lhs)):
-                        cell = waiting_cell(side, t, n)
-                        if known >= 0 and cell is not None:
-                            t[cell] = known
-                            trail.append(cell)
-                            changed = True
-    return True
-
-
-def sweep_propagator(statements):
-    """(propagate, root) as models._propagator gives them, run by the sweep."""
-    name = next(name for name in SYSTEMS if axioms(name) == tuple(statements))
-
-    def propagate(t, n, trail, queue):
-        return sweep_propagate(grounded(name, n), t, n, trail)
-
-    def root(n):
-        t = [-1] * (n * n)
-        return t if propagate(t, n, [], None) else None
-
-    return propagate, root
-
-
 def root_table(name, n):
     return models._propagator(axioms(name))[1](n)
 
@@ -129,54 +65,51 @@ def partial_tables(draw):
     return name, n, t
 
 
-def same_closure(name, t, n, queue):
-    """Propagate `queue` on t and the sweep on a copy: same verdict, and on
-    success the same table, with each newly assigned cell on the trail once.
-    Returns (verdict, trail)."""
-    before = list(t)
-    ref = list(t)
-    ok_ref = sweep_propagate(grounded(name, n), ref, n, [])
-    trail = []
-    ok = models._propagator(axioms(name))[0](t, n, trail, queue)
-    assert ok == ok_ref
-    if ok:
-        assert t == ref
-        assert sorted(trail) == [c for c in range(n * n) if before[c] < 0 <= t[c]]
-    return ok, trail
-
-
-def assigned(t):
-    return [c for c, v in enumerate(t) if v >= 0]
-
-
 @settings(max_examples=750, deadline=None)
 @given(partial_tables())
 def test_same_fixpoint_from_any_partial_table(case):
+    # the compiled propagator, queued every assigned cell, against the ground
+    # fixpoint of a copy, which examines every instance once; each newly
+    # assigned cell is on the trail once
     name, n, t = case
-    same_closure(name, t, n, assigned(t))
+    before, ref = list(t), list(t)
+    trail = []
+    ok = models._propagator(axioms(name))[0](t, n, trail, [c for c, v in enumerate(t) if v >= 0])
+    assert ok == (Ground(axioms(name)).root(n, ref) is not None)
+    if ok:
+        assert t == ref
+        assert sorted(trail) == [c for c in range(n * n) if before[c] < 0 <= t[c]]
 
 
 @settings(max_examples=250, deadline=None)
 @given(st.sampled_from(sorted(SYSTEMS)), st.integers(1, 6), st.data())
 def test_same_fixpoint_one_assignment_at_a_time(name, n, data):
     # The search starts from the root table and then queues only the cell
-    # it assigns; every step must land on the sweep's fixpoint, and undoing
-    # the step's trail must restore the table it started from.
-    t = root_table(name, n)
-    ok = t is not None and sweep_propagate(grounded(name, n), list(t), n, [])
+    # it assigns.  The compiled propagator and the ground one, each on its
+    # own table, must reach the same fixpoint at every step, in any cell
+    # order; undoing a step's trail must restore the table it started from.
+    propagate, root = models._propagator(axioms(name))
+    ground = Ground(axioms(name))
+    t, ref = root(n), ground.root(n)
+    assert t == ref
     for _ in range(n * n):
-        free = [c for c, v in enumerate(t) if v < 0] if ok else []
+        free = [c for c, v in enumerate(t or ()) if v < 0]
         if not free:
             return
         cell = data.draw(st.sampled_from(free))
         before = list(t)
-        t[cell] = data.draw(st.integers(0, n - 1))
-        ok, trail = same_closure(name, t, n, [cell])
+        t[cell] = ref[cell] = data.draw(st.integers(0, n - 1))
+        trail, ref_trail = [cell], [cell]
+        ok = propagate(t, n, trail, [cell])
+        assert ok == ground.propagate(ref, n, ref_trail, [cell])
+        if ok:
+            assert t == ref
+            assert sorted(trail) == [c for c in range(n * n) if before[c] < 0 <= t[c]]
         if not ok or data.draw(st.booleans()):
-            for c in trail + [cell]:
-                t[c] = -1
-            assert t == before
-            ok = True
+            for table, cells in ((t, trail), (ref, ref_trail)):
+                for c in cells:
+                    table[c] = -1
+            assert t == ref == before
 
 
 @pytest.mark.parametrize("name", ["aBE", "implicative-aBE"])
@@ -194,16 +127,21 @@ def test_root_propagation_opens_the_off_diagonal_cells_off_the_unit(name):
     "name, max_size", [("aBE", 5), ("implicative-aBE", 6), ("Tarski", 6), ("basis", 6), ("clauses", 5)]
 )
 def test_search_matches_sweep_search(complete, name, max_size, monkeypatch):
-    # both searches run _core._fill, which looks _propagator up in _core
-    def search(n):
-        if complete:
-            return _core._fill(n, axioms(name), range(n * n), ())
-        return _core.search_tables(n, axioms(name))
-
-    compiled = [search(n) for n in range(1, max_size + 1)]
-    monkeypatch.setattr(_core, "_propagator", sweep_propagator)
+    statements = axioms(name)
+    if complete:
+        # ground_search fills row-major as the complete search does, so the
+        # tables, their order and the node counts must agree, and a fault
+        # in _core._fill shows
+        for n in range(1, max_size + 1):
+            tables, nodes, _ = _core._fill(n, statements, range(n * n), ())
+            assert ground_search(statements, n) == (tables, nodes), n
+        return
+    # the core's search, with the ground propagator patched in for the
+    # compiled one that _core._fill looks up
+    compiled = [_core.search_tables(n, statements) for n in range(1, max_size + 1)]
+    monkeypatch.setattr(_core, "_propagator", propagator)
     for n, result in enumerate(compiled, 1):
-        assert search(n) == result, n
+        assert _core.search_tables(n, statements) == result, n
 
 
 def test_constants_and_deeper_nests_than_cpython_compiles_are_refused():
