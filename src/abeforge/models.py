@@ -147,14 +147,11 @@ def _blocks(st: Statement) -> Iterator[tuple[Optional[str], int, list[str]]]:
     cell (a, b) = v, and, if st reads no inner cell, with trigger None to
     all of them.  Variables are v0, v1, ... in sorted order and distinct
     arrows a0, a1, ... in post-order.  A compound trigger operand is
-    matched by looping over its variables, right operand first, where its
-    column holds the value; a variable read only as a row is looped over
-    its rows' first cells.  An open inner cell skips the instance; root
-    cells are read as the literals are decided.  No block runs for an arrow
-    that a variable swap mapping the clause onto itself sends to an earlier
-    one, nor for the root of an identity side whose other side reads no
-    cell, which the blocks of its inner cells, or the one with trigger
-    None, settle."""
+    matched by looping over its variables, right operand first; a variable
+    read only as a row is looped over its rows' first cells.  An open inner
+    cell skips the instance; root cells are read as the literals are
+    decided.  No block runs for an arrow that a variable swap mapping the
+    clause onto itself sends to an earlier one."""
     names = sorted(st.free_variables())
     index = {name: f"v{i}" for i, name in enumerate(names)}
     pairs: dict[tuple[str, str], str] = {}
@@ -173,8 +170,6 @@ def _blocks(st: Statement) -> Iterator[tuple[Optional[str], int, list[str]]]:
             for name, (x, y) in arrows.items():  # operands before the arrows they build
                 image[name] = pairs[image.get(x, x), image.get(y, y)]
             triggers = [name for name in triggers if int(image[name][1:]) >= int(name[1:])]
-    if len(literals) == 1 and literals[0][2] and not set(literals[0][:2]) <= arrows.keys():
-        triggers = [name for name in triggers if name not in literals[0][:2]]
     for trigger in triggers + [None] * (not inner):
         roots = arrows.keys() - inner - {trigger}
         env = {"unit": "unit", trigger: "v"}  # operand -> its expression, once bound
@@ -200,10 +195,6 @@ def _blocks(st: Statement) -> Iterator[tuple[Optional[str], int, list[str]]]:
                         skip(f"t[{cell}] != {targets[name]}")
                     elif name in inner:
                         skip(f"({name} := t[{cell}]) < 0")
-            for name in [x for x in columns if arrows[x][1] in env]:
-                if arrows[name][0] not in env:
-                    skip(f"{columns[name]} not in t[{env[arrows[name][1]]}::n]")
-                del columns[name]
 
         for operand, target in zip(arrows.get(trigger, ()), "ab"):
             if operand in env or operand in targets:
@@ -212,7 +203,6 @@ def _blocks(st: Statement) -> Iterator[tuple[Optional[str], int, list[str]]]:
                 targets[operand], order = target, order + leaves(operand)
             else:
                 env[operand] = target
-        columns = dict(targets)  # column tests not yet made
         bind()
         for x in dict.fromkeys([*order, *index.values()]):
             if x not in env:

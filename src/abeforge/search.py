@@ -53,8 +53,10 @@ def enumerate_with_stats(
     The core returns exactly one labeled table (unit at n-1) of every class,
     the least of its class in the core's cell order; isomorph rejection
     canonicalizes each one and sorts them.  Completeness is checked by the
-    tests, by the orbit-counting identity against the complete search of
-    _speed_py.  A size whose budget ran out returns no models.
+    tests, by the orbit-counting identity against the labeled tables of an
+    independent ground search for n <= 6, and of _core._fill in row-major
+    order at implicative-aBE n = 7.  A size whose budget ran out returns no
+    models.
     """
     if n < 1:
         raise ValueError("size must be >= 1")

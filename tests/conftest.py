@@ -1,8 +1,10 @@
 import ast
 import contextlib
+import functools
 import io
 import json
 import os
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -10,10 +12,13 @@ import hypothesis.strategies as st
 import pytest
 
 from abeforge.cli import main
-from abeforge.corpus import AXIOM_IDS, Corpus, load_corpus
+from abeforge.corpus import AXIOM_IDS, Corpus, corpus_from_json, load_corpus
 from abeforge.kernel import verify_corpus
 from abeforge.models import FiniteAlgebra
+from abeforge.search import enumerate_with_stats
+from abeforge.statements import AxiomSystem
 from abeforge.terms import UNIT, Arrow, Const, Var
+from ground_search import ground_search
 from mutate_util import mutated_script, mutation_sites
 
 VAR_NAMES = ("x", "y", "z", "t", "w")
@@ -70,6 +75,31 @@ def with_corollaries() -> dict:
     obj["statements"] += extra["statements"]
     obj["scripts"] += extra["scripts"]
     return obj
+
+
+# The references the tests share, each built at most once per session
+
+
+@functools.cache
+def merged_corpus() -> Corpus:
+    """The built-in corpus with the corollaries' systems, statements and scripts."""
+    return corpus_from_json(with_corollaries())
+
+
+@functools.cache
+def ground_tables(statements: tuple, n: int) -> tuple[tuple[bytes, ...], int]:
+    """ground_search(statements, n): the labeled tables, ascending, and nodes."""
+    tables, nodes = ground_search(statements, n)
+    return tuple(tables), nodes
+
+
+@functools.cache
+def classes(members: tuple, n: int) -> tuple[tuple[FiniteAlgebra, ...], int, float]:
+    """enumerate_with_stats's classes at size n of the system of these
+    members, with its nodes and seconds."""
+    start = time.perf_counter()
+    models, nodes, _ = enumerate_with_stats(AxiomSystem("", members), n)
+    return tuple(models), nodes, time.perf_counter() - start
 
 
 def axiom_closures(corpus, basis=AXIOM_IDS):

@@ -4,8 +4,9 @@ Nothing in the package reads these: `evaluate` is the recursive evaluator
 that `models.satisfies` compiles away, `relabel` applies one bijection to a
 table where `models.relabelings` yields them all at once, and `positions`
 lists the paths that `terms.subterm_at` and `terms.replace_at` accept, and
-`reference_canonical` tries every relabeling that `models.canonical_form`
-prunes.
+`reference_canonical` builds each relabeled table by hand, where
+`models.canonical_form` takes the least of the tables that
+`models.relabelings` gives for all (n-1)! relabelings.
 """
 
 import itertools

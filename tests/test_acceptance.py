@@ -12,12 +12,11 @@ import time
 
 import pytest
 
-from abeforge.corpus import corpus_from_json
 from abeforge.kernel import replay_proof, verify_corpus
 from abeforge.models import FiniteAlgebra, Witness, canonical_form, from_flat, is_model, relabelings, satisfies
-from abeforge.search import brute_force_models, enumerate_with_stats
-from conftest import BASIS, COMPLETE_LABELED, COROLLARIES, axiom_closures, replay_mutants, run_cli, with_corollaries
-from ground_search import ground_search
+from abeforge.search import brute_force_models
+from conftest import BASIS, COMPLETE_LABELED, COROLLARIES, axiom_closures, classes, ground_tables, merged_corpus
+from conftest import replay_mutants, run_cli
 from reference import orbit_sum
 
 # Labeled implicative-aBE tables of size 8 (unit at 7) that the complete
@@ -116,39 +115,18 @@ def _verdict(num, name, ok, detail=""):
     assert ok, f"criterion {num} ({name}) failed: {detail}"
 
 
-@pytest.fixture(scope="module")
-def implicative_runs(corpus):
-    """{n: (models, nodes, seconds)} of the implicative-aBE enumeration for
-    n <= 8, run once for criteria 3, 4 and 6."""
-    system = corpus.axiom_system("implicative-aBE")
-    runs = {}
-    for n in range(1, 9):
-        start = time.perf_counter()
-        models, nodes, exceeded = enumerate_with_stats(system, n)
-        assert not exceeded
-        runs[n] = (models, nodes, time.perf_counter() - start)
-    return runs
+def implicative_runs():
+    """{n: (classes, nodes, seconds)} of implicative aBE for n <= 8."""
+    return {n: classes(merged_corpus().axiom_system("implicative-aBE").members, n) for n in range(1, 9)}
 
 
-@pytest.fixture(scope="module")
-def abe_classes(corpus):
-    """The aBE classes of sizes 1..5, one list per size, for criteria 5e
-    and 6b."""
-    system = corpus.axiom_system("aBE")
-    return [enumerate_with_stats(system, n)[0] for n in range(1, 6)]
+def implicative_classes():
+    return [m for models, _, _ in implicative_runs().values() for m in models]
 
 
-@pytest.fixture(scope="module")
-def implicative_models(implicative_runs):
-    return [m for models, _, _ in implicative_runs.values() for m in models]
-
-
-@pytest.fixture(scope="module")
-def implicative_forms(implicative_runs):
-    """{n: canonical forms of the size-n classes, in output order}."""
-    return {
-        n: [canonical_form(m) for m in models] for n, (models, _, _) in implicative_runs.items()
-    }
+def abe_classes():
+    """The aBE classes of sizes 1..5, one tuple per size."""
+    return [classes(merged_corpus().axiom_system("aBE").members, n)[0] for n in range(1, 6)]
 
 
 def least_relabeling(complex_):
@@ -290,19 +268,19 @@ def test_criterion_2_perturbation_suite(corpus, corpus_json):
 
 
 def test_criterion_2b_perturbation_of_the_corollary_scripts():
-    merged = corpus_from_json(with_corollaries())
-    total, rejected, named = perturb(merged, COROLLARY_SCRIPTS, 1736)
+    total, rejected, named = perturb(merged_corpus(), COROLLARY_SCRIPTS, 1736)
     ok = total == 462 and rejected == named == total
     _verdict("2b", "perturbation of the corollary scripts", ok, f"{rejected}/{total} mutations rejected")
 
 
-def test_criterion_3_theorem_at_desk_scale(corpus, implicative_runs, implicative_models):
+def test_criterion_3_theorem_at_desk_scale(corpus):
     trans = corpus.statement("trans")
+    runs = implicative_runs()
     start = time.perf_counter()
-    violated = any(not satisfies(model, trans)[0] for model in implicative_models)
-    elapsed = time.perf_counter() - start + sum(s for _, _, s in implicative_runs.values())
-    node_counts = {n: nodes for n, (_, nodes, _) in implicative_runs.items()}
-    size8 = implicative_runs[8][0]
+    violated = any(not satisfies(model, trans)[0] for model in implicative_classes())
+    elapsed = time.perf_counter() - start + sum(s for _, _, s in runs.values())
+    node_counts = {n: nodes for n, (_, nodes, _) in runs.items()}
+    size8 = runs[8][0]
     labeled = sum(len(set(relabelings(model))) for model in size8)
     ok = not violated and len(size8) == 8 and labeled == COMPLETE_LABELED_8 and elapsed <= 600.0
     _verdict(
@@ -314,12 +292,13 @@ def test_criterion_3_theorem_at_desk_scale(corpus, implicative_runs, implicative
     )
 
 
-def test_criterion_3b_size_8_digest(implicative_forms):
-    digest = hashlib.sha256(b"".join(implicative_forms[8])).hexdigest()
+def test_criterion_3b_size_8_digest():
+    digest = hashlib.sha256(b"".join(map(canonical_form, implicative_runs()[8][0]))).hexdigest()
     _verdict("3b", "implicative-aBE size-8 digest", digest == IMPLICATIVE_8_DIGEST, digest)
 
 
-def test_criterion_4_kernel_soundness_bridge(corpus, implicative_models):
+def test_criterion_4_kernel_soundness_bridge(corpus):
+    implicative_models = implicative_classes()
     proved = corpus.axioms()
     verified = []
     for script in corpus.scripts:
@@ -344,14 +323,10 @@ def test_criterion_4b_each_result_in_the_models_of_its_axioms():
     # search from the grounded statements finds them: up to size 3 for one
     # or two axioms, 4 for more.  The check has teeth: without ax6, lem10
     # must fail.
-    merged = corpus_from_json(with_corollaries())
-    cache = {}
+    merged = merged_corpus()
 
     def models(axioms, n):
-        if (axioms, n) not in cache:
-            tables, _ = ground_search([merged.statement(ax) for ax in sorted(axioms)], n)
-            cache[axioms, n] = [from_flat(t, n) for t in tables]
-        return cache[axioms, n]
+        return [from_flat(t, n) for t in ground_tables(tuple(map(merged.statement, sorted(axioms))), n)[0]]
 
     closures = axiom_closures(merged)
     start = time.perf_counter()
@@ -386,7 +361,7 @@ def _least_falsifier(others, target, dropped, size, flat):
     smaller = [
         (n, table)
         for n in range(1, size)
-        for table in ground_search(others, n)[0]
+        for table in ground_tables(others, n)[0]
         if not satisfies(from_flat(table, n), target)[0]
     ]
     model = from_flat(flat, size)
@@ -406,7 +381,7 @@ def test_criterion_4c_each_basis_axiom_is_needed(corpus, dropped):
     # the pinned size, and the pinned table is one at that size.  Its
     # leastness is not re-run: without ax4 that search takes 4.7 s.
     size, flat = INDEPENDENCE[dropped]
-    others = [corpus.statement(ax) for ax in BASIS if ax != dropped]
+    others = tuple(corpus.statement(ax) for ax in BASIS if ax != dropped)
     ok, smaller = _least_falsifier(others, corpus.statement("trans"), corpus.statement(dropped), size, flat)
     _verdict("4c", f"{dropped} is needed for transitivity", ok, f"none below size {size}: {smaller}")
 
@@ -415,7 +390,7 @@ def test_criterion_4c_each_basis_axiom_is_needed(corpus, dropped):
 def test_criterion_4d_ax4_is_needed_past_4b_sizes(corpus, lemma):
     # 4b checks these lemmas up to size 4, where no model of their closure
     # without ax4 falsifies them; at size 5 the pinned table does.
-    others = [corpus.statement(ax) for ax in sorted(axiom_closures(corpus)[lemma] - {"ax4"})]
+    others = tuple(corpus.statement(ax) for ax in sorted(axiom_closures(corpus)[lemma] - {"ax4"}))
     ok, smaller = _least_falsifier(others, corpus.statement(lemma), corpus.statement("ax4"), 5, AX4_BLIND_SPOTS[lemma])
     _verdict("4d", f"ax4 is needed for {lemma}", ok, f"none below size 5: {smaller}")
 
@@ -425,16 +400,16 @@ def test_criterion_5_oracle_equivalence(corpus):
     for name in ("aBE", "implicative-aBE"):
         system = corpus.axiom_system(name)
         for n in (1, 2, 3):
-            _, classes = brute_force_models(system, n)
-            enumerated = len(enumerate_with_stats(system, n)[0])
-            if classes != enumerated:
-                mismatches.append((name, n, classes, enumerated))
-            if n <= 2 and classes != 1:
-                mismatches.append((name, n, classes, "expected 1"))
+            _, oracle = brute_force_models(system, n)
+            enumerated = len(classes(system.members, n)[0])
+            if oracle != enumerated:
+                mismatches.append((name, n, oracle, enumerated))
+            if n <= 2 and oracle != 1:
+                mismatches.append((name, n, oracle, "expected 1"))
     _verdict(5, "oracle equivalence n<=3", not mismatches, f"mismatches: {mismatches}")
 
 
-def test_criterion_5b_simplicial_complex_oracle(implicative_forms, complexes):
+def test_criterion_5b_simplicial_complex_oracle(complexes):
     # The faces of a simplicial complex with x -> y = F_y minus F_x satisfy
     # ax1-ax6, and in a finite implication algebra (Abbott, 1967) each
     # element is known by the set of coatoms above it, so the complexes with
@@ -444,7 +419,8 @@ def test_criterion_5b_simplicial_complex_oracle(implicative_forms, complexes):
     oracle = {
         n: sorted(canonical_form(complex_algebra(c)) for c in complexes[n - 1]) for n in range(1, 10)
     }
-    mismatches = [n for n, forms in implicative_forms.items() if oracle[n] != sorted(forms)]
+    forms = {n: sorted(map(canonical_form, models)) for n, (models, _, _) in implicative_runs().items()}
+    mismatches = [n for n in forms if oracle[n] != forms[n]]
     if hashlib.sha256(b"".join(oracle[9])).hexdigest() != IMPLICATIVE_9_DIGEST:
         mismatches.append(9)
     counts = [len(forms) for forms in oracle.values()]
@@ -456,7 +432,7 @@ def test_criterion_5b_simplicial_complex_oracle(implicative_forms, complexes):
     )
 
 
-def test_criterion_5c_labeled_counts_from_the_complexes(implicative_runs, complexes):
+def test_criterion_5c_labeled_counts_from_the_complexes(complexes):
     # An automorphism of a complex's algebra fixes the unit and the order, so
     # it is a permutation of the vertices that maps faces onto faces, and each
     # class stands for (n-1)!/|Aut| labeled tables.  Sizes 6 and 7 are checked
@@ -466,7 +442,7 @@ def test_criterion_5c_labeled_counts_from_the_complexes(implicative_runs, comple
         sum(math.factorial(n - 1) // automorphism_count(c) for c in complexes[n - 1]) for n in range(1, 9)
     ]
     searched = [COMPLETE_LABELED["implicative-aBE", 6], COMPLETE_LABELED["implicative-aBE", 7],
-                orbit_sum(implicative_runs[8][0])]
+                orbit_sum(implicative_runs()[8][0])]
     _verdict(
         "5c",
         "labeled counts from the simplicial complexes n<=8",
@@ -493,21 +469,21 @@ def test_criterion_5d_complexes_past_the_search(corpus, complexes):
     )
 
 
-def test_criterion_5e_abbott_map_for_each_class(implicative_runs, abe_classes, complexes):
+def test_criterion_5e_abbott_map_for_each_class(complexes):
     # Abbott (1967): a finite implication algebra is the family of sets of
     # coatoms above its elements, closed under subsets, with x -> y read as
     # set difference.  So each implicative-aBE class has its own complex,
     # with no permutation searched, which turns 5b's equal lists into a
     # bijection; over aBE the map passes for exactly the implicative classes.
     failing, mismatches = [], []
-    for n, (models, _, _) in implicative_runs.items():
+    for n, (models, _, _) in implicative_runs().items():
         failing += [(n, m.table) for m in models if abbott_failure(m) or coatom_map(m)[m.unit]]
         found = [abbott_complex(m) for m in models]
         if len(set(found)) != len(found) or sorted(found) != complexes[n - 1]:
             mismatches.append(n)
     # 1 -> c = c for a coatom c, so the unit maps to the empty set in aBE
-    unit_empty = all(not coatom_map(m)[m.unit] for models in abe_classes for m in models)
-    outcomes = [[abbott_failure(m) for m in models] for models in abe_classes]
+    unit_empty = all(not coatom_map(m)[m.unit] for models in abe_classes() for m in models)
+    outcomes = [[abbott_failure(m) for m in models] for models in abe_classes()]
     passing = [outcome.count(None) for outcome in outcomes]
     failures = {n: {check: outcome.count(check) for check in ("injective", "closed", "law")}
                 for n, outcome in enumerate(outcomes, 1)}
@@ -521,7 +497,8 @@ def test_criterion_5e_abbott_map_for_each_class(implicative_runs, abe_classes, c
     )
 
 
-def test_criterion_6_commutativity_corollary(corpus, implicative_models):
+def test_criterion_6_commutativity_corollary(corpus):
+    implicative_models = implicative_classes()
     comm = corpus.statement("commutativity")
     violations = [m.size for m in implicative_models if not satisfies(m, comm)[0]]
     _verdict(
@@ -532,13 +509,13 @@ def test_criterion_6_commutativity_corollary(corpus, implicative_models):
     )
 
 
-def test_criterion_6b_corollaries_in_the_models(implicative_models, abe_classes):
+def test_criterion_6b_corollaries_in_the_models():
     # each target of a corollary script holds in every implicative-aBE class
     # up to size 8, and fails in the aBE classes pinned in ABE_FAILURES
-    merged = corpus_from_json(with_corollaries())
-    targets = [merged.statement(sid) for sid in dict.fromkeys(script["target"] for script in COROLLARY_SCRIPTS)]
+    implicative_models = implicative_classes()
+    targets = [merged_corpus().statement(sid) for sid in dict.fromkeys(script["target"] for script in COROLLARY_SCRIPTS)]
     violations = [(st.id, m.size) for st in targets for m in implicative_models if not satisfies(m, st)[0]]
-    failures = {st.id: [sum(not satisfies(m, st)[0] for m in models) for models in abe_classes] for st in targets}
+    failures = {st.id: [sum(not satisfies(m, st)[0] for m in models) for models in abe_classes()] for st in targets}
     ok = not violations and len(implicative_models) == 23 and failures == ABE_FAILURES
     _verdict(
         "6b",
@@ -555,7 +532,7 @@ def test_criterion_6c_commutative_bck_is_not_implicative():
     # BCK's axioms and commutativity but not ax6, and it is the only class of
     # size at most 3 that does.  The other separation, aBE not inside BCK,
     # first shows at size 4: criterion 6b's ABE_FAILURES["bck1"].
-    merged = corpus_from_json(with_corollaries())
+    merged = merged_corpus()
     holds = [merged.statement(sid) for sid in ("ax1", "ax2", "ax3", "ax4", "ax5", "bck1", "bck2", "commutativity")]
     ax6 = merged.statement("ax6")
 
@@ -583,25 +560,26 @@ def test_criterion_6c_commutative_bck_is_not_implicative():
     )
 
 
-def test_criterion_6d_implicative_abe_is_tarski(abe_classes):
+def test_criterion_6d_implicative_abe_is_tarski():
     # Kernel half: read through the corollary scripts, every result, ax5 and
     # thm included, rests on Tarski's four axioms (ax5 by ax5-from-tarski).
     # The other direction is the commutativity script, whose closure in
     # ax3-ax6 test_axioms_each_result_rests_on pins.  Model half: an aBE
     # class of size at most 5 is a Tarski model exactly when it is an
     # implicative-aBE model.
-    merged = corpus_from_json(with_corollaries())
+    merged = merged_corpus()
     tarski = tuple(st.id for st in merged.axiom_system("Tarski").members)
     closures = axiom_closures(merged, tarski)
     outside = {sid: axioms for sid, axioms in closures.items() if not axioms <= set(tarski)}
     ax6 = merged.statement("ax6")
     passing, failures, mismatches = [], {}, []
-    for n, models in enumerate(abe_classes, 1):
+    abe = abe_classes()
+    for n, models in enumerate(abe, 1):
         first = [next((sid for sid in tarski if not satisfies(m, merged.statement(sid))[0]), None) for m in models]
         mismatches += [(n, m.table) for m, sid in zip(models, first) if (sid is None) != satisfies(m, ax6)[0]]
         passing.append(first.count(None))
         for sid in filter(None, first):
-            failures.setdefault(sid, [0] * len(abe_classes))[n - 1] += 1
+            failures.setdefault(sid, [0] * len(abe))[n - 1] += 1
     ok = (
         len(closures) == 22 and not outside and not mismatches
         and passing == IMPLICATIVE_CLASSES[:5] and failures == TARSKI_FAILURES

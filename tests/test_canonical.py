@@ -5,14 +5,13 @@ that ties the enumerator's classes to the labeled tables of the complete
 search at sizes the brute-force oracle cannot reach.
 
 The labeled tables come from ground_search, a search written from the
-axioms' clause forms alone that shares no code with the core: the core that
-runs breaks symmetry, so its tables are not closed under relabeling and only
-the identity shows that it missed no class.  Past ground_search's sizes, at
-implicative-aBE n = 7, the identity reads the core's own fill in row-major
-order with no relabelings, which test_propagate checks against
-ground_search at the smaller sizes."""
+axioms' clause forms alone that shares no code with the core, read through
+conftest: the core that runs breaks symmetry, so its tables are not closed
+under relabeling and only the identity shows that it missed no class.  Past
+ground_search's sizes, at implicative-aBE n = 7, the identity reads the
+core's own fill in row-major order with no relabelings, which test_propagate
+checks against ground_search at the smaller sizes."""
 
-import functools
 import math
 from collections import Counter
 
@@ -24,22 +23,8 @@ from abeforge import search
 from abeforge.models import canonical_form, canonicalize, from_flat, is_model, relabeling_table, relabelings
 from abeforge.search import enumerate_with_stats
 
-from conftest import BASIS, COMPLETE_LABELED, random_algebra
-from ground_search import ground_search
+from conftest import BASIS, COMPLETE_LABELED, classes, ground_tables, random_algebra
 from reference import orbit_sum, reference_canonical
-
-
-@functools.lru_cache(maxsize=None)
-def labeled(statements, n):
-    """ground_search's labeled tables, row-major, in ascending order."""
-    return ground_search(statements, n)[0]
-
-
-def reference_enumerate(system, n):
-    """The per-table filter: every labeled table that equals its canonical
-    form, ascending as ground_search finds them."""
-    models = (from_flat(flat, n) for flat in labeled(system.members, n))
-    return [m for m in models if canonicalize(m) == m]
 
 
 def assert_matches_reference(model):
@@ -97,9 +82,9 @@ def test_basis_has_the_labeled_tables_of_implicative_abe(corpus):
     # ax1 and ax2 follow from the basis {ax3, ax4, ax5, ax6}
     basis = tuple(map(corpus.statement, BASIS))
     for n in range(1, 7):
-        tables = labeled(basis, n)
+        tables = ground_tables(basis, n)[0]
         assert len(set(tables)) == len(tables), n
-        assert tables == labeled(corpus.axiom_system("implicative-aBE").members, n), n
+        assert tables == ground_tables(corpus.axiom_system("implicative-aBE").members, n)[0], n
 
 
 @pytest.mark.parametrize("name, max_size", [("aBE", 5), ("implicative-aBE", 7)])
@@ -108,9 +93,8 @@ def test_orbit_counting_identity(corpus, name, max_size):
     # complete search: ground_search's to n = 6, then the core's row-major fill.
     system = corpus.axiom_system(name)
     for n in range(1, max_size + 1):
-        tables = labeled(system.members, n) if n <= 6 else search._core._fill(n, system.members, range(n * n), ())[0]
-        models, _, _ = enumerate_with_stats(system, n)
-        assert orbit_sum(models) == len(tables), n
+        tables = ground_tables(system.members, n)[0] if n <= 6 else search._core._fill(n, system.members, range(n * n), ())[0]
+        assert orbit_sum(classes(system.members, n)[0]) == len(tables), n
         if (name, n) in COMPLETE_LABELED:
             assert len(tables) == COMPLETE_LABELED[name, n]
 
@@ -124,16 +108,18 @@ TRANS_WITNESSES_PINNED = {4: 3, 5: 178}
 @pytest.mark.parametrize("n", sorted(TRANS_WITNESSES_PINNED))
 def test_labeled_tables_with_trans_witnesses_pinned(corpus, n):
     u = n - 1
-    pinned = [t for t in labeled(corpus.axiom_system("aBE").members, n) if t[1] == u and t[n + 2] == u and t[2] != u]
+    pinned = [t for t in ground_tables(corpus.axiom_system("aBE").members, n)[0] if t[1] == u and t[n + 2] == u and t[2] != u]
     assert len(pinned) == TRANS_WITNESSES_PINNED[n]
 
 
 @pytest.mark.parametrize("name, max_size", [("aBE", 5), ("implicative-aBE", 6)])
 def test_enumerator_matches_per_table_filter(corpus, name, max_size):
-    system = corpus.axiom_system(name)
+    # the per-table filter: every labeled table that equals its canonical
+    # form, ascending as ground_search finds them
+    members = corpus.axiom_system(name).members
     for n in range(1, max_size + 1):
-        models, _, _ = enumerate_with_stats(system, n)
-        assert models == reference_enumerate(system, n), n
+        models = (from_flat(flat, n) for flat in ground_tables(members, n)[0])
+        assert classes(members, n)[0] == tuple(m for m in models if canonicalize(m) == m), n
 
 
 def test_orbit_counting_identity_catches_a_lost_class(corpus, monkeypatch):
@@ -142,8 +128,8 @@ def test_orbit_counting_identity_catches_a_lost_class(corpus, monkeypatch):
     tables, _, _ = core_search(n, corpus.axiom_system("aBE").members)
     # a table that no other table of the core's output is isomorphic to, so
     # that dropping it drops its class
-    classes = Counter(canonical_form(from_flat(t, n)) for t in tables)
-    dropped = next(t for t in tables if classes[canonical_form(from_flat(t, n))] == 1)
+    orbits = Counter(canonical_form(from_flat(t, n)) for t in tables)
+    dropped = next(t for t in tables if orbits[canonical_form(from_flat(t, n))] == 1)
 
     def lossy_search(*args):
         found, nodes, exceeded = core_search(*args)
@@ -151,8 +137,8 @@ def test_orbit_counting_identity_catches_a_lost_class(corpus, monkeypatch):
 
     monkeypatch.setattr(search._core, "search_tables", lossy_search)
     models, _, _ = enumerate_with_stats(corpus.axiom_system("aBE"), n)
-    assert len(models) == len(classes) - 1
-    assert orbit_sum(models) < len(labeled(corpus.axiom_system("aBE").members, n))
+    assert len(models) == len(orbits) - 1
+    assert orbit_sum(models) < len(ground_tables(corpus.axiom_system("aBE").members, n)[0])
 
 
 def cell_order_key(flat, n):

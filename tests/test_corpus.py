@@ -15,7 +15,7 @@ from abeforge.kernel import (
     Split,
     verify_corpus,
 )
-from conftest import BASIS, axiom_closures, child_env, read_corpus_json, with_corollaries
+from conftest import BASIS, axiom_closures, child_env, merged_corpus, read_corpus_json, with_corollaries
 
 
 def test_registry_counts(corpus):
@@ -97,7 +97,7 @@ def undeclared_citations(corpus):
 
 def test_each_script_cites_only_what_it_declares(corpus):
     # the kernel checks only that each declared dependency is verified
-    for scripts in (corpus, corpus_from_json(with_corollaries())):
+    for scripts in (corpus, merged_corpus()):
         assert all(cited(script.steps) for script in scripts.scripts)
         assert undeclared_citations(scripts) == {}
 
@@ -140,7 +140,7 @@ def test_axioms_each_result_rests_on():
     def ax(*ks):
         return {f"ax{k}" for k in ks}
 
-    merged = corpus_from_json(with_corollaries())
+    merged = merged_corpus()
     closures, from_basis = axiom_closures(merged), axiom_closures(merged, BASIS)
     assert {sid: (closures[sid], from_basis[sid]) for sid in closures} == {
         "ax5-clause": (ax(5), ax(5)),

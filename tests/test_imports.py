@@ -1,5 +1,6 @@
-"""Every module-level import is read in its own file, and only the
-benchmark's contract imports the complete search.
+"""Every module-level import is read in its own file, only the benchmark's
+contract imports the complete search, and only conftest builds the shared
+references.
 
 A name imported and never read is a dead import: it costs start-up time
 in the package, and in tests it hides what a file really uses.  A name
@@ -63,3 +64,16 @@ def test_only_the_benchmark_contract_imports_the_complete_search():
         if "abeforge._speed_py" in f"{getattr(node, 'module', '')}.{alias.name}"
     }
     assert readers == {"test_benchmark_contract.py"}
+
+
+def test_only_conftest_builds_the_shared_references():
+    # conftest builds the ground search's tables and the merged corpus once
+    # per session; a test file calling either builder would build them again
+    built = {"ground_search", "corpus_from_json(with_corollaries())"}
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(TESTS.glob("*.py")) if path.name != "conftest.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(node, ast.Call)
+        if {ast.unparse(node.func).split(".")[-1], ast.unparse(node)} & built
+    ]
+    assert calls == []

@@ -101,11 +101,9 @@ class TestVerifyRewrite:
             verify_rewrite(parse_term("x"), Rewrite(0, {}, "", L2R), verified, hyps=(hyp,))
 
     @given(terms(max_leaves=8), st.integers(0, 4))
-    def test_step_locality(self, t, seed):
+    def test_step_locality(self, corpus, t, seed):
         # a rewrite at position p changes nothing disjoint from p
-        from abeforge.corpus import load_corpus
-
-        verified = load_corpus().axioms()
+        verified = corpus.axioms()
         rng = random.Random(seed)
         pos = rng.choice(positions(t))
         target = subterm_at(t, pos)

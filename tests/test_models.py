@@ -4,7 +4,6 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from abeforge.corpus import load_corpus
 from abeforge.models import (
     FiniteAlgebra,
     Witness,
@@ -15,10 +14,9 @@ from abeforge.models import (
     model_to_json,
     satisfies,
 )
-from abeforge.search import enumerate_with_stats
 from abeforge.statements import Literal, Statement
 from abeforge.terms import UNIT, Arrow, Const, Var, parse_term
-from conftest import random_algebra, terms
+from conftest import classes, merged_corpus, random_algebra, terms
 from reference import evaluate, relabel
 
 M2 = FiniteAlgebra(2, 1, ((1, 1), (0, 1)))
@@ -90,10 +88,7 @@ class TestSatisfies:
                 assert (lv == rv) != lit.positive
 
     @given(random_algebra(), st.permutations(list(range(4))))
-    def test_relabeling_invariance(self, model, perm):
-        from abeforge.corpus import load_corpus
-
-        corpus = load_corpus()
+    def test_relabeling_invariance(self, corpus, model, perm):
         perm = [p % model.size for p in perm[: model.size]]
         if sorted(perm) != list(range(model.size)):
             return
@@ -156,8 +151,8 @@ def wide_term(k):
 
 class TestCompiledSatisfies:
     @given(random_algebra(st.integers(1, 4)))
-    def test_corpus_statements_match_reference(self, model):
-        for st_ in load_corpus().statements.values():
+    def test_corpus_statements_match_reference(self, corpus, model):
+        for st_ in corpus.statements.values():
             assert satisfies(model, st_) == reference_satisfies(model, st_), st_.id
 
     @given(random_algebra(st.integers(1, 4)), drawn_clauses())
@@ -230,8 +225,8 @@ class TestCompiledSatisfies:
         assert satisfies(M2, st_) == (True, None)
 
 
-TRANS = load_corpus().statement("trans")
-COMMUTATIVITY = load_corpus().statement("commutativity")
+TRANS = merged_corpus().statement("trans")
+COMMUTATIVITY = merged_corpus().statement("commutativity")
 SWAP = identity("swap", Arrow(Var("x"), Var("y")), Arrow(Var("y"), Var("x")))
 
 
@@ -248,13 +243,6 @@ def horn_clauses():
     )
 
 
-@pytest.fixture(scope="module")
-def implicative_classes(corpus):
-    """The implicative-aBE classes of sizes 1..7."""
-    system = corpus.axiom_system("implicative-aBE")
-    return [m for n in range(1, 8) for m in enumerate_with_stats(system, n)[0]]
-
-
 class TestHornAtSizeTwo:
     """Each implicative aBE algebra embeds in a power of the 2-element one
     (Abbott), and a Horn clause holds in subalgebras and products of models
@@ -267,14 +255,16 @@ class TestHornAtSizeTwo:
     @example(clause=TRANS)
     @example(clause=COMMUTATIVITY)
     @example(clause=SWAP)
-    def test_size_two_decides(self, implicative_classes, clause):
-        two = next(m for m in implicative_classes if m.size == 2)
+    def test_size_two_decides(self, corpus, clause):
+        members = corpus.axiom_system("implicative-aBE").members
+        two = classes(members, 2)[0][0]
         holds = satisfies(two, clause)[0]
         assert reference_satisfies(two, clause)[0] == holds
-        assert all(satisfies(m, clause)[0] for m in implicative_classes) == holds
+        # the same verdict in every class of sizes 1..7
+        assert all(satisfies(m, clause)[0] for n in range(1, 8) for m in classes(members, n)[0]) == holds
 
-    def test_the_examples_verdicts(self, implicative_classes):
-        two = next(m for m in implicative_classes if m.size == 2)
+    def test_the_examples_verdicts(self, corpus):
+        two = classes(corpus.axiom_system("implicative-aBE").members, 2)[0][0]
         assert [satisfies(two, clause)[0] for clause in (TRANS, COMMUTATIVITY, SWAP)] == [True, True, False]
 
 

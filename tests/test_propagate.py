@@ -5,20 +5,17 @@ partial tables; the same tables and node counts when its propagator drives
 the core's search; and its own row-major fill against the core's fill in
 that order with no relabelings, the complete search."""
 
-import functools
-
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from abeforge import _core, models
-from abeforge.corpus import corpus_from_json
 from abeforge.models import MAX_SIZE
 from abeforge.statements import Literal, Statement
 from abeforge.terms import Arrow, Const, Var, parse_term
 
-from conftest import BASIS, with_corollaries
-from ground_search import Ground, ground_search, propagator
+from conftest import BASIS, ground_tables, merged_corpus
+from ground_search import Ground, propagator
 
 
 def clause(sid, *literals):
@@ -41,9 +38,8 @@ SYSTEMS = {
 }
 
 
-@functools.lru_cache(maxsize=None)
 def axioms(name):
-    statements = {**corpus_from_json(with_corollaries()).statements, "linear": LINEAR, "either": EITHER}
+    statements = {**merged_corpus().statements, "linear": LINEAR, "either": EITHER}
     return tuple(statements[sid] for sid in SYSTEMS[name])
 
 
@@ -134,7 +130,7 @@ def test_search_matches_sweep_search(complete, name, max_size, monkeypatch):
         # in _core._fill shows
         for n in range(1, max_size + 1):
             tables, nodes, _ = _core._fill(n, statements, range(n * n), ())
-            assert ground_search(statements, n) == (tables, nodes), n
+            assert ground_tables(statements, n) == (tuple(tables), nodes), n
         return
     # the core's search, with the ground propagator patched in for the
     # compiled one that _core._fill looks up

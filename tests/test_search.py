@@ -1,9 +1,9 @@
 import ast
+import hashlib
 
 import pytest
 
 from abeforge import _core, models, search
-from abeforge.corpus import corpus_from_json
 from abeforge.models import MAX_SIZE, canonical_form, canonicalize, is_model
 from abeforge.search import (
     brute_force_models,
@@ -13,14 +13,14 @@ from abeforge.search import (
     first_counterexample,
 )
 from abeforge.statements import AxiomSystem
-from conftest import BASIS, SRC, with_corollaries
+from conftest import BASIS, SRC, classes, merged_corpus
 
 TARSKI = ("ax3", "ax4", "ax6", "commutativity")
 
 # Counts pinned by the brute-force oracle (n <= 3) and by double-run
 # reproducibility (n >= 4); see the acceptance suite for the cross-checks.
 GOLDEN_CLASSES = {
-    "aBE": {1: 1, 2: 1, 3: 3, 4: 19},
+    "aBE": {1: 1, 2: 1, 3: 3, 4: 19, 5: 241, 6: 6922},
     "implicative-aBE": {1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 3},
 }
 GOLDEN_LABELED = {"aBE": {1: 1, 2: 1, 3: 5}, "implicative-aBE": {1: 1, 2: 1, 3: 1}}
@@ -30,23 +30,24 @@ GOLDEN_LABELED = {"aBE": {1: 1, 2: 1, 3: 5}, "implicative-aBE": {1: 1, 2: 1, 3: 
 # relabelings it reads moves them.
 CORE_NODES = {
     "implicative-aBE": {1: 0, 2: 0, 3: 6, 4: 32, 5: 155, 6: 456, 7: 1211, 8: 3280},
-    "aBE": {1: 0, 2: 0, 3: 9, 4: 208, 5: 4985},
+    "aBE": {1: 0, 2: 0, 3: 9, 4: 208, 5: 4985, 6: 187656},
 }
 
-
-@pytest.fixture(scope="module")
-def merged():
-    return corpus_from_json(with_corollaries())
+# SHA-256 of the aBE classes' canonical forms, concatenated in output order
+ABE_DIGESTS = {
+    5: "815929faaac8f9f77b4b4744a8a2dd4c33d77750f9c845f32ae7c25d34663ec8",
+    6: "47d406fe472c81e920d4661a597611f498333d780b601ac3e1751211864b7e12",
+}
 
 
 class TestEnumerate:
     def test_size_one_is_trivial(self, corpus):
-        models = enumerate_with_stats(corpus.axiom_system("implicative-aBE"), 1)[0]
+        models = classes(corpus.axiom_system("implicative-aBE").members, 1)[0]
         assert len(models) == 1
         assert models[0].size == 1
 
     def test_size_two_forced(self, corpus):
-        models = enumerate_with_stats(corpus.axiom_system("implicative-aBE"), 2)[0]
+        models = classes(corpus.axiom_system("implicative-aBE").members, 2)[0]
         assert len(models) == 1
         assert models[0].table == ((1, 1), (0, 1))
 
@@ -54,14 +55,19 @@ class TestEnumerate:
     def test_golden_counts(self, corpus, name):
         system = corpus.axiom_system(name)
         for n, want in GOLDEN_CLASSES[name].items():
-            assert len(enumerate_with_stats(system, n)[0]) == want
+            assert len(classes(system.members, n)[0]) == want
+
+    @pytest.mark.parametrize("n", sorted(ABE_DIGESTS))
+    def test_abe_digests(self, corpus, n):
+        models = classes(corpus.axiom_system("aBE").members, n)[0]
+        assert hashlib.sha256(b"".join(map(canonical_form, models))).hexdigest() == ABE_DIGESTS[n]
 
     @pytest.mark.parametrize("name", ["aBE", "implicative-aBE"])
     def test_emitted_models_are_canonical_distinct_models(self, corpus, name):
         system = corpus.axiom_system(name)
         seen = set()
         for n in (3, 4):
-            for model in enumerate_with_stats(system, n)[0]:
+            for model in classes(system.members, n)[0]:
                 ok, _ = is_model(model, system)
                 assert ok
                 assert canonicalize(model) == model
@@ -71,7 +77,7 @@ class TestEnumerate:
 
     def test_stream_ascending_canonical_order(self, corpus):
         system = corpus.axiom_system("aBE")
-        keys = [canonical_form(m) for m in enumerate_with_stats(system, 4)[0]]
+        keys = [canonical_form(m) for m in classes(system.members, 4)[0]]
         assert keys == sorted(keys)
 
     def test_repeat_runs_identical(self, corpus):
@@ -105,7 +111,7 @@ class TestCoreNodes:
     @pytest.mark.parametrize("name", ["aBE", "implicative-aBE"])
     def test_node_counts(self, corpus, name):
         axioms = corpus.axiom_system(name).members
-        got = {n: search._core.search_tables(n, axioms)[1] for n in CORE_NODES[name]}
+        got = {n: classes(axioms, n)[1] for n in CORE_NODES[name]}
         assert got == CORE_NODES[name]
 
 
@@ -113,24 +119,24 @@ class TestAnySystem:
     """The core propagates whatever statements a system holds."""
 
     @pytest.mark.parametrize("system", [TARSKI, BASIS], ids=["Tarski", "basis"])
-    def test_the_chain_through_the_core(self, merged, system):
+    def test_the_chain_through_the_core(self, system):
         # every implicative aBE algebra is a Tarski algebra, and the basis
         # {ax3, ax4, ax5, ax6} defines the same class: the same canonical
         # classes at every size
-        implicative = merged.axiom_system("implicative-aBE")
-        axioms = AxiomSystem("", tuple(map(merged.statement, system)))
+        implicative = merged_corpus().axiom_system("implicative-aBE").members
+        axioms = tuple(map(merged_corpus().statement, system))
         for n in range(1, 9):
-            assert enumerate_with_stats(axioms, n)[0] == enumerate_with_stats(implicative, n)[0], n
+            assert classes(axioms, n)[0] == classes(implicative, n)[0], n
 
     @pytest.mark.parametrize("system", [("ax1",), TARSKI, BASIS], ids=["ax1", "Tarski", "basis"])
-    def test_counts_equal_the_oracle(self, merged, system):
-        axioms = AxiomSystem("", tuple(map(merged.statement, system)))
+    def test_counts_equal_the_oracle(self, system):
+        axioms = AxiomSystem("", tuple(map(merged_corpus().statement, system)))
         for n in (1, 2, 3):
-            labeled, classes = brute_force_models(axioms, n)
+            labeled, found = brute_force_models(axioms, n)
             assert len(_core._fill(n, axioms.members, range(n * n), ())[0]) == labeled, n
-            assert len(enumerate_with_stats(axioms, n)[0]) == classes, n
+            assert len(classes(axioms.members, n)[0]) == found, n
             if system == ("ax1",) and n == 3:
-                assert (labeled, classes) == (729, 378)
+                assert (labeled, found) == (729, 378)
 
     def test_the_propagator_is_compiled_once_per_axiom_tuple(self, corpus, monkeypatch):
         compiled = []
@@ -142,10 +148,10 @@ class TestAnySystem:
             pass
         assert compiled == [system.members]
 
-    def test_only_the_complete_search_names_a_system(self, merged):
+    def test_only_the_complete_search_names_a_system(self):
         # the package reads a system's axioms from its statements; only
         # _speed_py maps its flag to a built-in system
-        names = set(merged.axiom_systems)
+        names = set(merged_corpus().axiom_systems)
         found = [
             (path.name, node.value)
             for path in sorted((SRC / "abeforge").glob("*.py"))

@@ -5,7 +5,7 @@ from abeforge.models import FiniteAlgebra, satisfies
 from abeforge.statements import Literal, Statement, clauses_equal, instantiate, literal_eq
 from abeforge.terms import format_term, parse_term
 
-from conftest import read_corpus_json, with_corollaries
+from conftest import merged_corpus, read_corpus_json
 
 
 def lit(lhs, rhs, positive=True):
@@ -52,7 +52,7 @@ def test_clause_form_stable(corpus):
 
 
 def test_instantiate_with_no_substitution_is_the_clause_form():
-    for st_ in corpus_from_json(with_corollaries()).statements.values():
+    for st_ in merged_corpus().statements.values():
         assert instantiate(st_, {}) == st_.literals
 
 
